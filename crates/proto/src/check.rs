@@ -24,7 +24,7 @@ use pimdsm_mem::Line;
 
 use crate::agg::AggSystem;
 use crate::coma::ComaSystem;
-use crate::common::{AmState, CState};
+use crate::common::{AmState, CState, NodeList};
 use crate::dnode::Master;
 use crate::numa::NumaSystem;
 use crate::system::MemSystem;
@@ -61,13 +61,15 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
     let Some(e) = sys.dnode(home).entry(line) else {
         return;
     };
-    // Who holds the line, at memory and cache level.
-    let mut holders: Vec<(usize, AmState)> = Vec::new();
+    // Who holds the line, at memory and cache level. A stack list: the
+    // per-transaction oracle must not allocate.
+    let am_state = |p: usize| sys.pstore_ref(p).am.peek(line).copied();
+    let mut holders = NodeList::new();
     for &p in sys.p_nodes() {
         let ps = sys.pstore_ref(p);
-        let am = ps.am.peek(line).copied();
-        if let Some(st) = am {
-            holders.push((p, st));
+        let am = am_state(p);
+        if am.is_some() {
+            holders.push(p);
         }
         if let Some(c) = ps.caches.peek_state(line) {
             assert!(
@@ -85,10 +87,11 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
     }
 
     if let Some(k) = e.owner {
-        assert_eq!(
-            holders,
-            vec![(k, AmState::Dirty)],
-            "owned line {line:#x}: owner {k} must be the unique (dirty) holder"
+        assert!(
+            holders[..] == [k] && am_state(k) == Some(AmState::Dirty),
+            "owned line {line:#x}: owner {k} must be the unique (dirty) holder, \
+             held by {:?}",
+            &holders[..]
         );
         assert_eq!(
             e.master,
@@ -100,13 +103,15 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
     if e.paged_out {
         assert!(
             holders.is_empty(),
-            "paged-out line {line:#x} still held: {holders:?}"
+            "paged-out line {line:#x} still held: {:?}",
+            &holders[..]
         );
         return;
     }
     // Shared (or home-only) line: holders and sharer bits agree exactly;
     // a single shared-master copy exists iff mastership is outside.
-    for &(p, st) in &holders {
+    for &p in holders.iter() {
+        let st = am_state(p).expect("holders have an AM copy");
         assert!(
             e.sharers.contains(p),
             "node {p} holds shared line {line:#x} without a sharer bit"
@@ -123,7 +128,7 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
     }
     for s in e.sharers.iter() {
         assert!(
-            holders.iter().any(|&(p, _)| p == s),
+            holders.contains(&s),
             "sharer bit for node {s} on line {line:#x} but no AM copy"
         );
     }
@@ -148,12 +153,14 @@ pub fn check_coma(sys: &ComaSystem) {
 pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
     let Some(e) = sys.dir_entry(line) else { return };
     let n = sys.n_nodes();
-    let mut holders: Vec<(usize, AmState)> = Vec::new();
+    // A stack list: the per-transaction oracle must not allocate.
+    let am_state = |p: usize| sys.pstore_ref(p).am.peek(line).copied();
+    let mut holders = NodeList::new();
     for p in 0..n {
         let ps = sys.pstore_ref(p);
-        let am = ps.am.peek(line).copied();
-        if let Some(st) = am {
-            holders.push((p, st));
+        let am = am_state(p);
+        if am.is_some() {
+            holders.push(p);
         }
         if let Some(c) = ps.caches.peek_state(line) {
             assert!(
@@ -171,10 +178,11 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
     }
 
     if let Some(k) = e.owner {
-        assert_eq!(
-            holders,
-            vec![(k, AmState::Dirty)],
-            "owned line {line:#x}: owner {k} must be the unique (dirty) holder"
+        assert!(
+            holders[..] == [k] && am_state(k) == Some(AmState::Dirty),
+            "owned line {line:#x}: owner {k} must be the unique (dirty) holder, \
+             held by {:?}",
+            &holders[..]
         );
         assert_eq!(
             e.master,
@@ -189,12 +197,13 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
         // Forced spill keeps the sharer bits conservative: stale *shared*
         // holders are tolerated, dirty ones never.
         assert!(
-            !holders.iter().any(|&(_, st)| st == AmState::Dirty),
+            !holders.iter().any(|&p| am_state(p) == Some(AmState::Dirty)),
             "on-disk line {line:#x} has a dirty holder"
         );
         return;
     }
-    for &(p, st) in &holders {
+    for &p in holders.iter() {
+        let st = am_state(p).expect("holders have an AM copy");
         assert!(
             e.sharers.contains(p),
             "node {p} holds shared line {line:#x} without a sharer bit"
@@ -211,7 +220,7 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
     }
     for s in e.sharers.iter() {
         assert!(
-            holders.iter().any(|&(p, _)| p == s),
+            holders.contains(&s),
             "sharer bit for node {s} on line {line:#x} but no AM copy"
         );
     }

@@ -187,6 +187,10 @@ pub struct ComaSystem {
     // coherence oracle) must observe a deterministic ascending-line
     // order, which the chunked storage yields by construction.
     dir: ComaDir,
+    // `by_dist[from]`: every node ordered by the unique key
+    // `(hops(from, c), c)`, built once so injection and cold-private
+    // preload walk a fixed order instead of sorting per line.
+    by_dist: Vec<NodeList>,
     fab: Fabric,
 }
 
@@ -215,9 +219,20 @@ impl ComaSystem {
             cfg.handler,
             net,
         );
+        let by_dist = (0..cfg.nodes)
+            .map(|from| {
+                let mut l = NodeList::new();
+                for c in 0..cfg.nodes {
+                    l.push(c);
+                }
+                l.sort_unstable_by_key(|&c| (fab.net.hops(from, c), c));
+                l
+            })
+            .collect();
         ComaSystem {
             ctrls: (0..cfg.nodes).map(|_| Server::new()).collect(),
             dir: ComaDir::new(fab.lines_per_page()),
+            by_dist,
             nodes,
             fab,
             cfg,
@@ -412,25 +427,7 @@ impl ComaSystem {
     /// absorbs it without evicting another master, spill to disk.
     fn inject(&mut self, node: NodeId, line: Line, state: AmState, provider: NodeId, now: Cycle) {
         let home = self.fab.mapped_home(line);
-
-        let mut candidates = NodeList::new();
-        for c in [provider, home] {
-            if c != node && !candidates.contains(&c) && !self.fab.dead.contains(c) {
-                candidates.push(c);
-            }
-        }
-        let mut others = NodeList::new();
-        for c in (0..self.cfg.nodes)
-            .filter(|&c| c != node && !candidates.contains(&c) && !self.fab.dead.contains(c))
-        {
-            others.push(c);
-        }
-        // Keys are unique per candidate, so the unstable (allocation-free)
-        // sort is deterministic.
-        others.sort_unstable_by_key(|&c| (self.fab.net.hops(node, c), c));
-        for &c in others.iter() {
-            candidates.push(c);
-        }
+        let candidates = self.inject_candidates(node, provider, home);
 
         let data = self.fab.msg_data();
         if candidates.is_empty() {
@@ -505,6 +502,51 @@ impl ComaSystem {
                 e.sharers.remove(node);
                 e.sharers.insert(c);
                 e.master = Some(c);
+            }
+        }
+    }
+
+    /// Injection targets for a line displaced from `node`, in probe
+    /// order: the provider, the home, then every other live node nearest
+    /// first.
+    fn inject_candidates(&self, node: NodeId, provider: NodeId, home: NodeId) -> NodeList {
+        let mut candidates = NodeList::new();
+        for c in [provider, home] {
+            if c != node && !candidates.contains(&c) && !self.fab.dead.contains(c) {
+                candidates.push(c);
+            }
+        }
+        let pinned = candidates.len();
+        for &c in self.by_dist[node].iter() {
+            if c != node && !candidates[..pinned].contains(&c) && !self.fab.dead.contains(c) {
+                candidates.push(c);
+            }
+        }
+        candidates
+    }
+
+    /// Where `preload` places a line: cold private data at the nearest
+    /// node to `owner` with room in the line's set; shared-init data at
+    /// the least-loaded node (fewest resident lines, lowest id on ties)
+    /// with room. `None` means the line's set is full at every node.
+    fn preload_target(&self, line: Line, owner: NodeId, kind: PreloadKind) -> Option<NodeId> {
+        let has_room = |n: NodeId| self.nodes[n].am.has_room_for(line);
+        match kind {
+            PreloadKind::ColdPrivate => self.by_dist[owner].iter().copied().find(|&n| has_room(n)),
+            PreloadKind::SharedInit => {
+                // Keys are unique, so the minimum is the head of the full
+                // load order; only a full set there pays for the sort.
+                let load = |n: NodeId| (self.nodes[n].am.len(), n);
+                let head = (0..self.cfg.nodes).min_by_key(|&n| load(n))?;
+                if has_room(head) {
+                    return Some(head);
+                }
+                let mut rest = NodeList::new();
+                for n in (0..self.cfg.nodes).filter(|&n| n != head) {
+                    rest.push(n);
+                }
+                rest.sort_unstable_by_key(|&n| load(n));
+                rest.iter().copied().find(|&n| has_room(n))
             }
         }
     }
@@ -939,32 +981,173 @@ impl MemSystem for ComaSystem {
         // owner; shared-init data ends up spread across the machine by
         // init-time capacity displacement (balance by free space, as the
         // long-run injection equilibrium would).
-        let (state, candidates): (AmState, Vec<NodeId>) = match kind {
-            PreloadKind::ColdPrivate => {
-                let mut c: Vec<NodeId> = (0..self.cfg.nodes).collect();
-                c.sort_by_key(|&n| (self.fab.net.hops(owner, n), n));
-                (AmState::Dirty, c)
-            }
-            PreloadKind::SharedInit => {
-                let mut c: Vec<NodeId> = (0..self.cfg.nodes).collect();
-                c.sort_by_key(|&n| (self.nodes[n].am.len(), n));
-                (AmState::SharedMaster, c)
-            }
+        let state = match kind {
+            PreloadKind::ColdPrivate => AmState::Dirty,
+            PreloadKind::SharedInit => AmState::SharedMaster,
         };
-        for c in candidates {
-            if self.nodes[c].am.has_room_for(line) {
-                self.nodes[c].am.insert(line, state, victim_class);
-                let e = self.dir.entry_or_default(line);
-                e.master = Some(c);
-                e.sharers = NodeSet::singleton(c);
-                if state == AmState::Dirty {
-                    e.owner = Some(c);
-                }
-                return;
+        let Some(c) = self.preload_target(line, owner, kind) else {
+            // Pathological set pressure everywhere: the copy sits on disk.
+            self.dir.entry_or_default(line).on_disk = true;
+            self.fab.stats.disk_spills += 1;
+            return;
+        };
+        self.nodes[c].am.insert(line, state, victim_class);
+        let e = self.dir.entry_or_default(line);
+        e.master = Some(c);
+        e.sharers = NodeSet::singleton(c);
+        if state == AmState::Dirty {
+            e.owner = Some(c);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pimdsm_engine::SimRng;
+
+    /// Attraction memories of four 4-way sets: a few dozen preloads fill
+    /// sets, so the sorted fallback and the disk spill both fire.
+    fn small(nodes: usize) -> ComaSystem {
+        ComaSystem::new(ComaCfg::paper(nodes, 8, 32, 16))
+    }
+
+    /// The per-line sort rule `preload_target` replaced.
+    fn reference_preload_target(
+        m: &ComaSystem,
+        line: Line,
+        owner: NodeId,
+        kind: PreloadKind,
+    ) -> Option<NodeId> {
+        let mut c: Vec<NodeId> = (0..m.cfg.nodes).collect();
+        match kind {
+            PreloadKind::ColdPrivate => c.sort_by_key(|&n| (m.fab.net.hops(owner, n), n)),
+            PreloadKind::SharedInit => c.sort_by_key(|&n| (m.nodes[n].am.len(), n)),
+        }
+        c.into_iter().find(|&n| m.nodes[n].am.has_room_for(line))
+    }
+
+    /// The per-injection sort rule `inject_candidates` replaced.
+    fn reference_inject_candidates(
+        m: &ComaSystem,
+        node: NodeId,
+        provider: NodeId,
+        home: NodeId,
+    ) -> Vec<NodeId> {
+        let mut candidates = Vec::new();
+        for c in [provider, home] {
+            if c != node && !candidates.contains(&c) && !m.fab.dead.contains(c) {
+                candidates.push(c);
             }
         }
-        // Pathological set pressure everywhere: the copy sits on disk.
-        self.dir.entry_or_default(line).on_disk = true;
-        self.fab.stats.disk_spills += 1;
+        let mut others: Vec<NodeId> = (0..m.cfg.nodes)
+            .filter(|&c| c != node && !candidates.contains(&c) && !m.fab.dead.contains(c))
+            .collect();
+        others.sort_by_key(|&c| (m.fab.net.hops(node, c), c));
+        candidates.extend(others);
+        candidates
+    }
+
+    #[test]
+    fn by_dist_is_a_permutation_sorted_by_hops_then_id() {
+        for nodes in [1, 2, 3, 4, 5, 6, 8, 16, 32, 64] {
+            let m = small(nodes);
+            assert_eq!(m.by_dist.len(), nodes);
+            for (from, order) in m.by_dist.iter().enumerate() {
+                let mut ids = order.to_vec();
+                ids.sort_unstable();
+                assert_eq!(
+                    ids,
+                    (0..nodes).collect::<Vec<_>>(),
+                    "{nodes} nodes, from {from}"
+                );
+                let keys: Vec<_> = order
+                    .iter()
+                    .map(|&c| (m.fab.net.hops(from, c), c))
+                    .collect();
+                assert!(
+                    keys.windows(2).all(|w| w[0] < w[1]),
+                    "{nodes} nodes, from {from}"
+                );
+                assert_eq!(order[0], from, "a node is its own nearest");
+            }
+        }
+    }
+
+    #[test]
+    fn preload_places_every_line_where_the_sort_rule_did() {
+        let (mut fallbacks, mut spills, mut placed) = (0, 0, 0);
+        for nodes in [4, 5, 6, 8] {
+            for seed in 0..8 {
+                let mut m = small(nodes);
+                let mut rng = SimRng::new(seed * 131 + nodes as u64);
+                let span = (nodes * 16 * 2) as u64;
+                for _ in 0..span * 2 {
+                    let line = rng.range(0, span);
+                    let owner = rng.index(nodes);
+                    let kind = if rng.chance(0.5) {
+                        PreloadKind::SharedInit
+                    } else {
+                        PreloadKind::ColdPrivate
+                    };
+                    if m.dir_entry(line).is_some() {
+                        continue;
+                    }
+                    let want = reference_preload_target(&m, line, owner, kind);
+                    assert_eq!(m.preload_target(line, owner, kind), want, "line {line}");
+                    if kind == PreloadKind::SharedInit {
+                        let head = (0..nodes).min_by_key(|&n| (m.nodes[n].am.len(), n));
+                        if !m.nodes[head.unwrap()].am.has_room_for(line) {
+                            fallbacks += 1;
+                        }
+                    }
+                    let spills_before = m.fab.stats.disk_spills;
+                    m.preload(line << m.cfg.line_shift, owner, kind);
+                    let e = m.dir_entry(line).expect("preload records the line");
+                    match want {
+                        Some(c) => {
+                            placed += 1;
+                            assert_eq!(e.master, Some(c));
+                            assert_eq!(e.sharers, NodeSet::singleton(c));
+                            assert_eq!(e.owner.is_some(), kind == PreloadKind::ColdPrivate);
+                            assert!(m.am_state(c, line).is_some());
+                        }
+                        None => {
+                            spills += 1;
+                            assert!(e.on_disk && e.master.is_none());
+                            assert_eq!(m.fab.stats.disk_spills, spills_before + 1);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            placed > 0 && fallbacks > 0 && spills > 0,
+            "{placed} {fallbacks} {spills}"
+        );
+    }
+
+    #[test]
+    fn inject_candidates_match_the_sort_rule_under_dead_nodes() {
+        let mut rng = SimRng::new(7);
+        for nodes in [4, 5, 6, 8] {
+            let mut m = small(nodes);
+            for _ in 0..200 {
+                m.fab.dead = NodeSet::new();
+                for n in 0..nodes {
+                    if rng.chance(0.25) {
+                        m.fab.dead.insert(n);
+                    }
+                }
+                for node in 0..nodes {
+                    let (provider, home) = (rng.index(nodes), rng.index(nodes));
+                    assert_eq!(
+                        m.inject_candidates(node, provider, home).to_vec(),
+                        reference_inject_candidates(&m, node, provider, home),
+                        "{nodes} nodes, node {node}, provider {provider}, home {home}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,30 +4,59 @@
 //! table, pooled workload buffers, fixed-capacity node lists) took the
 //! steady-state simulation loop to near-zero heap traffic: what remains
 //! is machine construction plus a handful of cold-path sweeps. This test
-//! pins that property with a *committed ceiling* on the allocation count
-//! of one Figure 6 point, so a regression that reintroduces per-event or
-//! per-transaction allocation fails CI instead of silently eroding the
-//! speedup.
+//! pins that property with *committed ceilings* on the allocation count
+//! of two Figure 6 points, so a regression that reintroduces per-event,
+//! per-transaction or per-preloaded-line allocation fails CI instead of
+//! silently eroding the speedup.
 //!
 //! This file is its own integration-test binary on purpose: the counting
 //! allocator tallies process-wide, and sibling tests allocating on other
 //! threads would charge our window. Keep it to a single `#[test]`.
 
-use pimdsm_lab::{find, SuiteCtx};
-use pimdsm_workloads::Scale;
+use pimdsm_lab::{find, PointSpec, SuiteCtx, WorkloadSpec};
+use pimdsm_workloads::{AppId, Scale};
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 AGG point
-/// (measured ~0.6k after the arena/SoA refactor; the slack covers small
-/// legitimate drift, not a per-event regression — this point runs
-/// hundreds of thousands of events, so even one allocation per event
-/// blows the budget a hundred times over).
-const ALLOC_CEILING: u64 = 10_000;
+/// (FFT:1/2AGG75, measured 628; the slack covers small legitimate drift,
+/// not a per-event regression — this point runs hundreds of thousands
+/// of events, so even one allocation per event blows the budget a
+/// hundred times over).
+const AGG_ALLOC_CEILING: u64 = 10_000;
 
 /// Ceiling on allocated bytes for the same point (measured ~1.4 MB).
 /// Dominated by the machine's fixed arenas (slab caches, page-table
 /// chunks, bucket windows), so it scales with configuration, not with
 /// simulated work.
-const BYTE_CEILING: u64 = 8 << 20;
+const AGG_BYTE_CEILING: u64 = 8 << 20;
+
+/// Committed ceiling on allocation calls for one CI-scale fig6 COMA
+/// point (Swim:COMA75, measured 988). COMA has no backing store, so
+/// building the machine preloads every initialised line into some
+/// attraction memory; placing a line must not allocate. The sort-based
+/// placement this replaced allocated once per preloaded line and fails
+/// this ceiling (25,691 allocations at the same point).
+const COMA_ALLOC_CEILING: u64 = 5_000;
+
+/// Ceiling on allocated bytes for the COMA point (measured ~5.1 MB).
+const COMA_BYTE_CEILING: u64 = 8 << 20;
+
+/// Allocation calls and bytes of one build-and-run of `point`, after a
+/// warm-up run so suite registries, workload tables and other one-time
+/// lazy state do not count against the per-point budget.
+fn measure(point: &PointSpec) -> (u64, u64) {
+    let warm = point.build_machine().run();
+    assert!(warm.total_cycles > 0, "the warm-up actually simulated");
+
+    let before = pimdsm_prof::alloc::totals();
+    let report = point.build_machine().run();
+    let after = pimdsm_prof::alloc::totals();
+
+    assert_eq!(
+        warm.total_cycles, report.total_cycles,
+        "both runs simulate the same machine"
+    );
+    (after.allocs - before.allocs, after.bytes - before.bytes)
+}
 
 #[test]
 fn fig6_point_stays_under_the_committed_alloc_budget() {
@@ -41,35 +70,41 @@ fn fig6_point_stays_under_the_committed_alloc_budget() {
         scale: Scale::ci(),
     };
     let points = find("fig6").expect("fig6 suite exists").points(&ctx);
-    let point = points
-        .iter()
-        .find(|p| p.label.contains("1/2AGG75"))
-        .expect("fig6 has the 1/2AGG75 point");
+    let point = |app: AppId, label: &str| {
+        points
+            .iter()
+            .find(|p| {
+                p.label == label
+                    && matches!(p.workload, WorkloadSpec::App { app: a, .. } if a == app)
+            })
+            .unwrap_or_else(|| panic!("fig6 has the {app:?}:{label} point"))
+    };
 
-    // Warm-up run: suite registries, workload tables and other one-time
-    // lazy state must not count against the per-point budget.
-    let warm = point.build_machine().run();
-    assert!(warm.total_cycles > 0, "the warm-up actually simulated");
-
-    let before = pimdsm_prof::alloc::totals();
-    let report = point.build_machine().run();
-    let after = pimdsm_prof::alloc::totals();
-
-    let allocs = after.allocs - before.allocs;
-    let bytes = after.bytes - before.bytes;
-    assert_eq!(
-        warm.total_cycles, report.total_cycles,
-        "both runs simulate the same machine"
-    );
-    eprintln!("fig6/{}: {allocs} allocs, {bytes} bytes", point.label);
-    assert!(
-        allocs <= ALLOC_CEILING,
-        "one fig6 point made {allocs} allocations (budget {ALLOC_CEILING}): \
-         something on the simulation path allocates per event or per \
-         transaction again"
-    );
-    assert!(
-        bytes <= BYTE_CEILING,
-        "one fig6 point allocated {bytes} bytes (budget {BYTE_CEILING})"
-    );
+    for (p, alloc_ceiling, byte_ceiling) in [
+        (
+            point(AppId::Fft, "1/2AGG75"),
+            AGG_ALLOC_CEILING,
+            AGG_BYTE_CEILING,
+        ),
+        (
+            point(AppId::Swim, "COMA75"),
+            COMA_ALLOC_CEILING,
+            COMA_BYTE_CEILING,
+        ),
+    ] {
+        let (allocs, bytes) = measure(p);
+        eprintln!("fig6/{}: {allocs} allocs, {bytes} bytes", p.label);
+        assert!(
+            allocs <= alloc_ceiling,
+            "fig6 point {} made {allocs} allocations (budget {alloc_ceiling}): \
+             something on the build or simulation path allocates per line, \
+             per event or per transaction again",
+            p.label
+        );
+        assert!(
+            bytes <= byte_ceiling,
+            "fig6 point {} allocated {bytes} bytes (budget {byte_ceiling})",
+            p.label
+        );
+    }
 }
