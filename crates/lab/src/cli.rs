@@ -1,6 +1,4 @@
-//! The `pimdsm-lab` command-line interface — and, through
-//! [`bin_main`], the whole implementation of the thin per-figure
-//! wrapper binaries (`fig6`, `table1`, ...).
+//! The `pimdsm-lab` command-line interface.
 //!
 //! ```text
 //! pimdsm-lab list                    # name + title + point count per suite
@@ -9,11 +7,10 @@
 //! pimdsm-lab clean                   # drop the result cache
 //! ```
 //!
-//! The observability flags the bench binaries used to parse each on their
-//! own (`--trace`, `--trace-only`, `--metrics`, `--epoch`, `--report`)
-//! live here now, once, alongside the lab's own `--jobs`, `--cache-dir`,
-//! `--no-cache`, `--threads`, `--scale`, `--quiet` and
-//! `--require-hit-rate`.
+//! Flags: the observability outputs (`--trace`, `--trace-only`,
+//! `--metrics`, `--epoch`, `--report`) and the sweep controls (`--jobs`,
+//! `--cache-dir`, `--no-cache`, `--threads`, `--scale`, `--quiet`,
+//! `--require-hit-rate`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -33,7 +30,7 @@ pub const DEFAULT_CACHE_DIR: &str = "target/lab-cache";
 
 /// Standard thread count for the main comparison (the paper uses 32; a
 /// smaller count keeps quick runs fast). `PIMDSM_THREADS` overrides.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::env::var("PIMDSM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -41,7 +38,7 @@ pub fn default_threads() -> usize {
 }
 
 /// Scale selected via `PIMDSM_SCALE` (full / bench / ci), default bench.
-pub fn default_scale() -> Scale {
+fn default_scale() -> Scale {
     match std::env::var("PIMDSM_SCALE").as_deref() {
         Ok("full") => Scale::full(),
         Ok("ci") => Scale::ci(),
@@ -138,15 +135,9 @@ fn parse_scale(v: &str) -> Result<Scale, String> {
     }
 }
 
-/// Parses flags shared by the lab CLI and the wrapper binaries.
-/// Returns `Err` on a malformed value; unknown arguments are an error in
-/// `strict` mode (the lab CLI) and a warning otherwise (the wrappers,
-/// which historically ignored unknown flags).
-fn parse_flags(
-    args: impl Iterator<Item = String>,
-    opts: &mut Options,
-    strict: bool,
-) -> Result<(), String> {
+/// Parses the flags after the command. Returns `Err` on a malformed
+/// value or an unknown argument.
+fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result<(), String> {
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -216,8 +207,7 @@ fn parse_flags(
                 }
                 opts.bench.as_mut().unwrap().threshold = t
             }
-            other if strict => return Err(format!("unknown argument {other:?}")),
-            other => eprintln!("[lab] ignoring unknown argument {other:?}"),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(())
@@ -268,7 +258,7 @@ fn parse_lab_args(argv: impl Iterator<Item = String>) -> Result<Options, String>
         None => return Err("usage: pimdsm-lab <run|bench|list|clean> [flags]".into()),
     };
     let mut opts = Options::defaults(command);
-    parse_flags(argv, &mut opts, true)?;
+    parse_flags(argv, &mut opts)?;
     Ok(opts)
 }
 
@@ -290,18 +280,6 @@ pub fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    dispatch(opts)
-}
-
-/// Entry point of the thin per-figure wrapper binaries: runs one suite
-/// with the shared flag surface (unknown flags warn instead of failing,
-/// as the old binaries did).
-pub fn bin_main(suite: &'static str) -> ExitCode {
-    let mut opts = Options::defaults(Command::Run(vec![suite.to_string()]));
-    if let Err(e) = parse_flags(std::env::args().skip(1), &mut opts, false) {
-        eprintln!("{suite}: {e}");
-        return ExitCode::FAILURE;
-    }
     dispatch(opts)
 }
 
@@ -614,8 +592,8 @@ fn run_bench(names: &[String], opts: &Options) -> ExitCode {
 }
 
 fn write_trace(path: &Path, result: &SweepResult) {
-    // Mirror the old Obs behavior: when tracing was requested but no run
-    // matched the filter, an empty (but valid) trace is still written.
+    // When tracing was requested but no run matched the filter, an empty
+    // (but valid) trace is still written.
     let json = result
         .trace_json
         .clone()
@@ -647,8 +625,8 @@ fn write_metrics(path: &Path, bin: &str, epoch: u64, result: &SweepResult) {
 
 /// Writes the `{"bin", "runs"[, "data"]}` report document — to
 /// `--report`'s path when given, else to `results/<suite>.json` when a
-/// `results/` directory exists (the old binaries' convention, so
-/// regenerating text tables also refreshes the machine-readable results).
+/// `results/` directory exists (so regenerating text tables also
+/// refreshes the machine-readable results).
 /// Table suites have no runs; their payload is the suite's `data` block.
 fn write_report_doc(
     suite: &Suite,
@@ -717,13 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_parsing_tolerates_unknown_flags() {
-        let mut o = Options::defaults(Command::Run(vec!["fig6".into()]));
-        parse_flags(args("--totally-unknown --jobs 2"), &mut o, false).unwrap();
-        assert_eq!(o.jobs, 2);
-    }
-
-    #[test]
     fn parses_bench_command_and_flags() {
         let o = parse_lab_args(args(
             "bench smoke --runs 5 --jobs 1 --threshold 3.0 --compare BENCH_smoke.json",
@@ -752,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_flags_parse_like_the_old_binaries() {
+    fn parses_observability_flags() {
         let o = parse_lab_args(args(
             "run fig6 --trace t.json --trace-only FFT --metrics m.json --epoch 5000 --report r.json",
         ))

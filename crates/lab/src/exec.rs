@@ -26,7 +26,7 @@ use pimdsm_prof::Snapshot;
 use crate::cache::ResultCache;
 use crate::spec::PointSpec;
 
-/// Per-sweep instrumentation requests (the old per-binary Obs flags).
+/// Per-sweep instrumentation requests (`--trace`, `--trace-only`, `--metrics`).
 #[derive(Debug, Clone, Default)]
 pub struct Instrumentation {
     /// Capture a Chrome trace of one run.

@@ -17,9 +17,7 @@
 //!   threshold-based regression comparator, on top of the `pimdsm-prof`
 //!   counters threaded through the executor.
 //!
-//! The [`cli`] module is the single flag surface shared by the
-//! `pimdsm-lab` binary and the thin per-figure wrappers in
-//! `crates/bench`.
+//! The [`cli`] module is the `pimdsm-lab` binary's flag surface.
 
 #![warn(missing_docs)]
 

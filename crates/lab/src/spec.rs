@@ -17,9 +17,6 @@ use pimdsm_svc::SvcSpec;
 use pimdsm_workloads::{build, build_dbase, AppId, Scale};
 
 /// The machine configurations of Figure 6, in presentation order.
-///
-/// (Previously `pimdsm_bench::Config`; it moved here when the run matrix
-/// became part of the declarative spec model.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Config {
     /// CC-NUMA (pressure only sizes memory; NUMA bars are
@@ -124,8 +121,8 @@ impl WorkloadSpec {
     }
 }
 
-/// A configuration adjustment applied to the standard AGG sizing —
-/// the declarative form of the ablation binaries' closure tweaks.
+/// A configuration adjustment applied to the standard AGG sizing by the
+/// ablation suites.
 ///
 /// All quantities are integers (percent, per-mille, factors) so the
 /// canonical cache key never formats a float.

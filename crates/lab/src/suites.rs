@@ -1,12 +1,11 @@
 //! The named experiment suites.
 //!
-//! One [`Suite`] per figure/table of the evaluation (the former 13
-//! `pimdsm-bench` binaries), plus a tiny `smoke` suite for CI. A suite is
-//! two pure functions: `points` expands the suite into [`PointSpec`]s for
-//! the executor, and `render` formats the resulting reports into exactly
-//! the text block the old binary printed. Because points are plain data,
-//! identical points in different suites (fig6 and fig7 run the same 49
-//! simulations) share cache entries.
+//! One [`Suite`] per figure/table/ablation of the evaluation, plus a tiny
+//! `smoke` suite for CI. A suite is two pure functions: `points` expands
+//! the suite into [`PointSpec`]s for the executor, and `render` formats
+//! the resulting reports into the committed `results/<suite>.txt` text
+//! block. Because points are plain data, identical points in different
+//! suites (fig6 and fig7 run the same 49 simulations) share cache entries.
 
 use std::fmt::Write as _;
 
@@ -1355,7 +1354,7 @@ mod tests {
     }
 
     #[test]
-    fn point_counts_match_the_old_binaries() {
+    fn point_counts_match_the_run_matrices() {
         let ctx = ctx();
         let n_apps = ALL_APPS.len();
         assert_eq!(find("fig6").unwrap().points(&ctx).len(), 7 * n_apps);

@@ -9,7 +9,6 @@ pub struct Interner {
 }
 
 impl Interner {
-    // pimdsm-lint: allow(W001, "scratch interner, rebuilt per event; no cross-region writes")
     pub fn insert(&mut self, id: u64) -> bool {
         let fresh = !self.seen.contains(&id); // pimdsm-lint: allow(D001, "lookup only")
         if fresh {

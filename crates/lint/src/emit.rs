@@ -1,15 +1,12 @@
-//! Hand-rolled JSON output (the crate is dependency-free by design).
-//!
-//! Two documents share the escaping here: the `--format json`
-//! diagnostics report (schema `pimdsm-lint-diagnostics-v1`) and the
-//! `--audit shared-state` report (schema `pimdsm-lint-audit-v1`, built
-//! in [`crate::semantic`]). Both are deterministic — sorted entries, no
-//! timestamps, no absolute paths — so CI can diff them across runs.
+//! Hand-rolled JSON output (the crate is dependency-free by design): the
+//! `--format json` diagnostics report (schema
+//! `pimdsm-lint-diagnostics-v1`). It is deterministic — sorted entries,
+//! no timestamps, no absolute paths — so CI can diff it across runs.
 
 use crate::{Diagnostic, Workspace, RULES};
 
 /// Escapes a string for a JSON string literal (quotes not included).
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

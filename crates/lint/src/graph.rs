@@ -164,20 +164,6 @@ pub fn crate_deps(krate: &str) -> Option<&'static [&'static str]> {
             "svc",
             "workloads",
         ]),
-        "bench" => Some(&[
-            "bench",
-            "lab",
-            "core",
-            "engine",
-            "faults",
-            "mem",
-            "net",
-            "obs",
-            "prof",
-            "proto",
-            "svc",
-            "workloads",
-        ]),
         // lab and the root harness pull in nearly everything; fixtures
         // and synthetic test crates are unknown. No filtering.
         _ => None,

@@ -16,21 +16,19 @@
 //! | ID   | invariant |
 //! |------|-----------|
 //! | D001 | no `HashMap`/`HashSet` in simulation crates |
-//! | D002 | no `Instant::now`/`SystemTime`/`thread_rng` outside lab/bench/tests |
+//! | D002 | no `Instant::now`/`SystemTime`/`thread_rng` outside tooling and tests |
 //! | D004 | no determinism taint reaching simulation crates through any call chain |
 //! | T001 | every constructed `Txn` reaches `.finish(...)` |
 //! | T002 | `Txn`s passed/returned/stored across functions reach `.finish(...)` |
-//! | W001 | event-handler-reachable `&mut` types are mesh-region classified |
 //! | S001 | every pub stats field appears in both `to_json` and `from_json` |
 //! | O001 | emitted trace names/categories ⊆ obs registry, and vice versa |
 //! | P001 | entered `phase!(...)` names ⊆ prof phase registry, and vice versa |
-//! | L000 | `pimdsm-lint:` directives are well-formed |
+//! | L000 | `pimdsm-lint:` directives are well-formed and name a known rule |
 //!
 //! The per-function rules work straight off [`scan`]'s masked text; the
-//! cross-function rules (D004/T002/W001) run on [`graph`]'s symbol
-//! table and resolved call graph, built once per [`run_all`].
-//! [`semantic`] additionally renders the `--audit shared-state` JSON
-//! report, and [`emit`] the `--format json` diagnostics document.
+//! cross-function rules (D004/T002) run on [`graph`]'s symbol table and
+//! resolved call graph, built once per [`run_all`]. [`emit`] renders the
+//! `--format json` diagnostics document.
 //!
 //! Suppression: `// pimdsm-lint: allow(D001, "reason")` on the offending
 //! line, or alone on the line directly above it. The reason is mandatory.
@@ -210,7 +208,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
         rules::l000(ws),
         semantic::t002(ws, &graph),
         semantic::d004(ws, &graph),
-        semantic::w001(ws, &graph),
     ]
     .into_iter()
     .flatten()

@@ -6,21 +6,17 @@
 //! `// pimdsm-lint: allow(<rule>, "reason")` escape hatch.
 //!
 //! `--format json` swaps the human report for the stable
-//! `pimdsm-lint-diagnostics-v1` document (CI uploads it as an artifact);
-//! `--audit shared-state` skips the rules entirely and prints the
-//! `pimdsm-lint-audit-v1` shared-state write inventory, the input
-//! document for ROADMAP item 2's parallel engine.
+//! `pimdsm-lint-diagnostics-v1` document (CI uploads it as an artifact).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pimdsm_lint::{emit, find_workspace_root, graph, run_all, semantic, Workspace, RULES};
+use pimdsm_lint::{emit, find_workspace_root, run_all, Workspace, RULES};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut quiet = false;
     let mut json = false;
-    let mut audit: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -42,16 +38,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--audit" => match args.next().as_deref() {
-                Some("shared-state") => audit = Some("shared-state".to_string()),
-                other => {
-                    eprintln!(
-                        "--audit requires `shared-state` (got {})",
-                        other.unwrap_or("nothing")
-                    );
-                    return ExitCode::from(2);
-                }
-            },
             "--list" => {
                 for (id, desc) in RULES {
                     println!("{id}  {desc}");
@@ -63,15 +49,12 @@ fn main() -> ExitCode {
                 println!(
                     "pimdsm-lint: determinism & protocol-invariant static analysis\n\n\
                      USAGE: pimdsm-lint [--root <workspace-dir>] [--list] [--quiet]\n\
-                            [--format text|json] [--audit shared-state]\n\n\
+                            [--format text|json]\n\n\
                      --root    workspace to scan (default: nearest [workspace] above cwd)\n\
                      --list    print the rule table and exit\n\
                      --quiet   suppress the per-finding lines, print only the summary\n\
                      --format  diagnostic output format: text (default) or the stable\n\
-                               pimdsm-lint-diagnostics-v1 JSON document\n\
-                     --audit   print an audit report instead of running the rules;\n\
-                               `shared-state` emits the pimdsm-lint-audit-v1 JSON\n\
-                               inventory of &mut paths from the engine event handlers"
+                               pimdsm-lint-diagnostics-v1 JSON document"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -101,13 +84,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(what) = audit {
-        debug_assert_eq!(what, "shared-state");
-        let graph = graph::CallGraph::build(&ws);
-        print!("{}", semantic::shared_state_audit(&ws, &graph));
-        return ExitCode::SUCCESS;
-    }
 
     let diags = run_all(&ws);
     if json {

@@ -18,7 +18,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "D002",
-        "no wall-clock or ambient randomness (Instant::now, SystemTime, thread_rng, RandomState) outside lab/bench/test code",
+        "no wall-clock or ambient randomness (Instant::now, SystemTime, thread_rng, RandomState) outside tooling and test code",
     ),
     (
         "D003",
@@ -49,12 +49,8 @@ pub const RULES: &[(&str, &str)] = &[
         "every prof::phase!(...) name must be registered in pimdsm-prof's phase registry (and vice versa)",
     ),
     (
-        "W001",
-        "shared-state audit: every &mut type reachable from the engine event handlers must be classified into a mesh-region bucket",
-    ),
-    (
         "L000",
-        "pimdsm-lint directives themselves must be well-formed: allow(<RULE>, \"reason\")",
+        "pimdsm-lint directives themselves must be well-formed: allow(<RULE>, \"reason\") naming a rule in this table",
     ),
 ];
 
@@ -64,15 +60,12 @@ fn is_sim(krate: &str) -> bool {
     SIM_CRATES.contains(&krate)
 }
 
-/// Crates allowed to read wall clocks / entropy: orchestration and bench
-/// tooling, the host-side profiler (its wall times live in explicitly
-/// non-deterministic fields), the analyzer itself, and the offline
-/// dependency shims.
+/// Crates allowed to read wall clocks / entropy: the lab orchestrator
+/// (including its `bench` timer), the host-side profiler (its wall times
+/// live in explicitly non-deterministic fields), the analyzer itself, and
+/// the offline proptest shim.
 fn d002_exempt(krate: &str) -> bool {
-    matches!(
-        krate,
-        "lab" | "bench" | "prof" | "lint" | "criterion-shim" | "proptest-shim"
-    )
+    matches!(krate, "lab" | "prof" | "lint" | "proptest-shim")
 }
 
 /// D001 — unordered collections in simulation crates.
@@ -625,7 +618,9 @@ fn load_phase_registry(ws: &Workspace) -> Option<BTreeSet<String>> {
     )
 }
 
-/// L000 — malformed `pimdsm-lint:` directives anywhere in the workspace.
+/// L000 — malformed `pimdsm-lint:` directives anywhere in the workspace,
+/// and well-formed ones naming a rule [`RULES`] does not know (a typo or
+/// a retired rule would otherwise linger as a suppression of nothing).
 pub fn l000(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for entry in &ws.files {
@@ -637,6 +632,19 @@ pub fn l000(ws: &Workspace) -> Vec<Diagnostic> {
                 msg: "malformed pimdsm-lint directive: expected `pimdsm-lint: allow(<RULE>, \"non-empty reason\")`"
                     .into(),
             });
+        }
+        for d in entry.file.allows.values().flatten() {
+            if !RULES.iter().any(|(id, _)| *id == d.rule) {
+                out.push(Diagnostic {
+                    rule: "L000",
+                    rel: entry.file.rel.clone(),
+                    line: d.line,
+                    msg: format!(
+                        "pimdsm-lint directive names unknown rule `{}`: it suppresses nothing (see `pimdsm-lint --list`)",
+                        d.rule
+                    ),
+                });
+            }
         }
     }
     out

@@ -97,7 +97,7 @@ pub struct SourceFile {
 impl SourceFile {
     /// Scans `raw`, producing the masked text and structural indexes.
     pub fn parse(path: PathBuf, rel: String, raw: String) -> SourceFile {
-        let (masked, strings) = mask(&raw);
+        let (masked, strings, line_comments) = mask(&raw);
         let line_starts = line_starts(&raw);
         let mut f = SourceFile {
             path,
@@ -110,7 +110,7 @@ impl SourceFile {
             bad_allows: Vec::new(),
             test_regions: Vec::new(),
         };
-        f.collect_allows();
+        f.collect_allows(&line_comments);
         f.test_regions = f.collect_test_regions();
         f
     }
@@ -346,45 +346,41 @@ impl SourceFile {
         out
     }
 
-    fn collect_allows(&mut self) {
-        let mut off = 0usize;
-        let raw = std::mem::take(&mut self.raw);
-        for (idx, line_text) in raw.split('\n').enumerate() {
-            let line = idx + 1;
-            if let Some(pos) = line_text.find("pimdsm-lint:") {
-                // The marker must live inside a line comment, and only
-                // counts as a directive when an `allow(` follows — prose
-                // mentions of the tool name are not directives.
-                let in_comment = line_text[..pos].contains("//");
-                let rest = &line_text[pos + "pimdsm-lint:".len()..];
-                if in_comment && rest.trim_start().starts_with("allow(") {
-                    let own_line = line_text.trim_start().starts_with("//");
-                    match parse_allow(rest) {
-                        Some((rule, reason)) if !reason.trim().is_empty() => {
-                            let d = AllowDirective {
-                                line,
-                                rule,
-                                reason,
-                                own_line,
-                            };
-                            self.allows.entry(line).or_default().push(d);
-                        }
-                        other => {
-                            let (rule, reason) = other.unwrap_or((String::new(), String::new()));
-                            self.bad_allows.push(AllowDirective {
-                                line,
-                                rule,
-                                reason,
-                                own_line,
-                            });
-                        }
-                    }
-                }
+    /// Records the directives among the plain `//` line comments starting
+    /// at `line_comments` (byte offsets from [`mask`]). Doc comments
+    /// (`///`, `//!`) are prose that may quote the directive syntax, and
+    /// string literals never reach here, so neither registers.
+    fn collect_allows(&mut self, line_comments: &[usize]) {
+        for &at in line_comments {
+            let end = self.raw[at..].find('\n').map_or(self.raw.len(), |e| at + e);
+            let text = &self.raw[at + 2..end];
+            if text.starts_with('!') || (text.starts_with('/') && !text.starts_with("//")) {
+                continue;
             }
-            off += line_text.len() + 1;
+            // The marker only counts as a directive when an `allow(`
+            // follows — prose mentions of the tool name are not directives.
+            let Some(pos) = text.find("pimdsm-lint:") else {
+                continue;
+            };
+            let rest = &text[pos + "pimdsm-lint:".len()..];
+            if !rest.trim_start().starts_with("allow(") {
+                continue;
+            }
+            let line = self.line_of(at);
+            let own_line = self.raw[self.line_starts[line - 1]..at].trim().is_empty();
+            let (rule, reason) = parse_allow(rest).unwrap_or_default();
+            let d = AllowDirective {
+                line,
+                rule,
+                reason,
+                own_line,
+            };
+            if d.rule.is_empty() || d.reason.trim().is_empty() {
+                self.bad_allows.push(d);
+            } else {
+                self.allows.entry(line).or_default().push(d);
+            }
         }
-        let _ = off;
-        self.raw = raw;
     }
 
     /// `#[cfg(test)]` followed (over whitespace and further attributes)
@@ -586,17 +582,19 @@ fn line_starts(text: &str) -> Vec<usize> {
     v
 }
 
-/// Produces the masked copy of `raw` and the recorded string literals.
+/// Produces the masked copy of `raw`, the recorded string literals and
+/// the byte offset of every line comment's `//`.
 ///
 /// Comments (line and nested block) are blanked entirely; string, raw
 /// string, byte string and char literal *bodies* are blanked but their
 /// delimiters kept, so token boundaries survive. Newlines always survive,
 /// keeping byte offsets and line numbers identical to the original.
-fn mask(raw: &str) -> (String, Vec<StrLit>) {
+fn mask(raw: &str) -> (String, Vec<StrLit>, Vec<usize>) {
     let b = raw.as_bytes();
     let n = b.len();
     let mut out = Vec::with_capacity(n);
     let mut strings = Vec::new();
+    let mut line_comments = Vec::new();
     let mut i = 0usize;
 
     let blank = |c: u8| if c == b'\n' { b'\n' } else { b' ' };
@@ -605,6 +603,7 @@ fn mask(raw: &str) -> (String, Vec<StrLit>) {
         let c = b[i];
         // Line comment.
         if c == b'/' && i + 1 < n && b[i + 1] == b'/' {
+            line_comments.push(i);
             while i < n && b[i] != b'\n' {
                 out.push(b' ');
                 i += 1;
@@ -735,6 +734,7 @@ fn mask(raw: &str) -> (String, Vec<StrLit>) {
     (
         String::from_utf8(out).expect("masking preserves UTF-8 only at ASCII"),
         strings,
+        line_comments,
     )
 }
 
@@ -845,6 +845,31 @@ mod tests {
         assert!(f.is_allowed("D002", 3)); // own-line directive covers next line
         assert_eq!(f.bad_allows.len(), 1, "reason-less allow is malformed");
         assert_eq!(f.bad_allows[0].line, 4);
+    }
+
+    #[test]
+    fn outer_doc_comments_are_not_directives() {
+        let f = file("/// Suppress with `// pimdsm-lint: allow(D001, \"reason\")`.\nlet m = 1;\n");
+        assert!(f.allows.is_empty() && f.bad_allows.is_empty());
+        assert!(!f.is_allowed("D001", 2));
+    }
+
+    #[test]
+    fn inner_doc_comments_are_not_directives() {
+        let f = file("//! // pimdsm-lint: allow(D001, \"reason\")\n//! pimdsm-lint: allow(D002)\nlet m = 1;\n");
+        assert!(f.allows.is_empty() && f.bad_allows.is_empty());
+        assert!(!f.is_allowed("D001", 2));
+    }
+
+    #[test]
+    fn directives_quoted_in_string_literals_are_not_directives() {
+        let f = file(
+            "let s = \"x; // pimdsm-lint: allow(D001, \\\"reason\\\")\";\nlet r = r#\"\n// pimdsm-lint: allow(D002, \"reason\")\n\"#;\n",
+        );
+        assert!(f.allows.is_empty() && f.bad_allows.is_empty());
+        // A plain comment after the literal on the same line still counts.
+        let g = file("let s = \"//\"; // pimdsm-lint: allow(D001, \"reason\")\n");
+        assert!(g.is_allowed("D001", 1));
     }
 
     #[test]

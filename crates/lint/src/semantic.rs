@@ -6,8 +6,10 @@
 //!   function body; T002 follows the transaction across calls: by-value
 //!   `Txn` parameters must be sunk, every `Txn`-producing call site must
 //!   be consumed (finished, forwarded to a finishing callee, or
-//!   returned), and no struct may store a `Txn` (walks complete within
-//!   the event that started them).
+//!   returned), and no struct may store a `Txn` (a walk is atomic and
+//!   belongs to the access that started it; a stored one outlives that
+//!   access, so its cycles land in no access's breakdown or in a later,
+//!   unrelated one).
 //! - **D004** — determinism-taint propagation. Wall-clock reads,
 //!   ambient randomness, environment reads, thread identity, `{:p}`
 //!   formatting and pointer-to-integer casts taint a function; taint
@@ -15,14 +17,6 @@
 //!   function in a [`SIM_CRATES`] crate is an error — this is what
 //!   closes D002's loophole of nondeterminism reached *through* a
 //!   helper in an exempt crate.
-//! - **W001** — shared-state write audit. Starting from the engine
-//!   event handlers (`Machine::{run,step,apply_fault}`), every
-//!   reachable `&mut self` method must belong to a type classified into
-//!   a mesh-region bucket (driver / per_node / per_page_directory /
-//!   interconnect / observability / walk_local); an unclassified type
-//!   is an error. [`shared_state_audit`] renders the full inventory as
-//!   the `pimdsm-lint-audit-v1` JSON document ROADMAP item 2's parallel
-//!   engine is designed against.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -310,8 +304,9 @@ pub fn t002(ws: &Workspace, g: &CallGraph) -> Vec<Diagnostic> {
         }
     }
 
-    // (c) No struct stores a Txn: walks complete within the event that
-    // started them, or the parallel engine cannot window them.
+    // (c) No struct stores a Txn: a walk is atomic and belongs to the
+    // access that started it, so a stored one books its cycles late or
+    // never.
     for entry in &ws.files {
         if !is_sim(&entry.krate) || entry.is_test_code {
             continue;
@@ -570,417 +565,5 @@ pub fn d004(ws: &Workspace, g: &CallGraph) -> Vec<Diagnostic> {
             ),
         });
     }
-    out
-}
-
-// ---------------------------------------------------------------- W001
-
-/// Mesh-region partition buckets, in render order.
-pub const REGIONS: &[&str] = &[
-    "driver",
-    "per_node",
-    "per_page_directory",
-    "interconnect",
-    "observability",
-    "walk_local",
-];
-
-/// Engine event-handler roots: the `Machine` methods every simulated
-/// event enters through.
-const ROOT_NAMES: &[&str] = &["apply_fault", "run", "step"];
-
-/// Mesh-region bucket of a non-composite type, if classified.
-fn type_region(ty: &str) -> Option<&'static str> {
-    Some(match ty {
-        // Run-global driver/scheduler state: the event queue, thread
-        // contexts, synchronization objects, workload generators and
-        // fault machinery. Parallelization must shard or lock these.
-        "SystemBox" | "EventQueue" | "Timeline" | "SimRng" | "ArrivalGen" | "Zipf"
-        | "FaultRuntime" | "FaultSchedule" | "ThreadState" | "BarrierState" | "LockState"
-        | "NodeSet" | "NodeList" | "Bfs" | "PageRank" | "ChunkGen" => "driver",
-        // State owned by one mesh node: caches, attraction memories,
-        // node stores, DRAM devices and their service queues.
-        "AttractionMemory" | "SetAssocCache" | "PrivCaches" | "PNodeStore" | "OnChipLru"
-        | "DNode" | "NumaNode" | "Dram" | "KeyedQueue" | "Server" | "Role" | "Evicted"
-        | "DrainAll" => "per_node",
-        // Directory state keyed by page/line: the home-node maps and
-        // sharer sets conservative windows must order access to.
-        "PageTable" | "ComaDir" | "DirEntry" | "ChunkedIndex" | "Census" => "per_page_directory",
-        // The mesh network and link contention state.
-        "Network" | "Mesh" => "interconnect",
-        // Counters/traces: merge-at-end state, trivially partitionable.
-        "Tracer" | "ProtoStats" | "NetStats" | "SvcStats" | "DNodeStats" | "RecoveryStats"
-        | "Histogram" | "EpochSeries" => "observability",
-        // Walk-private accumulation and ephemeral cursors, dead by the
-        // event's end (`Iter` is the KeyedQueue read cursor — its `&mut
-        // self` advances the cursor, not the queue).
-        "Txn" | "Access" | "Iter" => "walk_local",
-        _ => return None,
-    })
-}
-
-/// Types whose fields span several regions; classified field-by-field.
-fn is_composite(ty: &str) -> bool {
-    matches!(
-        ty,
-        "Machine" | "Fabric" | "AggSystem" | "ComaSystem" | "NumaSystem"
-    )
-}
-
-/// Region of a composite's field path (`segs` are the field names after
-/// the root). `None` means pass-through (writes are inventoried at the
-/// target type's own methods).
-fn composite_region(ty: &str, segs: &[String]) -> Option<&'static str> {
-    let seg = segs.first().map(String::as_str)?;
-    Some(match (ty, seg) {
-        ("Machine", "tracer" | "svc") => "observability",
-        // The boxed system's writes are inventoried per system type.
-        ("Machine", "system") => return None,
-        ("Machine", _) => "driver",
-        ("Fabric", "pages" | "recovering") => "per_page_directory",
-        ("Fabric", "net") => "interconnect",
-        ("Fabric", "stats" | "tracer" | "retries") => "observability",
-        ("Fabric", _) => "driver",
-        (_, "fab") => return composite_region("Fabric", &segs[1..]),
-        (_, "nodes" | "ctrls" | "roles") => "per_node",
-        (_, "dir") => "per_page_directory",
-        (_, _) => "driver",
-    })
-}
-
-/// One inventoried write-capable access.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WriteRecord {
-    /// Region bucket, or `"unclassified"`.
-    pub region: String,
-    /// Writing function, `Type::name` form.
-    pub func: String,
-    /// Defining file.
-    pub rel: String,
-    /// 1-indexed line of the function.
-    pub line: usize,
-    /// Place paths written/borrowed through (`self.queue`,
-    /// `fab.stats`, …), sorted and deduplicated.
-    pub paths: Vec<String>,
-}
-
-/// The audit model W001 and `--audit shared-state` share.
-#[derive(Debug)]
-pub struct Audit {
-    /// Qualified root names, sorted.
-    pub roots: Vec<String>,
-    /// Functions reachable from the roots inside simulation crates.
-    pub reachable: usize,
-    /// Reachable `&mut self` methods.
-    pub mut_self: usize,
-    /// Classified write inventory.
-    pub writers: Vec<WriteRecord>,
-    /// `(type, func, rel, line)` of reachable `&mut self` methods on
-    /// unclassified types.
-    pub unclassified: Vec<(String, String, String, usize)>,
-}
-
-/// Builds the reachability + write inventory model.
-pub fn audit_model(ws: &Workspace, g: &CallGraph) -> Audit {
-    let roots: Vec<usize> = g
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            f.self_ty.as_deref() == Some("Machine")
-                && ROOT_NAMES.contains(&f.name.as_str())
-                && is_sim(&f.krate)
-                && !f.is_test
-        })
-        .map(|(i, _)| i)
-        .collect();
-
-    let mut visited: BTreeSet<usize> = BTreeSet::new();
-    let mut queue: VecDeque<usize> = roots.iter().copied().collect();
-    for &r in &roots {
-        visited.insert(r);
-    }
-    while let Some(i) = queue.pop_front() {
-        for &ci in &g.calls_of[i] {
-            for &callee in &g.calls[ci].callees {
-                let f = &g.fns[callee];
-                if is_sim(&f.krate) && !f.is_test && visited.insert(callee) {
-                    queue.push_back(callee);
-                }
-            }
-        }
-    }
-
-    let mut writers: BTreeMap<(String, String, String, usize), BTreeSet<String>> = BTreeMap::new();
-    let mut unclassified: BTreeSet<(String, String, String, usize)> = BTreeSet::new();
-    let mut mut_self = 0usize;
-
-    for &i in &visited {
-        let f = &g.fns[i];
-        if f.self_kind == SelfKind::RefMut {
-            mut_self += 1;
-            if let Some(ty) = &f.self_ty {
-                if !is_composite(ty) && type_region(ty).is_none() {
-                    unclassified.insert((ty.clone(), f.qual_name(), f.rel.clone(), f.line));
-                }
-            }
-        }
-        for (root, ty, segs) in write_paths(ws, g, i) {
-            let region = if is_composite(&ty) {
-                match composite_region(&ty, &segs) {
-                    Some(r) => r,
-                    None => continue, // pass-through borrow
-                }
-            } else {
-                type_region(&ty).unwrap_or("unclassified")
-            };
-            let path = if segs.is_empty() {
-                root.clone()
-            } else {
-                format!("{root}.{}", segs.join("."))
-            };
-            writers
-                .entry((region.to_string(), f.qual_name(), f.rel.clone(), f.line))
-                .or_default()
-                .insert(path);
-        }
-    }
-
-    let mut root_names: Vec<String> = roots.iter().map(|&r| g.fns[r].qual_name()).collect();
-    root_names.sort();
-    root_names.dedup();
-
-    Audit {
-        roots: root_names,
-        reachable: visited.len(),
-        mut_self,
-        writers: writers
-            .into_iter()
-            .map(|((region, func, rel, line), paths)| WriteRecord {
-                region,
-                func,
-                rel,
-                line,
-                paths: paths.into_iter().collect(),
-            })
-            .collect(),
-        unclassified: unclassified.into_iter().collect(),
-    }
-}
-
-/// Write-capable place paths in one function's body, rooted at `self`
-/// and at `&mut T` parameters: direct assignments (`x.f = ..`,
-/// compound ops), `&mut x.f` borrows, and method calls through the path
-/// unless every candidate callee takes `&self` (pure reads).
-fn write_paths(ws: &Workspace, g: &CallGraph, i: usize) -> Vec<(String, String, Vec<String>)> {
-    let f = &g.fns[i];
-    let masked = masked_of(ws, f);
-    let body = &masked[f.body_start..f.body_end];
-    let b = body.as_bytes();
-
-    // Method-call sites by absolute name offset, for mutability lookup.
-    let call_at: BTreeMap<usize, &CallSite> = g.calls_of[i]
-        .iter()
-        .map(|&ci| &g.calls[ci])
-        .map(|c| (c.name_at, c))
-        .collect();
-
-    let mut roots: Vec<(String, String)> = Vec::new(); // (binding, type)
-    if f.self_kind == SelfKind::RefMut || f.self_kind == SelfKind::Value {
-        if let Some(ty) = &f.self_ty {
-            roots.push(("self".to_string(), ty.clone()));
-        }
-    }
-    for p in &f.params {
-        if let Some(base) = mut_ref_base(&p.ty) {
-            roots.push((p.name.clone(), base));
-        }
-    }
-
-    let mut out = Vec::new();
-    for (root, ty) in &roots {
-        for at in find_keyword(body, root) {
-            // `&mut root` bare borrow: a pass-through; composites skip
-            // it, plain types record it with no field path.
-            let before = body[..at].trim_end();
-            let borrowed = before.ends_with("&mut");
-
-            // Parse the place path: .field / .0 / [index] links.
-            let mut j = at + root.len();
-            let mut segs: Vec<String> = Vec::new();
-            let mut is_write = borrowed;
-            loop {
-                if j < b.len() && b[j] == b'[' {
-                    let mut depth = 0i32;
-                    while j < b.len() {
-                        match b[j] {
-                            b'[' => depth += 1,
-                            b']' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    j += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    continue;
-                }
-                if j >= b.len() || b[j] != b'.' {
-                    break;
-                }
-                let seg_start = j + 1;
-                let mut k = seg_start;
-                while k < b.len() && is_ident_char(b[k]) {
-                    k += 1;
-                }
-                if k == seg_start {
-                    break;
-                }
-                // `.method(` — record unless every candidate is `&self`.
-                if k < b.len() && b[k] == b'(' {
-                    let abs = f.body_start + seg_start;
-                    if let Some(call) = call_at.get(&abs) {
-                        let all_pure = !call.callees.is_empty()
-                            && call
-                                .callees
-                                .iter()
-                                .all(|&c| g.fns[c].self_kind == SelfKind::Ref);
-                        if !all_pure {
-                            is_write = true;
-                        }
-                    } else {
-                        is_write = true; // unresolved (Vec::push, …): assume mutating
-                    }
-                    break;
-                }
-                segs.push(body[seg_start..k].to_string());
-                j = k;
-            }
-            if !is_write {
-                // Assignment operator after the place path?
-                let mut k = j;
-                while k < b.len() && (b[k] as char).is_whitespace() {
-                    k += 1;
-                }
-                is_write = match b.get(k) {
-                    Some(b'=') => !matches!(b.get(k + 1), Some(b'=' | b'>')),
-                    Some(op @ (b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^')) => {
-                        let _ = op;
-                        matches!(b.get(k + 1), Some(b'='))
-                    }
-                    Some(b'<') => body[k..].starts_with("<<="),
-                    Some(b'>') => body[k..].starts_with(">>="),
-                    _ => false,
-                };
-            }
-            if is_write && (!segs.is_empty() || !is_composite(ty)) {
-                out.push((root.clone(), ty.clone(), segs));
-            }
-        }
-    }
-    out
-}
-
-/// Base type name of a `&mut T` parameter type, if nameable.
-fn mut_ref_base(ty: &str) -> Option<String> {
-    let rest = ty.trim().strip_prefix("&mut")?.trim_start();
-    let rest = rest.strip_prefix("dyn ").unwrap_or(rest);
-    let base: &str = rest
-        .split(|c: char| c == '<' || c.is_whitespace())
-        .next()
-        .unwrap_or(rest);
-    let base = base.rsplit("::").next().unwrap_or(base);
-    if base.is_empty() || base.starts_with(|c: char| c.is_lowercase()) {
-        return None;
-    }
-    // Single-letter generics are unknowable.
-    if base.len() <= 1 {
-        return None;
-    }
-    Some(base.to_string())
-}
-
-/// W001 — every event-handler-reachable `&mut self` method must belong
-/// to a mesh-region-classified type.
-pub fn w001(ws: &Workspace, g: &CallGraph) -> Vec<Diagnostic> {
-    let audit = audit_model(ws, g);
-    audit
-        .unclassified
-        .iter()
-        .map(|(ty, func, rel, line)| Diagnostic {
-            rule: "W001",
-            rel: rel.clone(),
-            line: *line,
-            msg: format!(
-                "`{func}` is reachable from the engine event handlers and mutates `{ty}`, which is not in the W001 mesh-region table: classify it in crates/lint/src/semantic.rs (driver / per_node / per_page_directory / interconnect / observability / walk_local) so the parallel-engine audit stays complete"
-            ),
-        })
-        .collect()
-}
-
-/// Renders the `pimdsm-lint-audit-v1` JSON document.
-pub fn shared_state_audit(ws: &Workspace, g: &CallGraph) -> String {
-    let audit = audit_model(ws, g);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"pimdsm-lint-audit-v1\",\n");
-    out.push_str(&format!(
-        "  \"roots\": [{}],\n",
-        audit
-            .roots
-            .iter()
-            .map(|r| format!("\"{}\"", crate::emit::escape(r)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("  \"reachable_fns\": {},\n", audit.reachable));
-    out.push_str(&format!("  \"mut_self_fns\": {},\n", audit.mut_self));
-    out.push_str("  \"regions\": [\n");
-    for (ri, region) in REGIONS.iter().enumerate() {
-        let mut writers: Vec<&WriteRecord> = audit
-            .writers
-            .iter()
-            .filter(|w| w.region == *region)
-            .collect();
-        writers.sort_by(|a, b| (&a.rel, a.line, &a.func).cmp(&(&b.rel, b.line, &b.func)));
-        out.push_str(&format!("    {{\"region\": \"{region}\", \"writers\": ["));
-        for (i, w) in writers.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "      {{\"fn\": \"{}\", \"file\": \"{}\", \"line\": {}, \"paths\": [{}]}}",
-                crate::emit::escape(&w.func),
-                crate::emit::escape(&w.rel),
-                w.line,
-                w.paths
-                    .iter()
-                    .map(|p| format!("\"{}\"", crate::emit::escape(p)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        out.push_str(if writers.is_empty() { "]}" } else { "\n    ]}" });
-        out.push_str(if ri + 1 == REGIONS.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"unclassified\": [");
-    for (i, (ty, func, rel, line)) in audit.unclassified.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"type\": \"{}\", \"fn\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-            crate::emit::escape(ty),
-            crate::emit::escape(func),
-            crate::emit::escape(rel),
-            line
-        ));
-    }
-    out.push_str(if audit.unclassified.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
-    });
-    out.push_str("}\n");
     out
 }

@@ -1,13 +1,12 @@
 //! Performance guard: the call-graph layer must not make the
 //! pre-commit loop painful. A full workspace scan — load, symbol
-//! table + call graph, every rule, plus the shared-state audit — has to
-//! stay well under 5 seconds on the CI container.
+//! table + call graph and every rule — has to stay well under 5 seconds
+//! on the CI container.
 
 use std::path::Path;
 use std::time::Instant;
 
-use pimdsm_lint::graph::CallGraph;
-use pimdsm_lint::{run_all, semantic, Workspace};
+use pimdsm_lint::{run_all, Workspace};
 
 #[test]
 fn full_workspace_scan_stays_under_five_seconds() {
@@ -20,14 +19,11 @@ fn full_workspace_scan_stays_under_five_seconds() {
     let t0 = Instant::now();
     let ws = Workspace::load(&root).expect("scan workspace");
     let diags = run_all(&ws);
-    let graph = CallGraph::build(&ws);
-    let audit = semantic::shared_state_audit(&ws, &graph);
     let elapsed = t0.elapsed();
 
     assert!(diags.is_empty(), "clean scan while timing: {diags:?}");
-    assert!(!audit.is_empty());
     assert!(
         elapsed.as_secs_f64() < 5.0,
-        "full scan + graph + rules + audit took {elapsed:?} (budget: 5s)"
+        "full scan + graph + rules took {elapsed:?} (budget: 5s)"
     );
 }

@@ -5,8 +5,9 @@
 //! cross-crate integration tests (`tests/`); the library itself simply
 //! re-exports the workspace crates for convenience.
 //!
-//! See the `pimdsm` crate for the machine API and `pimdsm-bench` for the
-//! binaries that regenerate every table and figure of the paper.
+//! See the `pimdsm` crate for the machine API and `pimdsm-lab` for the
+//! suites that regenerate every table and figure of the paper
+//! (`pimdsm-lab run <suite>`).
 
 pub use pimdsm;
 pub use pimdsm_engine as engine;
