@@ -1,24 +1,14 @@
 //! Deterministic time-ordered event queue.
 //!
-//! The queue is a flat two-level calendar: a window of `WINDOW` one-cycle
-//! buckets starting at `base` (bucket `i` holds exactly the events due at
-//! `base + i`), plus an overflow list for events scheduled beyond the
-//! window. Because a bucket corresponds to a single cycle, FIFO order
-//! within a bucket *is* (time, seq) order — pushes append, pops take the
-//! front, and no comparisons happen on the hot path. The overflow list is
-//! folded back into the window (sorted by `(time, seq)`) only when the
-//! window drains, which keeps pop order identical to the `BinaryHeap`
-//! implementation this replaced, byte for byte.
-
-use std::collections::VecDeque;
+//! The queue is one `Vec` kept sorted latest-first, so the earliest event
+//! is always at the end: a pop is `Vec::pop`, and a push binary-searches
+//! its place and inserts there. The machine driver holds at most one
+//! event per simulated thread (at most 64, the protocol's
+//! `NodeSet::MAX_NODES`; 32 at the paper's machine size), so an insert
+//! shifts at most a few dozen entries and the queue stops allocating
+//! once it has grown to that depth.
 
 use crate::Cycle;
-
-/// One-cycle buckets in the calendar window. Events further than this
-/// ahead of `base` wait in the overflow list until the window reaches
-/// them; the simulator's typical latencies (1..~500 cycles) land in the
-/// window directly.
-const WINDOW: usize = 1024;
 
 /// A `(time, payload)` event queue with FIFO tie-breaking.
 ///
@@ -41,38 +31,18 @@ const WINDOW: usize = 1024;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    /// Simulated time of window bucket 0.
-    base: Cycle,
-    /// First possibly-occupied bucket; while the queue is non-empty the
-    /// bucket at `cursor` is never empty (see `settle`).
-    cursor: usize,
-    /// `buckets[i]` holds the events due at `base + i`, in push order.
-    buckets: Vec<VecDeque<(u64, T)>>,
-    /// Events due at or beyond `base + WINDOW`.
-    far: Vec<FarEntry<T>>,
-    len: usize,
-    seq: u64,
+    /// Pending events, sorted by descending time; among equal times the
+    /// earliest-pushed sits nearest the end, so it pops first.
+    events: Vec<(Cycle, T)>,
     pops: u64,
     peak_len: usize,
-}
-
-#[derive(Debug, Clone)]
-struct FarEntry<T> {
-    time: Cycle,
-    seq: u64,
-    payload: T,
 }
 
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            base: 0,
-            cursor: 0,
-            buckets: (0..WINDOW).map(|_| VecDeque::new()).collect(),
-            far: Vec::new(),
-            len: 0,
-            seq: 0,
+            events: Vec::new(),
             pops: 0,
             peak_len: 0,
         }
@@ -80,74 +50,33 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` at `time`.
     pub fn push(&mut self, time: Cycle, payload: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.len == 0 {
-            // Empty queue: re-anchor the window at the new event so it
-            // always lands in bucket 0.
-            self.base = time;
-            self.cursor = 0;
-        }
-        self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
-        if time < self.base {
-            // A push into the past relative to the window anchor: fold
-            // everything into the overflow list and rebuild. This never
-            // happens on the simulator's monotonic schedule, but the
-            // queue stays correct if it does.
-            self.far.push(FarEntry { time, seq, payload });
-            self.spill_window();
-            self.rebase();
-            return;
-        }
-        let offset = time - self.base;
-        if offset < self.buckets.len() as Cycle {
-            let idx = offset as usize;
-            self.buckets[idx].push_back((seq, payload));
-            // Buckets before the cursor are always empty, so an earlier
-            // in-window push just pulls the cursor back.
-            if idx < self.cursor {
-                self.cursor = idx;
-            }
-        } else {
-            self.far.push(FarEntry { time, seq, payload });
-        }
+        // In front of every event due at or before `time`: behind the
+        // equal-time events already queued, which keeps ties FIFO.
+        let at = self.events.partition_point(|e| e.0 > time);
+        self.events.insert(at, (time, payload));
+        self.peak_len = self.peak_len.max(self.events.len());
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        let (_, payload) = self.buckets[self.cursor]
-            .pop_front()
-            .expect("cursor bucket is non-empty while the queue is");
-        let time = self.base + self.cursor as Cycle;
-        self.len -= 1;
+        let e = self.events.pop()?;
         self.pops += 1;
-        self.settle();
-        Some((time, payload))
+        Some(e)
     }
 
     /// Returns the time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        if self.len == 0 {
-            None
-        } else {
-            // `settle` maintains: non-empty queue ⇒ the cursor bucket
-            // holds the earliest pending event.
-            Some(self.base + self.cursor as Cycle)
-        }
+        self.events.last().map(|e| e.0)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.events.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.events.is_empty()
     }
 
     /// Total events popped over the queue's lifetime. Deterministic; the
@@ -159,52 +88,6 @@ impl<T> EventQueue<T> {
     /// Deepest the queue has ever been. Deterministic per run.
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Restores the invariant that `cursor` points at a non-empty bucket
-    /// whenever the queue is non-empty, folding the overflow list back
-    /// in when the window runs dry.
-    fn settle(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        loop {
-            while self.cursor < self.buckets.len() {
-                if !self.buckets[self.cursor].is_empty() {
-                    return;
-                }
-                self.cursor += 1;
-            }
-            debug_assert!(!self.far.is_empty());
-            self.rebase();
-        }
-    }
-
-    /// Moves every pending window entry into the overflow list (used
-    /// only by the defensive past-push path).
-    fn spill_window(&mut self) {
-        for i in self.cursor..self.buckets.len() {
-            let time = self.base + i as Cycle;
-            for (seq, payload) in self.buckets[i].drain(..) {
-                self.far.push(FarEntry { time, seq, payload });
-            }
-        }
-        self.cursor = self.buckets.len();
-    }
-
-    /// Re-anchors the window at the earliest overflow event and moves
-    /// every overflow entry that now fits into its bucket. Sorting by
-    /// `(time, seq)` before distributing preserves FIFO order within
-    /// each one-cycle bucket.
-    fn rebase(&mut self) {
-        self.far.sort_unstable_by_key(|e| (e.time, e.seq));
-        self.base = self.far[0].time;
-        self.cursor = 0;
-        let horizon = self.base.saturating_add(self.buckets.len() as Cycle);
-        let fits = self.far.partition_point(|e| e.time < horizon);
-        for e in self.far.drain(..fits) {
-            self.buckets[(e.time - self.base) as usize].push_back((e.seq, e.payload));
-        }
     }
 }
 

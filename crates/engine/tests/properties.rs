@@ -9,7 +9,7 @@ use pimdsm_engine::{EventQueue, Histogram, SimRng, Timeline, Zipf};
 
 /// The specification `EventQueue` is tested against: a plain min-heap of
 /// `(time, seq, payload)` with an explicit insertion sequence for FIFO
-/// tie-breaking — the exact structure the calendar queue replaced.
+/// tie-breaking.
 #[derive(Default)]
 struct HeapModel {
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
@@ -110,13 +110,13 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// The calendar queue is observationally identical to a `BinaryHeap`
+    /// The event queue is observationally identical to a `BinaryHeap`
     /// reference model under random interleaved push/pop traffic with
     /// heavy ties: every pop, every peek, the live length, and the
     /// lifetime `pops`/`peak_len` counters all agree. Deltas are drawn to
-    /// cluster times (ties), stay inside the calendar window, and spill
-    /// far past it (disk-fault-sized latencies), so the overflow fold-in
-    /// path is exercised too.
+    /// cluster times (ties), span typical protocol latencies, and jump
+    /// far ahead (disk-fault-sized latencies), so inserts land at every
+    /// position of the sorted queue.
     #[test]
     fn event_queue_matches_heap_reference_model(
         ops in proptest::collection::vec((0u64..8, 0u64..2000), 1..500)

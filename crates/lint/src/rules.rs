@@ -22,7 +22,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "D003",
-        "no BinaryHeap in simulation crates (use the engine's bucket queue); arena `slab` fields must expose iter_deterministic()",
+        "no BinaryHeap in simulation crates (use the engine's EventQueue); arena `slab` fields must expose iter_deterministic()",
     ),
     (
         "D004",
@@ -134,8 +134,8 @@ pub fn d002(ws: &Workspace) -> Vec<Diagnostic> {
 /// Two checks. (a) No `BinaryHeap`: equal-priority pops come out in
 /// heap-shape order (insertion-history dependent), and its per-push node
 /// churn allocates on the hottest simulator path —
-/// `pimdsm_engine::EventQueue` (a bucket calendar with explicit
-/// `(time, seq)` FIFO ties) is the replacement. (b) A file that declares
+/// `pimdsm_engine::EventQueue` (a sorted `Vec` with FIFO ties among
+/// equal times) is the replacement. (b) A file that declares
 /// an arena (a field named `slab`) must expose an `iter_deterministic()`
 /// accessor: slab sweeps otherwise tempt callers into ad-hoc orders
 /// (free-list order, occupancy order) that leak insertion history into
@@ -155,7 +155,7 @@ pub fn d003(ws: &Workspace) -> Vec<Diagnostic> {
                 rel: entry.file.rel.clone(),
                 line: entry.file.line_of(off),
                 msg: format!(
-                    "`BinaryHeap` in simulation crate `{}`: equal-priority pops depend on heap shape and every push allocates; use pimdsm_engine::EventQueue (deterministic (time, seq) order, pooled buckets)",
+                    "`BinaryHeap` in simulation crate `{}`: equal-priority pops depend on heap shape and every push allocates; use pimdsm_engine::EventQueue (deterministic time order, FIFO ties, no allocation once at peak depth)",
                     entry.krate
                 ),
             });

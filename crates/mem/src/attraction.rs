@@ -87,11 +87,6 @@ impl<S> AttractionMemory<S> {
         self.cache.is_empty()
     }
 
-    /// On-chip capacity in lines.
-    pub fn onchip_capacity(&self) -> usize {
-        self.onchip_cap
-    }
-
     /// Number of on-chip/off-chip swaps performed so far.
     pub fn swaps(&self) -> u64 {
         self.swaps

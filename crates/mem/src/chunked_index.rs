@@ -1,15 +1,16 @@
 //! A chunked dense `u64 → u32` index.
 //!
-//! The simulator's page-grained tables (D-node directory chunks, COMA
-//! directory chunks) all need the same map shape: a page number — dense,
-//! bump-allocated from 1 by the workload layouts — to a small arena
-//! slot. This index stores values in per-chunk dense arrays so the hot
-//! lookup is two indexations, and iterates in ascending key order so
-//! every sweep built on it is run-to-run deterministic (contract D001).
+//! The simulator's page-grained tables (the page table's homes, the
+//! page → chunk index of every [`PagedMap`](crate::PagedMap) directory)
+//! all need the same map shape: a page number — dense, bump-allocated
+//! from 1 by the workload layouts — to a small integer. This index
+//! stores values in per-chunk dense arrays so the hot lookup is two
+//! indexations, and iterates in ascending key order so every sweep built
+//! on it is run-to-run deterministic (contract D001).
 
 /// Keys per dense chunk (`1 << CHUNK_SHIFT`).
 const CHUNK_SHIFT: u32 = 12;
-const CHUNK: usize = 1 << CHUNK_SHIFT;
+pub(crate) const CHUNK: usize = 1 << CHUNK_SHIFT;
 /// Sentinel for an empty slot.
 const EMPTY: u32 = u32::MAX;
 
@@ -116,12 +117,6 @@ impl ChunkedIndex {
                     .map(move |(si, &v)| (((ci as u64) << CHUNK_SHIFT) + si as u64, v))
             })
     }
-
-    /// Iterates in ascending key order (alias of
-    /// [`ChunkedIndex::iter_deterministic`]).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.iter_deterministic()
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,7 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             ix.insert(k, i as u32);
         }
-        let got: Vec<u64> = ix.iter().map(|(k, _)| k).collect();
+        let got: Vec<u64> = ix.iter_deterministic().map(|(k, _)| k).collect();
         assert_eq!(
             got,
             vec![3, 7, CHUNK as u64 - 1, CHUNK as u64, CHUNK as u64 * 2 + 5]

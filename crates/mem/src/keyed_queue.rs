@@ -27,18 +27,6 @@ impl QueueKey for u64 {
     }
 }
 
-impl QueueKey for u32 {
-    fn as_u64(self) -> u64 {
-        self as u64
-    }
-}
-
-impl QueueKey for u16 {
-    fn as_u64(self) -> u64 {
-        self as u64
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Node<K> {
     key: K,
@@ -331,10 +319,10 @@ mod tests {
     #[test]
     fn fifo_order() {
         let mut q = KeyedQueue::new();
-        for i in 0..5u32 {
+        for i in 0..5u64 {
             q.push_back(i);
         }
-        for i in 0..5u32 {
+        for i in 0..5u64 {
             assert_eq!(q.pop_front(), Some(i));
         }
         assert_eq!(q.pop_front(), None);
@@ -343,33 +331,33 @@ mod tests {
     #[test]
     fn remove_middle_and_ends() {
         let mut q = KeyedQueue::new();
-        for i in 0..5u32 {
+        for i in 0..5u64 {
             q.push_back(i);
         }
         assert!(q.remove(&2));
         assert!(q.remove(&0));
         assert!(q.remove(&4));
         assert!(!q.remove(&2));
-        let rest: Vec<u32> = q.iter().copied().collect();
+        let rest: Vec<u64> = q.iter().copied().collect();
         assert_eq!(rest, vec![1, 3]);
     }
 
     #[test]
     fn move_to_back_reorders() {
         let mut q = KeyedQueue::new();
-        for i in 0..3u32 {
+        for i in 0..3u64 {
             q.push_back(i);
         }
         assert!(q.move_to_back(&0));
         assert!(!q.move_to_back(&99));
-        let order: Vec<u32> = q.iter().copied().collect();
+        let order: Vec<u64> = q.iter().copied().collect();
         assert_eq!(order, vec![1, 2, 0]);
     }
 
     #[test]
     fn move_to_back_relinks_in_place() {
         let mut q = KeyedQueue::new();
-        for i in 0..4u32 {
+        for i in 0..4u64 {
             q.push_back(i);
         }
         // Tail is a no-op, front and middle splice behind the tail.
@@ -394,13 +382,13 @@ mod tests {
     #[test]
     fn slot_reuse_after_removal() {
         let mut q = KeyedQueue::new();
-        for i in 0..100u32 {
+        for i in 0..100u64 {
             q.push_back(i);
         }
-        for i in 0..100u32 {
+        for i in 0..100u64 {
             assert!(q.remove(&i));
         }
-        for i in 100..200u32 {
+        for i in 100..200u64 {
             q.push_back(i);
         }
         // Internal node storage did not grow past the peak.
@@ -413,8 +401,8 @@ mod tests {
     #[should_panic(expected = "already queued")]
     fn duplicate_push_panics() {
         let mut q = KeyedQueue::new();
-        q.push_back(1u32);
-        q.push_back(1u32);
+        q.push_back(1u64);
+        q.push_back(1u64);
     }
 
     #[test]

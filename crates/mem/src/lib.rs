@@ -15,6 +15,8 @@
 //! - [`Dram`] — a bandwidth-limited memory device built on a
 //!   [`Timeline`](pimdsm_engine::Timeline).
 //! - [`PageTable`] — first-touch page placement with per-node capacity.
+//! - [`PagedMap`] — a page-chunked per-line map, the storage of every
+//!   protocol directory.
 //! - [`KeyedQueue`] — a keyed FIFO/LRU list, reused by the attraction
 //!   memory's on-chip LRU and by the AGG D-node's FreeList/SharedList.
 //!
@@ -27,6 +29,7 @@ pub mod cache;
 pub mod chunked_index;
 pub mod dram;
 pub mod keyed_queue;
+pub mod paged_map;
 pub mod pages;
 
 pub use addr::{line_of, page_of, Line, Page};
@@ -35,4 +38,5 @@ pub use cache::{CacheCfg, DrainAll, Evicted, SetAssocCache};
 pub use chunked_index::ChunkedIndex;
 pub use dram::Dram;
 pub use keyed_queue::KeyedQueue;
+pub use paged_map::PagedMap;
 pub use pages::PageTable;

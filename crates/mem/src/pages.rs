@@ -9,26 +9,21 @@
 use std::collections::BTreeMap;
 
 use crate::addr::Page;
+use crate::chunked_index::ChunkedIndex;
+// The chunk-boundary test below straddles the index's dense chunks.
+#[cfg(test)]
+use crate::chunked_index::CHUNK;
 
 /// Node index within the machine.
 pub type NodeId = usize;
 
-/// Pages per dense chunk (`1 << CHUNK_SHIFT`).
-const CHUNK_SHIFT: u32 = 12;
-const CHUNK: usize = 1 << CHUNK_SHIFT;
-/// Sentinel home for an unmapped slot.
-const UNMAPPED: u32 = u32::MAX;
-
 /// A page-number → home-node map with first-touch assignment.
 ///
-/// The table is a chunked dense array: page `p` lives in slot
-/// `p % CHUNK` of chunk `p / CHUNK`, with absent chunks left
-/// unallocated. Workload layouts bump-allocate the address space from
-/// page 1, so page numbers are dense and a home lookup — one per
-/// simulated memory access — is two indexations instead of a `BTreeMap`
-/// walk. Every sweep (`pages_homed_at`, `iter`, `evacuate`) visits
-/// chunks and slots in ascending page order, which is exactly the sorted
-/// order the previous `BTreeMap` representation iterated in: the
+/// Homes live in a [`ChunkedIndex`]: workload layouts bump-allocate the
+/// address space from page 1, so page numbers are dense and a home
+/// lookup — one per simulated memory access — is two indexations instead
+/// of a `BTreeMap` walk. Every sweep (`pages_homed_at`,
+/// `iter_deterministic`, `evacuate`) visits pages in ascending order: the
 /// simulator's bit-determinism depends on that order, because
 /// reconfiguration and recovery migrations replay it into simulated
 /// time.
@@ -47,9 +42,8 @@ const UNMAPPED: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct PageTable {
     page_shift: u32,
-    chunks: Vec<Option<Box<[u32; CHUNK]>>>,
+    homes: ChunkedIndex,
     per_node: BTreeMap<NodeId, u64>,
-    len: usize,
 }
 
 impl PageTable {
@@ -57,9 +51,8 @@ impl PageTable {
     pub fn new(page_shift: u32) -> Self {
         PageTable {
             page_shift,
-            chunks: Vec::new(),
+            homes: ChunkedIndex::new(),
             per_node: BTreeMap::new(),
-            len: 0,
         }
     }
 
@@ -73,42 +66,18 @@ impl PageTable {
         1 << self.page_shift
     }
 
-    fn slot(&self, page: Page) -> Option<u32> {
-        let chunk = (page >> CHUNK_SHIFT) as usize;
-        let home = *self
-            .chunks
-            .get(chunk)?
-            .as_ref()?
-            .get(page as usize % CHUNK)?;
-        (home != UNMAPPED).then_some(home)
-    }
-
-    fn slot_mut(&mut self, page: Page) -> &mut u32 {
-        let chunk = (page >> CHUNK_SHIFT) as usize;
-        if chunk >= self.chunks.len() {
-            self.chunks.resize_with(chunk + 1, || None);
-        }
-        let entries = self.chunks[chunk].get_or_insert_with(|| Box::new([UNMAPPED; CHUNK]));
-        &mut entries[page as usize % CHUNK]
-    }
-
     /// Home of `page`, if mapped.
     pub fn home(&self, page: Page) -> Option<NodeId> {
-        self.slot(page).map(|h| h as NodeId)
+        self.homes.get(page).map(|h| h as NodeId)
     }
 
     /// Home of `page`, assigning it via `assign` on first touch.
     pub fn home_or_assign(&mut self, page: Page, assign: impl FnOnce() -> NodeId) -> NodeId {
-        if let Some(h) = self.slot(page) {
-            return h as NodeId;
+        if let Some(h) = self.home(page) {
+            return h;
         }
         let h = assign();
-        debug_assert!(
-            (h as u64) < UNMAPPED as u64,
-            "node id collides with sentinel"
-        );
-        *self.slot_mut(page) = h as u32;
-        self.len += 1;
+        self.homes.insert(page, h as u32);
         *self.per_node.entry(h).or_insert(0) += 1;
         h
     }
@@ -119,10 +88,8 @@ impl PageTable {
     ///
     /// Panics if the page is not mapped.
     pub fn reassign(&mut self, page: Page, new_home: NodeId) -> NodeId {
-        let slot = self.slot_mut(page);
-        assert!(*slot != UNMAPPED, "cannot reassign an unmapped page");
-        let old = *slot as NodeId;
-        *slot = new_home as u32;
+        let old = self.home(page).expect("cannot reassign an unmapped page");
+        self.homes.insert(page, new_home as u32);
         if let Some(c) = self.per_node.get_mut(&old) {
             *c -= 1;
         }
@@ -133,13 +100,11 @@ impl PageTable {
     /// Unmaps `page` (paged out to disk). Returns its home, if it was
     /// mapped.
     pub fn unmap(&mut self, page: Page) -> Option<NodeId> {
-        let home = self.slot(page)?;
-        *self.slot_mut(page) = UNMAPPED;
-        self.len -= 1;
-        if let Some(c) = self.per_node.get_mut(&(home as NodeId)) {
+        let home = self.homes.remove(page)? as NodeId;
+        if let Some(c) = self.per_node.get_mut(&home) {
             *c -= 1;
         }
-        Some(home as NodeId)
+        Some(home)
     }
 
     /// Number of pages homed at `node`.
@@ -151,7 +116,7 @@ impl PageTable {
     /// reconfiguration migrations iterate this list, so its order is part
     /// of the simulated behavior).
     pub fn pages_homed_at(&self, node: NodeId) -> Vec<Page> {
-        self.iter()
+        self.iter_deterministic()
             .filter(|&(_, h)| h == node)
             .map(|(p, _)| p)
             .collect()
@@ -179,34 +144,20 @@ impl PageTable {
 
     /// Total mapped pages.
     pub fn len(&self) -> usize {
-        self.len
+        self.homes.len()
     }
 
     /// Whether no pages are mapped.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.homes.is_empty()
     }
 
     /// Iterates over `(page, home)` pairs in ascending page order — the
     /// table's deterministic index order.
     pub fn iter_deterministic(&self) -> impl Iterator<Item = (Page, NodeId)> + '_ {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, c)| c.as_ref().map(|c| (ci, c)))
-            .flat_map(|(ci, chunk)| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &h)| h != UNMAPPED)
-                    .map(move |(si, &h)| (((ci as u64) << CHUNK_SHIFT) + si as u64, h as NodeId))
-            })
-    }
-
-    /// Iterates over `(page, home)` pairs in ascending page order (alias
-    /// of [`PageTable::iter_deterministic`]).
-    pub fn iter(&self) -> impl Iterator<Item = (Page, NodeId)> + '_ {
-        self.iter_deterministic()
+        self.homes
+            .iter_deterministic()
+            .map(|(p, h)| (p, h as NodeId))
     }
 }
 
@@ -297,7 +248,7 @@ mod tests {
         for &p in &[CHUNK as u64 * 2 + 5, 3, CHUNK as u64 - 1, CHUNK as u64, 7] {
             pt.home_or_assign(p, || 1);
         }
-        let pages: Vec<Page> = pt.iter().map(|(p, _)| p).collect();
+        let pages: Vec<Page> = pt.iter_deterministic().map(|(p, _)| p).collect();
         assert_eq!(
             pages,
             vec![3, 7, CHUNK as u64 - 1, CHUNK as u64, CHUNK as u64 * 2 + 5]
@@ -305,6 +256,6 @@ mod tests {
         assert_eq!(pt.len(), 5);
         // Unmapping in one chunk leaves the others untouched.
         assert_eq!(pt.unmap(CHUNK as u64), Some(1));
-        assert_eq!(pt.iter().count(), 4);
+        assert_eq!(pt.iter_deterministic().count(), 4);
     }
 }

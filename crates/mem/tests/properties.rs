@@ -9,18 +9,18 @@ use pimdsm_mem::{AttractionMemory, CacheCfg, KeyedQueue, SetAssocCache};
 
 #[derive(Debug, Clone)]
 enum QueueOp {
-    PushBack(u16),
+    PushBack(u64),
     PopFront,
-    Remove(u16),
-    MoveToBack(u16),
+    Remove(u64),
+    MoveToBack(u64),
 }
 
 fn queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
-        (0u16..64).prop_map(QueueOp::PushBack),
+        (0u64..64).prop_map(QueueOp::PushBack),
         Just(QueueOp::PopFront),
-        (0u16..64).prop_map(QueueOp::Remove),
-        (0u16..64).prop_map(QueueOp::MoveToBack),
+        (0u64..64).prop_map(QueueOp::Remove),
+        (0u64..64).prop_map(QueueOp::MoveToBack),
     ]
 }
 
@@ -29,7 +29,7 @@ proptest! {
     #[test]
     fn keyed_queue_matches_reference(ops in proptest::collection::vec(queue_op(), 0..200)) {
         let mut q = KeyedQueue::new();
-        let mut model: VecDeque<u16> = VecDeque::new();
+        let mut model: VecDeque<u64> = VecDeque::new();
         for op in ops {
             match op {
                 QueueOp::PushBack(k) => {
@@ -57,8 +57,8 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.front().copied(), model.front().copied());
-            let order: Vec<u16> = q.iter().copied().collect();
-            let model_order: Vec<u16> = model.iter().copied().collect();
+            let order: Vec<u64> = q.iter().copied().collect();
+            let model_order: Vec<u64> = model.iter().copied().collect();
             prop_assert_eq!(order, model_order);
         }
     }

@@ -25,7 +25,7 @@ use pimdsm_engine::{Cycle, ServerGrant};
 use pimdsm_faults::{Durability, RecoveryStats};
 use pimdsm_mem::{line_of, CacheCfg, Line, Page};
 use pimdsm_net::{Mesh, NetCfg, Network};
-use pimdsm_obs::breakdown::{DRAM, HANDLER, NETWORK, QUEUE};
+use pimdsm_obs::breakdown::{DRAM, HANDLER, NETWORK};
 use pimdsm_obs::{trace::track, EpochProbe};
 
 use crate::common::{
@@ -494,7 +494,7 @@ impl AggSystem {
         self.fab.am_miss(node, line, tx.at());
 
         let home = self.home_of(line, node);
-        self.await_recovery(&mut tx, node, line);
+        tx.await_recovery(&mut self.fab);
         let ctrl = self.fab.msg_ctrl();
         let data = self.fab.msg_data();
         let t1 = tx.send(&mut self.fab, node, home, ctrl);
@@ -619,7 +619,7 @@ impl AggSystem {
         }
 
         let home = self.home_of(line, node);
-        self.await_recovery(&mut tx, node, line);
+        tx.await_recovery(&mut self.fab);
         let ctrl = self.fab.msg_ctrl();
         let data = self.fab.msg_data();
         self.fab.stats.remote_writes += 1;
@@ -880,15 +880,6 @@ impl AggSystem {
         self.pstore(p).purge_caches(line);
     }
 
-    /// Resident line count and capacity of a P-node's attraction memory
-    /// (diagnostics).
-    pub fn am_occupancy(&self, p: NodeId) -> (usize, u64) {
-        match &self.roles[p] {
-            Role::P(s) => (s.am.len(), s.am.cfg().capacity_lines()),
-            Role::D(_) => (0, 0),
-        }
-    }
-
     /// Verifies D-node storage invariants (tests).
     pub fn check_invariants(&self) {
         for &d in &self.d_list {
@@ -902,16 +893,6 @@ impl AggSystem {
             .iter()
             .map(|&d| self.dstore_ref(d).stats().page_outs)
             .sum()
-    }
-
-    /// Pays the bounded retry wait if `line`'s page is mid-recovery.
-    fn await_recovery(&mut self, tx: &mut Txn, node: NodeId, line: Line) {
-        let page = self.fab.page_of(line);
-        let w = self.fab.retry_wait(node, page, tx.at());
-        if w > 0 {
-            let resume = tx.at() + w;
-            tx.to(QUEUE, resume);
-        }
     }
 
     /// Bulk line-transfer cycles during recovery sweeps (same four-link
@@ -943,7 +924,7 @@ impl AggSystem {
         for d in d_list {
             let affected: Vec<Line> = self
                 .dstore_ref(d)
-                .entries()
+                .iter_deterministic()
                 .filter(|(_, e)| {
                     e.owner == Some(victim)
                         || e.sharers.contains(victim)
@@ -1212,7 +1193,7 @@ impl MemSystem for AggSystem {
         for &d in &self.d_list {
             let dn = self.dstore_ref(d);
             c.d_slots += dn.cfg().data_lines;
-            for (_, e) in dn.entries() {
+            for (_, e) in dn.iter_deterministic() {
                 if e.paged_out {
                     c.paged_out += 1;
                 } else if e.owner.is_some() {

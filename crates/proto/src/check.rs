@@ -35,7 +35,7 @@ use crate::system::MemSystem;
 pub fn check_agg(sys: &AggSystem) {
     for &d in sys.d_nodes() {
         sys.dnode(d).check_invariants();
-        let lines: Vec<Line> = sys.dnode(d).entries().map(|(l, _)| l).collect();
+        let lines: Vec<Line> = sys.dnode(d).iter_deterministic().map(|(l, _)| l).collect();
         for line in lines {
             agg_line(sys, line);
         }

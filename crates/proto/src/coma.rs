@@ -18,9 +18,9 @@
 
 use pimdsm_engine::{Cycle, Server, ServerGrant};
 use pimdsm_faults::{Durability, RecoveryStats};
-use pimdsm_mem::{line_of, CacheCfg, ChunkedIndex, Line};
+use pimdsm_mem::{line_of, CacheCfg, Line, PagedMap};
 use pimdsm_net::{Mesh, NetCfg, Network};
-use pimdsm_obs::breakdown::{NETWORK, QUEUE};
+use pimdsm_obs::breakdown::NETWORK;
 
 use crate::common::{
     Access, AmState, CState, Census, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg, Level,
@@ -102,91 +102,17 @@ pub struct DirEntry {
     pub on_disk: bool,
 }
 
-/// Two-level directory storage: a chunked page index into an arena of
-/// per-page entry chunks (`lines_per_page` slots each). The hot lookup —
-/// one per coherence transaction — is two indexations instead of a
-/// sorted-map walk, and every sweep iterates pages and slots in
-/// ascending order: the same ascending-line order the previous
-/// `BTreeMap<Line, DirEntry>` produced, which the determinism guards
-/// pin down. Entries are never removed (a line's directory state
-/// persists for the run), so the arena needs no free list.
-#[derive(Debug)]
-struct ComaDir {
-    lpp: u64,
-    pages: ChunkedIndex,
-    slab: Vec<Box<[Option<DirEntry>]>>,
-}
-
-impl ComaDir {
-    fn new(lpp: u64) -> Self {
-        ComaDir {
-            lpp,
-            pages: ChunkedIndex::new(),
-            slab: Vec::new(),
-        }
-    }
-
-    fn get(&self, line: Line) -> Option<&DirEntry> {
-        let ci = self.pages.get(line / self.lpp)?;
-        self.slab[ci as usize][(line % self.lpp) as usize].as_ref()
-    }
-
-    fn get_mut(&mut self, line: Line) -> Option<&mut DirEntry> {
-        let ci = self.pages.get(line / self.lpp)?;
-        self.slab[ci as usize][(line % self.lpp) as usize].as_mut()
-    }
-
-    fn entry_or_default(&mut self, line: Line) -> &mut DirEntry {
-        let page = line / self.lpp;
-        let ci = match self.pages.get(page) {
-            Some(ci) => ci,
-            None => {
-                self.slab
-                    .push(vec![None; self.lpp as usize].into_boxed_slice());
-                let ci = (self.slab.len() - 1) as u32;
-                self.pages.insert(page, ci);
-                ci
-            }
-        };
-        self.slab[ci as usize][(line % self.lpp) as usize].get_or_insert_with(DirEntry::default)
-    }
-
-    fn contains(&self, line: Line) -> bool {
-        self.get(line).is_some()
-    }
-
-    /// All lines with an entry, ascending.
-    fn keys(&self) -> Vec<Line> {
-        self.iter_deterministic().map(|(l, _)| l).collect()
-    }
-
-    /// Iterates `(line, entry)` in ascending line order — the directory's
-    /// deterministic index order (sorted pages, ascending slots).
-    fn iter_deterministic(&self) -> impl Iterator<Item = (Line, &DirEntry)> {
-        self.pages.iter().flat_map(move |(page, ci)| {
-            self.slab[ci as usize]
-                .iter()
-                .enumerate()
-                .filter_map(move |(si, e)| e.as_ref().map(|e| (page * self.lpp + si as u64, e)))
-        })
-    }
-
-    /// Iterates entries in ascending line order.
-    fn values(&self) -> impl Iterator<Item = &DirEntry> {
-        self.iter_deterministic().map(|(_, e)| e)
-    }
-}
-
 /// The flat-COMA machine.
 #[derive(Debug)]
 pub struct ComaSystem {
     cfg: ComaCfg,
     nodes: Vec<PNodeStore>,
     ctrls: Vec<Server>,
-    // Two-level table: directory sweeps (the end-of-run census, the
-    // coherence oracle) must observe a deterministic ascending-line
-    // order, which the chunked storage yields by construction.
-    dir: ComaDir,
+    // Directory sweeps (the end-of-run census, crash scrubbing, the
+    // coherence oracle) must observe a deterministic order: the map's
+    // ascending-line order. Entries are never removed; a line's
+    // directory state persists for the run.
+    dir: PagedMap<DirEntry>,
     // `by_dist[from]`: every node ordered by the unique key
     // `(hops(from, c), c)`, built once so injection and cold-private
     // preload walk a fixed order instead of sorting per line.
@@ -231,7 +157,7 @@ impl ComaSystem {
             .collect();
         ComaSystem {
             ctrls: (0..cfg.nodes).map(|_| Server::new()).collect(),
-            dir: ComaDir::new(fab.lines_per_page()),
+            dir: PagedMap::new(fab.lines_per_page()),
             by_dist,
             nodes,
             fab,
@@ -260,7 +186,7 @@ impl ComaSystem {
     }
 
     pub(crate) fn dir_lines(&self) -> Vec<Line> {
-        self.dir.keys()
+        self.dir.iter_deterministic().map(|(l, _)| l).collect()
     }
 
     pub(crate) fn n_nodes(&self) -> usize {
@@ -433,7 +359,7 @@ impl ComaSystem {
         if candidates.is_empty() {
             // Single-node machine: nowhere to inject, spill to disk.
             self.fab.stats.disk_spills += 1;
-            let e = self.dir.entry_or_default(line);
+            let e = self.dir.get_or_insert_with(line, DirEntry::default);
             e.sharers.remove(node);
             e.owner = None;
             e.master = None;
@@ -482,7 +408,7 @@ impl ComaSystem {
                 // room).
                 _ => {
                     self.fab.stats.disk_spills += 1;
-                    let ve = self.dir.entry_or_default(sv.line);
+                    let ve = self.dir.get_or_insert_with(sv.line, DirEntry::default);
                     ve.sharers.clear();
                     ve.owner = None;
                     ve.master = None;
@@ -491,7 +417,7 @@ impl ComaSystem {
             }
         }
         self.mem_access(c, line, g.start);
-        let e = self.dir.entry_or_default(line);
+        let e = self.dir.get_or_insert_with(line, DirEntry::default);
         match state {
             AmState::Dirty => {
                 e.owner = Some(c);
@@ -574,7 +500,7 @@ impl ComaSystem {
     fn fill_caches(&mut self, node: NodeId, line: Line, state: CState) {
         let victim = self.nodes[node].fill_caches(line, state);
         if let Some((vline, CState::Dirty)) = victim {
-            let e = self.dir.entry_or_default(vline);
+            let e = self.dir.get_or_insert_with(vline, DirEntry::default);
             e.owner = Some(node);
             e.master = Some(node);
         }
@@ -583,23 +509,13 @@ impl ComaSystem {
     /// The invalidation round of an ownership upgrade: directory mutation,
     /// `ReadExclusive` dispatch at the home, sharer fan-out, and (for a
     /// remote home) the ownership grant back to the writer.
-    /// Pays the bounded retry wait if `line`'s page is mid-recovery.
-    fn await_recovery(&mut self, tx: &mut Txn, node: NodeId, line: Line) {
-        let page = self.fab.page_of(line);
-        let w = self.fab.retry_wait(node, page, tx.at());
-        if w > 0 {
-            let resume = tx.at() + w;
-            tx.to(QUEUE, resume);
-        }
-    }
-
     fn upgrade_round(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         let home = self.home_of(line, node);
-        self.await_recovery(tx, node, line);
-        if std::mem::take(&mut self.dir.entry_or_default(line).on_disk) {
+        tx.await_recovery(&mut self.fab);
+        if std::mem::take(&mut self.dir.get_or_insert_with(line, DirEntry::default).on_disk) {
             self.purge_stale(node, line);
         }
-        let e = self.dir.entry_or_default(line);
+        let e = self.dir.get_or_insert_with(line, DirEntry::default);
         let targets = NodeList::sharers_except(&e.sharers, node);
         e.sharers = NodeSet::singleton(node);
         e.owner = Some(node);
@@ -644,7 +560,7 @@ impl ComaSystem {
         self.fab.am_miss(node, line, tx.at());
 
         let home = self.home_of(line, node);
-        self.await_recovery(&mut tx, node, line);
+        tx.await_recovery(&mut self.fab);
         let e = self.dir.get(line).copied().unwrap_or_default();
         let ctrl = self.fab.msg_ctrl();
         let data = self.fab.msg_data();
@@ -658,7 +574,7 @@ impl ComaSystem {
             tx.disk(&self.fab);
             tx.send(&mut self.fab, home, node, data);
             self.purge_stale(node, line);
-            let de = self.dir.entry_or_default(line);
+            let de = self.dir.get_or_insert_with(line, DirEntry::default);
             de.on_disk = false;
             de.master = Some(node);
             de.sharers = NodeSet::singleton(node);
@@ -678,7 +594,7 @@ impl ComaSystem {
             if let Some(s) = self.nodes[k].am.peek_mut(line) {
                 *s = AmState::SharedMaster;
             }
-            let de = self.dir.entry_or_default(line);
+            let de = self.dir.get_or_insert_with(line, DirEntry::default);
             de.owner = None;
             de.master = Some(k);
             de.sharers = NodeSet::singleton(k);
@@ -691,11 +607,14 @@ impl ComaSystem {
             tx.handler(g);
             let supplier = self.pick_supplier(node, home, m_node, line);
             let lvl = self.supply_from(&mut tx, node, home, supplier, line, true);
-            self.dir.entry_or_default(line).sharers.insert(node);
+            self.dir
+                .get_or_insert_with(line, DirEntry::default)
+                .sharers
+                .insert(node);
             (supplier, lvl, AmState::Shared)
         } else {
             // First touch: the line materializes (cold/zero data).
-            let de = self.dir.entry_or_default(line);
+            let de = self.dir.get_or_insert_with(line, DirEntry::default);
             de.master = Some(node);
             de.sharers = NodeSet::singleton(node);
             let lvl = self.cold_round(&mut tx, node, home, HandlerKind::Read);
@@ -762,7 +681,7 @@ impl ComaSystem {
 
         // Full read-exclusive: fetch data and invalidate everyone.
         let home = self.home_of(line, node);
-        self.await_recovery(&mut tx, node, line);
+        tx.await_recovery(&mut self.fab);
         let e = self.dir.get(line).copied().unwrap_or_default();
         let ctrl = self.fab.msg_ctrl();
         let data = self.fab.msg_data();
@@ -779,7 +698,7 @@ impl ComaSystem {
             tx.disk(&self.fab);
             tx.send(&mut self.fab, home, node, data);
             self.purge_stale(node, line);
-            self.dir.entry_or_default(line).on_disk = false;
+            self.dir.get_or_insert_with(line, DirEntry::default).on_disk = false;
             let lvl = if home == node {
                 Level::LocalMem
             } else {
@@ -813,7 +732,7 @@ impl ComaSystem {
             (home, lvl)
         };
 
-        let de = self.dir.entry_or_default(line);
+        let de = self.dir.get_or_insert_with(line, DirEntry::default);
         de.owner = Some(node);
         de.master = Some(node);
         de.sharers = NodeSet::singleton(node);
@@ -891,9 +810,7 @@ impl MemSystem for ComaSystem {
         // Scrub every directory entry naming the victim: re-elect
         // mastership onto a surviving sharer, write dirty data off to
         // disk-resident state when no copy survives.
-        let lines: Vec<Line> = self.dir.keys();
-        for line in lines {
-            let e = self.dir.get_mut(line).expect("swept key");
+        self.dir.for_each_mut(|line, e| {
             if e.owner == Some(node) {
                 e.owner = None;
                 e.master = None;
@@ -921,7 +838,7 @@ impl MemSystem for ComaSystem {
                     }
                 }
             }
-        }
+        });
         // Re-home the victim's pages across the survivors (directory
         // state only — flat COMA homes hold no data).
         let moved = self
@@ -958,7 +875,7 @@ impl MemSystem for ComaSystem {
             d_slots: self.cfg.am.capacity_lines() * self.cfg.nodes as u64,
             ..Census::default()
         };
-        for e in self.dir.values() {
+        for (_, e) in self.dir.iter_deterministic() {
             if e.on_disk {
                 c.paged_out += 1;
             } else if e.owner.is_some() {
@@ -973,7 +890,7 @@ impl MemSystem for ComaSystem {
     fn preload(&mut self, addr: u64, owner: NodeId, kind: PreloadKind) {
         let line = line_of(addr, self.cfg.line_shift);
         self.home_of(line, owner);
-        if self.dir.contains(line) {
+        if self.dir.get(line).is_some() {
             return;
         }
         // COMA has no backing store: the pre-existing copy must live in
@@ -987,12 +904,12 @@ impl MemSystem for ComaSystem {
         };
         let Some(c) = self.preload_target(line, owner, kind) else {
             // Pathological set pressure everywhere: the copy sits on disk.
-            self.dir.entry_or_default(line).on_disk = true;
+            self.dir.get_or_insert_with(line, DirEntry::default).on_disk = true;
             self.fab.stats.disk_spills += 1;
             return;
         };
         self.nodes[c].am.insert(line, state, victim_class);
-        let e = self.dir.entry_or_default(line);
+        let e = self.dir.get_or_insert_with(line, DirEntry::default);
         e.master = Some(c);
         e.sharers = NodeSet::singleton(c);
         if state == AmState::Dirty {

@@ -24,7 +24,7 @@
 //! [`crate::agg`].
 
 use pimdsm_engine::{Cycle, Server};
-use pimdsm_mem::{ChunkedIndex, Dram, KeyedQueue, Line, Page, Residency};
+use pimdsm_mem::{Dram, KeyedQueue, Line, Page, PagedMap, Residency};
 
 use crate::common::{NodeId, NodeList, NodeSet};
 use crate::pnode::OnChipLru;
@@ -111,15 +111,6 @@ pub struct DNodeStats {
     pub page_ins: u64,
 }
 
-/// One page's worth of directory entries, allocated as a unit.
-#[derive(Debug, Clone)]
-struct DirChunk {
-    /// `lines_per_page` slots; `None` marks a never-referenced line.
-    entries: Box<[Option<DirEntry>]>,
-    /// Occupied slots; a chunk is recycled when this drops to zero.
-    live: u32,
-}
-
 /// Storage half of an AGG directory node.
 ///
 /// All mutating operations keep the FreeList/SharedList/`in_mem`
@@ -128,19 +119,10 @@ struct DirChunk {
 #[derive(Debug, Clone)]
 pub struct DNode {
     cfg: DNodeCfg,
-    // The directory is a two-level table: a sorted page index into an
-    // arena of per-page chunks, each holding `lines_per_page` entry
-    // slots. Lines of the same page are adjacent in simulated space and
-    // in the handler access stream, so the hot lookup is one page probe
-    // plus an array index instead of a per-line `BTreeMap` walk.
-    // Directory sweeps (census, reconfiguration entry eviction, page-out
-    // scans) iterate pages in sorted order and slots in ascending order,
-    // which is exactly the ascending-line order the previous
-    // `BTreeMap<Line, DirEntry>` produced — that order is part of the
-    // simulated behavior and must stay run-to-run deterministic.
-    page_index: ChunkedIndex,
-    slab: Vec<DirChunk>,
-    free_chunks: Vec<u32>,
+    // Directory sweeps (census, reconfiguration entry eviction, crash
+    // scrubbing) replay the map's ascending-line order into simulated
+    // time, so that order must stay run-to-run deterministic.
+    dir: PagedMap<DirEntry>,
     free_slots: u64,
     shared_list: KeyedQueue<Line>,
     mapped_pages: KeyedQueue<Page>,
@@ -163,9 +145,7 @@ impl DNode {
         assert!(cfg.data_lines > 0, "D-node needs a nonempty Data array");
         let transfer = cfg.line_bytes.div_ceil(cfg.mem_bytes_per_cycle);
         DNode {
-            page_index: ChunkedIndex::new(),
-            slab: Vec::new(),
-            free_chunks: Vec::new(),
+            dir: PagedMap::new(cfg.lines_per_page),
             free_slots: cfg.data_lines,
             shared_list: KeyedQueue::new(),
             mapped_pages: KeyedQueue::new(),
@@ -230,91 +210,20 @@ impl DNode {
         self.mapped_pages.len() + self.cold_pages.len()
     }
 
-    fn dir_get(&self, line: Line) -> Option<&DirEntry> {
-        let lpp = self.cfg.lines_per_page;
-        let ci = self.page_index.get(line / lpp)?;
-        self.slab[ci as usize].entries[(line % lpp) as usize].as_ref()
-    }
-
-    fn dir_get_mut(&mut self, line: Line) -> Option<&mut DirEntry> {
-        let lpp = self.cfg.lines_per_page;
-        let ci = self.page_index.get(line / lpp)?;
-        self.slab[ci as usize].entries[(line % lpp) as usize].as_mut()
-    }
-
-    fn dir_entry_or_virgin(&mut self, line: Line) -> &mut DirEntry {
-        let lpp = self.cfg.lines_per_page;
-        let page = line / lpp;
-        let ci = match self.page_index.get(page) {
-            Some(ci) => ci,
-            None => {
-                let ci = match self.free_chunks.pop() {
-                    // Recycled chunks are fully vacated (`live == 0`), so
-                    // every slot is already `None`.
-                    Some(ci) => ci,
-                    None => {
-                        self.slab.push(DirChunk {
-                            entries: vec![None; lpp as usize].into_boxed_slice(),
-                            live: 0,
-                        });
-                        (self.slab.len() - 1) as u32
-                    }
-                };
-                self.page_index.insert(page, ci);
-                ci
-            }
-        };
-        let chunk = &mut self.slab[ci as usize];
-        let slot = &mut chunk.entries[(line % lpp) as usize];
-        if slot.is_none() {
-            *slot = Some(DirEntry::virgin());
-            chunk.live += 1;
-        }
-        slot.as_mut().expect("slot was just filled")
-    }
-
-    fn dir_remove(&mut self, line: Line) -> Option<DirEntry> {
-        let lpp = self.cfg.lines_per_page;
-        let page = line / lpp;
-        let ci = self.page_index.get(page)?;
-        let chunk = &mut self.slab[ci as usize];
-        let e = chunk.entries[(line % lpp) as usize].take()?;
-        chunk.live -= 1;
-        if chunk.live == 0 {
-            self.page_index.remove(page);
-            self.free_chunks.push(ci);
-        }
-        Some(e)
-    }
-
     /// Directory entry (creating a virgin one on first reference).
     pub fn entry_mut(&mut self, line: Line) -> &mut DirEntry {
-        self.dir_entry_or_virgin(line)
+        self.dir.get_or_insert_with(line, DirEntry::virgin)
     }
 
     /// Directory entry, if the line has ever been referenced.
     pub fn entry(&self, line: Line) -> Option<&DirEntry> {
-        self.dir_get(line)
+        self.dir.get(line)
     }
 
     /// Iterates over all directory entries in ascending line order — the
-    /// table's deterministic index order (sorted pages, ascending slots
-    /// within each page).
+    /// table's deterministic index order.
     pub fn iter_deterministic(&self) -> impl Iterator<Item = (Line, &DirEntry)> {
-        let lpp = self.cfg.lines_per_page;
-        self.page_index.iter().flat_map(move |(page, ci)| {
-            self.slab[ci as usize]
-                .entries
-                .iter()
-                .enumerate()
-                .filter_map(move |(si, e)| e.as_ref().map(|e| (page * lpp + si as u64, e)))
-        })
-    }
-
-    /// Iterates over all directory entries in ascending line order (alias
-    /// of [`DNode::iter_deterministic`]).
-    pub fn entries(&self) -> impl Iterator<Item = (Line, &DirEntry)> {
-        self.iter_deterministic()
+        self.dir.iter_deterministic()
     }
 
     /// Times a bulk streaming read of `bytes` from the Data array (used by
@@ -359,7 +268,7 @@ impl DNode {
     /// Panics if `line` already occupies a slot.
     #[allow(clippy::result_unit_err)]
     pub fn alloc_slot(&mut self, line: Line) -> Result<Option<Line>, ()> {
-        let e = self.dir_get(line);
+        let e = self.dir.get(line);
         assert!(
             e.is_none_or(|e| !e.in_mem),
             "line {line:#x} already has a Data slot"
@@ -371,7 +280,8 @@ impl DNode {
         if self.cfg.reuse_shared_list {
             if let Some(victim) = self.shared_list.pop_front() {
                 let ve = self
-                    .dir_get_mut(victim)
+                    .dir
+                    .get_mut(victim)
                     .expect("SharedList member must have a directory entry");
                 debug_assert!(ve.in_mem);
                 ve.in_mem = false;
@@ -394,7 +304,7 @@ impl DNode {
     ///
     /// Must be called with a slot already allocated via [`DNode::alloc_slot`].
     pub fn grant_first_read(&mut self, line: Line, reader: NodeId) {
-        let e = self.dir_entry_or_virgin(line);
+        let e = self.entry_mut(line);
         debug_assert!(e.uncached() && !e.in_mem);
         e.in_mem = true;
         e.paged_out = false;
@@ -409,7 +319,7 @@ impl DNode {
     /// mastership is given out to the reader and the home's duplicate
     /// becomes reclaimable (SharedList tail).
     pub fn grant_master_read(&mut self, line: Line, reader: NodeId) {
-        let e = self.dir_get_mut(line).expect("line must exist in memory");
+        let e = self.dir.get_mut(line).expect("line must exist in memory");
         debug_assert!(e.in_mem && e.master == Master::Home && e.owner.is_none());
         e.master = Master::Node(reader);
         e.sharers.insert(reader);
@@ -428,7 +338,8 @@ impl DNode {
     /// shared-master at the previous owner; the home keeps no copy.
     pub fn dirty_to_shared(&mut self, line: Line, reader: NodeId) -> NodeId {
         let e = self
-            .dir_get_mut(line)
+            .dir
+            .get_mut(line)
             .expect("dirty line must have an entry");
         let owner = e.owner.take().expect("line must be dirty");
         e.master = Master::Node(owner);
@@ -442,7 +353,7 @@ impl DNode {
     /// invalidate (sharers minus the writer, or the previous owner).
     /// Frees the home copy's slot — dirty lines keep no place holder.
     pub fn make_owner(&mut self, line: Line, writer: NodeId) -> NodeList {
-        let e = self.dir_entry_or_virgin(line);
+        let e = self.entry_mut(line);
         let mut inval = NodeList::new();
         if let Some(prev) = e.owner.take() {
             if prev != writer {
@@ -473,7 +384,8 @@ impl DNode {
     /// not be dropped), matching the paper's nil pointers.
     pub fn write_back(&mut self, line: Line, from: NodeId) {
         let e = self
-            .dir_get_mut(line)
+            .dir
+            .get_mut(line)
             .expect("written-back line must exist");
         match e.owner {
             Some(owner) => {
@@ -507,7 +419,7 @@ impl DNode {
 
     /// A non-master sharer silently dropped its copy and sent a hint.
     pub fn replacement_hint(&mut self, line: Line, from: NodeId) {
-        if let Some(e) = self.dir_get_mut(line) {
+        if let Some(e) = self.dir.get_mut(line) {
             if e.master != Master::Node(from) && e.owner != Some(from) {
                 e.sharers.remove(from);
             }
@@ -530,7 +442,8 @@ impl DNode {
         for &page in self.mapped_pages.iter().take(window) {
             let first = page * self.cfg.lines_per_page;
             let active = (first..first + self.cfg.lines_per_page).any(|l| {
-                self.dir_get(l)
+                self.dir
+                    .get(l)
                     .is_some_and(|e| e.owner.is_some() || !e.sharers.is_empty())
             });
             if active {
@@ -555,7 +468,7 @@ impl DNode {
         let first = page * self.cfg.lines_per_page;
         let mut freed = 0;
         for line in first..first + self.cfg.lines_per_page {
-            let was_in_mem = match self.dir_get_mut(line) {
+            let was_in_mem = match self.dir.get_mut(line) {
                 Some(e) => {
                     debug_assert!(e.uncached(), "recall lines before paging out");
                     let was = e.in_mem;
@@ -587,7 +500,7 @@ impl DNode {
         let page = line / self.cfg.lines_per_page;
         let first = page * self.cfg.lines_per_page;
         for l in first..first + self.cfg.lines_per_page {
-            if let Some(e) = self.dir_get_mut(l) {
+            if let Some(e) = self.dir.get_mut(l) {
                 e.paged_out = false;
             }
         }
@@ -603,7 +516,7 @@ impl DNode {
     /// Removes a line's directory entry entirely (reconfiguration moves
     /// the line to a different home). Returns the entry.
     pub fn evict_entry(&mut self, line: Line) -> Option<DirEntry> {
-        let e = self.dir_remove(line)?;
+        let e = self.dir.remove(line)?;
         if e.in_mem {
             self.shared_list.remove(&line);
             self.free_slots += 1;
@@ -633,7 +546,7 @@ impl DNode {
             // Virgin entries stay virgin.
             entry.master = Master::Home;
         }
-        *self.dir_entry_or_virgin(line) = entry;
+        *self.entry_mut(line) = entry;
         true
     }
 
@@ -644,13 +557,13 @@ impl DNode {
     ///
     /// Panics with a description of the violated invariant.
     pub fn check_invariants(&self) {
-        let in_mem_count = self.entries().filter(|(_, e)| e.in_mem).count() as u64;
+        let in_mem_count = self.iter_deterministic().filter(|(_, e)| e.in_mem).count() as u64;
         assert_eq!(
             in_mem_count + self.free_slots,
             self.cfg.data_lines,
             "slot accounting broken"
         );
-        for (line, e) in self.entries() {
+        for (line, e) in self.iter_deterministic() {
             if self.shared_list.contains(&line) {
                 assert!(e.in_mem, "SharedList member {line:#x} not in memory");
                 assert!(
@@ -921,7 +834,7 @@ mod tests {
         for &line in &[9u64, 2, 13, 4, 0] {
             d.entry_mut(line);
         }
-        let lines: Vec<Line> = d.entries().map(|(l, _)| l).collect();
+        let lines: Vec<Line> = d.iter_deterministic().map(|(l, _)| l).collect();
         assert_eq!(lines, vec![0, 2, 4, 9, 13]);
     }
 
@@ -935,7 +848,10 @@ mod tests {
         assert!(d.entry(4).is_none());
         // The vacated chunk serves the next page with no stale entries.
         d.entry_mut(8);
-        assert_eq!(d.entries().map(|(l, _)| l).collect::<Vec<_>>(), vec![8]);
+        assert_eq!(
+            d.iter_deterministic().map(|(l, _)| l).collect::<Vec<_>>(),
+            vec![8]
+        );
         assert!(d.entry(8).unwrap().uncached());
         d.check_invariants();
     }

@@ -14,13 +14,11 @@
 //! walks over [`Txn`] steps so contended resources are booked in protocol
 //! order and every cycle of latency is attributed to a component.
 
-use std::collections::BTreeMap;
-
 use pimdsm_engine::{Cycle, Server, ServerGrant};
 use pimdsm_faults::{Durability, RecoveryStats};
-use pimdsm_mem::{line_of, CacheCfg, Dram, Line, Residency};
+use pimdsm_mem::{line_of, CacheCfg, Dram, Line, PagedMap, Residency};
 use pimdsm_net::{Mesh, NetCfg, Network};
-use pimdsm_obs::breakdown::{NETWORK, QUEUE};
+use pimdsm_obs::breakdown::NETWORK;
 
 use crate::common::{
     Access, CState, Census, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg, Level, MsgSize,
@@ -109,9 +107,10 @@ pub struct NumaSystem {
     cfg: NumaCfg,
     nodes: Vec<NumaNode>,
     ctrls: Vec<Server>,
-    // Sorted-key map: directory sweeps (the end-of-run census, the
-    // coherence oracle) must observe a deterministic order.
-    dir: BTreeMap<Line, DirEntry>,
+    // Directory sweeps (the end-of-run census, crash scrubbing, the
+    // coherence oracle) must observe a deterministic order: the map's
+    // ascending-line order.
+    dir: PagedMap<DirEntry>,
     fab: Fabric,
 }
 
@@ -150,7 +149,7 @@ impl NumaSystem {
         );
         NumaSystem {
             ctrls: (0..cfg.nodes).map(|_| Server::new()).collect(),
-            dir: BTreeMap::new(),
+            dir: PagedMap::new(fab.lines_per_page()),
             nodes,
             fab,
             cfg,
@@ -164,11 +163,11 @@ impl NumaSystem {
 
     /// The directory entry of a line, if one exists.
     pub fn dir_entry(&self, line: Line) -> Option<&DirEntry> {
-        self.dir.get(&line)
+        self.dir.get(line)
     }
 
     pub(crate) fn dir_lines(&self) -> Vec<Line> {
-        self.dir.keys().copied().collect()
+        self.dir.iter_deterministic().map(|(l, _)| l).collect()
     }
 
     pub(crate) fn n_nodes(&self) -> usize {
@@ -213,7 +212,7 @@ impl NumaSystem {
             CState::Dirty => {
                 self.fab.stats.write_backs += 1;
                 let home = self.fab.mapped_home(line);
-                self.dir.entry(line).or_default().owner = None;
+                self.dir.get_or_insert_with(line, DirEntry::default).owner = None;
                 if home == node {
                     self.local_mem(node, line, now);
                 } else {
@@ -223,16 +222,6 @@ impl NumaSystem {
                     self.local_mem(home, line, g.start);
                 }
             }
-        }
-    }
-
-    /// Pays the bounded retry wait if `line`'s page is mid-recovery.
-    fn await_recovery(&mut self, tx: &mut Txn, node: NodeId, line: Line) {
-        let page = self.fab.page_of(line);
-        let w = self.fab.retry_wait(node, page, tx.at());
-        if w > 0 {
-            let resume = tx.at() + w;
-            tx.to(QUEUE, resume);
         }
     }
 
@@ -263,8 +252,8 @@ impl NumaSystem {
         let mut tx = Txn::start(node, line, now);
         tx.probe(self.fab.lat.l2); // L1+L2 probe time before going out
         let home = self.home_of(line, node);
-        self.await_recovery(&mut tx, node, line);
-        let entry = self.dir.get(&line).copied().unwrap_or_default();
+        tx.await_recovery(&mut self.fab);
+        let entry = self.dir.get(line).copied().unwrap_or_default();
         let ctrl = self.fab.msg_ctrl();
         let data = self.fab.msg_data();
 
@@ -278,7 +267,7 @@ impl NumaSystem {
                     self.nodes[k].caches.downgrade(line);
                     let t2 = tx.send(&mut self.fab, k, node, data);
                     self.local_mem(node, line, t2); // sharing write-back
-                    let e = self.dir.entry(line).or_default();
+                    let e = self.dir.get_or_insert_with(line, DirEntry::default);
                     e.owner = None;
                     e.sharers.insert(k);
                     Level::Hop2
@@ -306,7 +295,7 @@ impl NumaSystem {
                     tx.send(&mut self.fab, k, node, data);
                     let twb = self.fab.net.send(k, home, data, gr2);
                     self.local_mem(home, line, twb);
-                    let e = self.dir.entry(line).or_default();
+                    let e = self.dir.get_or_insert_with(line, DirEntry::default);
                     e.owner = None;
                     e.sharers.insert(k);
                     self.fab.stats.master_fetches += 1;
@@ -319,7 +308,7 @@ impl NumaSystem {
                     let m = self.local_mem(home, line, tx.at());
                     tx.dram(m);
                     tx.send(&mut self.fab, home, node, data);
-                    let e = self.dir.entry(line).or_default();
+                    let e = self.dir.get_or_insert_with(line, DirEntry::default);
                     e.owner = None;
                     e.sharers.insert(home);
                     Level::Hop2
@@ -336,7 +325,10 @@ impl NumaSystem {
             }
         };
 
-        self.dir.entry(line).or_default().sharers.insert(node);
+        self.dir
+            .get_or_insert_with(line, DirEntry::default)
+            .sharers
+            .insert(node);
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Shared);
         self.handle_victim(node, victim, tx.at());
@@ -351,8 +343,8 @@ impl NumaSystem {
                 let mut tx = Txn::start(node, line, now);
                 tx.probe(self.fab.lat.l2);
                 let home = self.home_of(line, node);
-                self.await_recovery(&mut tx, node, line);
-                let entry = self.dir.entry(line).or_default();
+                tx.await_recovery(&mut self.fab);
+                let entry = self.dir.get_or_insert_with(line, DirEntry::default);
                 let targets = NodeList::sharers_except(&entry.sharers, node);
                 entry.sharers = NodeSet::singleton(node);
                 entry.owner = Some(node);
@@ -385,8 +377,8 @@ impl NumaSystem {
         let mut tx = Txn::start(node, line, now);
         tx.probe(self.fab.lat.l2);
         let home = self.home_of(line, node);
-        self.await_recovery(&mut tx, node, line);
-        let entry = self.dir.get(&line).copied().unwrap_or_default();
+        tx.await_recovery(&mut self.fab);
+        let entry = self.dir.get(line).copied().unwrap_or_default();
         let targets = NodeList::sharers_except(&entry.sharers, node);
         let n_inv = targets.len() as u32;
         let ctrl = self.fab.msg_ctrl();
@@ -451,7 +443,7 @@ impl NumaSystem {
             }
         };
 
-        let e = self.dir.entry(line).or_default();
+        let e = self.dir.get_or_insert_with(line, DirEntry::default);
         e.sharers.clear();
         e.owner = Some(node);
         tx.fill(&self.fab);
@@ -519,7 +511,7 @@ impl MemSystem for NumaSystem {
         // The victim's SRAM caches vanish; its memory contents are only
         // reachable again via a replica or a stale home copy.
         let _ = self.nodes[node].caches.drain_all();
-        for e in self.dir.values_mut() {
+        self.dir.for_each_mut(|_, e| {
             e.sharers.remove(node);
             if e.owner == Some(node) {
                 // The dirty cache copy died; the home memory now serves
@@ -531,7 +523,7 @@ impl MemSystem for NumaSystem {
                     rs.lines_lost += 1;
                 }
             }
-        }
+        });
         // Re-home the victim's memory slice: each page's frames are
         // reconstructed at the new home (from a replica, or from the
         // stale backing data when nothing better survives).
@@ -571,7 +563,7 @@ impl MemSystem for NumaSystem {
             d_slots: self.cfg.node_mem_lines * self.cfg.nodes as u64,
             ..Census::default()
         };
-        for e in self.dir.values() {
+        for (_, e) in self.dir.iter_deterministic() {
             if e.owner.is_some() {
                 c.dirty_in_p += 1;
             } else if !e.sharers.is_empty() {

@@ -199,16 +199,6 @@ impl PrivCaches {
             })
             .collect()
     }
-
-    /// L1 geometry.
-    pub fn l1_cfg(&self) -> &CacheCfg {
-        self.l1.cfg()
-    }
-
-    /// L2 geometry.
-    pub fn l2_cfg(&self) -> &CacheCfg {
-        self.l2.cfg()
-    }
 }
 
 /// LRU membership tracker for the on-chip portion of a NUMA node's plain

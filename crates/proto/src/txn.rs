@@ -75,6 +75,15 @@ impl Txn {
         self.t
     }
 
+    /// Pays the bounded retry wait if the walk's page is mid-recovery
+    /// after a kill (see [`Fabric::retry_wait`]).
+    pub fn await_recovery(&mut self, fab: &mut Fabric) {
+        let w = fab.retry_wait(self.node, fab.page_of(self.line), self.t);
+        if w > 0 {
+            self.to(QUEUE, self.t + w);
+        }
+    }
+
     /// A cache/tag probe taking `cycles`.
     pub fn probe(&mut self, cycles: Cycle) -> Cycle {
         let t = self.t + cycles;

@@ -145,7 +145,7 @@ fn disk_fault_on_paged_out_line() {
     let d = s.d_nodes()[0];
     let paged: Vec<u64> = s
         .dnode(d)
-        .entries()
+        .iter_deterministic()
         .filter(|(_, e)| e.paged_out)
         .map(|(l, _)| l)
         .collect();

@@ -1,13 +1,13 @@
 //! Allocation budget guard for the hot path.
 //!
-//! The data-layout work (bucket event queue, slab caches, chunked page
-//! table, pooled workload buffers, fixed-capacity node lists) took the
-//! steady-state simulation loop to near-zero heap traffic: what remains
-//! is machine construction plus a handful of cold-path sweeps. This test
-//! pins that property with *committed ceilings* on the allocation count
-//! of two Figure 6 points, so a regression that reintroduces per-event,
-//! per-transaction or per-preloaded-line allocation fails CI instead of
-//! silently eroding the speedup.
+//! The data-layout work (sorted event queue, slab caches, page-chunked
+//! directories, pooled workload buffers, fixed-capacity node lists) took
+//! the steady-state simulation loop to near-zero heap traffic: what
+//! remains is machine construction plus a handful of cold-path sweeps.
+//! This test pins that property with *committed ceilings* on the
+//! allocation count of three Figure 6 points, so a regression that
+//! reintroduces per-event, per-transaction or per-preloaded-line
+//! allocation fails CI instead of silently eroding the speedup.
 //!
 //! This file is its own integration-test binary on purpose: the counting
 //! allocator tallies process-wide, and sibling tests allocating on other
@@ -17,20 +17,20 @@ use pimdsm_lab::{find, PointSpec, SuiteCtx, WorkloadSpec};
 use pimdsm_workloads::{AppId, Scale};
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 AGG point
-/// (FFT:1/2AGG75, measured 628; the slack covers small legitimate drift,
+/// (FFT:1/2AGG75, measured 537; the slack covers small legitimate drift,
 /// not a per-event regression — this point runs hundreds of thousands
 /// of events, so even one allocation per event blows the budget a
 /// hundred times over).
 const AGG_ALLOC_CEILING: u64 = 10_000;
 
-/// Ceiling on allocated bytes for the same point (measured ~1.4 MB).
-/// Dominated by the machine's fixed arenas (slab caches, page-table
-/// chunks, bucket windows), so it scales with configuration, not with
+/// Ceiling on allocated bytes for the same point (measured ~1.3 MB).
+/// Dominated by the machine's fixed arenas (slab caches, page-table and
+/// directory chunks), so it scales with configuration, not with
 /// simulated work.
 const AGG_BYTE_CEILING: u64 = 8 << 20;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 COMA
-/// point (Swim:COMA75, measured 988). COMA has no backing store, so
+/// point (Swim:COMA75, measured 949). COMA has no backing store, so
 /// building the machine preloads every initialised line into some
 /// attraction memory; placing a line must not allocate. The sort-based
 /// placement this replaced allocated once per preloaded line and fails
@@ -39,6 +39,16 @@ const COMA_ALLOC_CEILING: u64 = 5_000;
 
 /// Ceiling on allocated bytes for the COMA point (measured ~5.1 MB).
 const COMA_BYTE_CEILING: u64 = 8 << 20;
+
+/// Committed ceiling on allocation calls for one CI-scale fig6 NUMA
+/// point (Swim:NUMA, measured 481). The home directory allocates one
+/// entry chunk per page it tracks; the per-line `BTreeMap` directory
+/// this replaced made 1,742 allocations at the same point and fails
+/// this ceiling.
+const NUMA_ALLOC_CEILING: u64 = 1_000;
+
+/// Ceiling on allocated bytes for the NUMA point (measured ~1.5 MB).
+const NUMA_BYTE_CEILING: u64 = 8 << 20;
 
 /// Allocation calls and bytes of one build-and-run of `point`, after a
 /// warm-up run so suite registries, workload tables and other one-time
@@ -90,6 +100,11 @@ fn fig6_point_stays_under_the_committed_alloc_budget() {
             point(AppId::Swim, "COMA75"),
             COMA_ALLOC_CEILING,
             COMA_BYTE_CEILING,
+        ),
+        (
+            point(AppId::Swim, "NUMA"),
+            NUMA_ALLOC_CEILING,
+            NUMA_BYTE_CEILING,
         ),
     ] {
         let (allocs, bytes) = measure(p);
