@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use pimdsm_engine::{Cycle, EventQueue};
+use pimdsm_engine::{Cycle, EventQueue, Timeline};
 use pimdsm_faults::{FaultKind, FaultPlan, FaultSchedule, RecoveryStats};
 use pimdsm_obs::{trace::track, EpochSampler, Tracer};
 use pimdsm_proto::{Access, AggSystem, ComaSystem, Level, MemSystem, NodeId, NumaSystem};
@@ -391,7 +391,16 @@ impl Machine {
             }
         }
         let mut sampler = self.epoch.map(EpochSampler::new);
+        // Pop times never decrease and every access books its resources
+        // at or after the pop time that issued it, so timeline windows in
+        // chunks wholly before `now`'s are dead: free them once per chunk.
+        let mut live_chunk = 0;
         while let Some((now, tid)) = self.queue.pop() {
+            let chunk = now / Timeline::CHUNK_CYCLES;
+            if chunk > live_chunk {
+                live_chunk = chunk;
+                self.system.sys().retire_before(now);
+            }
             if let Some(s) = &mut sampler {
                 if s.due(now) {
                     let probe = self.system.sys_ref().epoch_probe();

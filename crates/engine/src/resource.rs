@@ -35,6 +35,11 @@ const CHUNK: usize = 1 << CHUNK_SHIFT;
 /// must not delay traffic at earlier times, nor may a burst at one
 /// instant inflate waits at unrelated times.
 ///
+/// Windows live in 64K-cycle chunks ([`Timeline::CHUNK_CYCLES`]),
+/// allocated on first touch. Once no booking can arrive before some
+/// cycle, [`Timeline::retire_before`] frees every chunk wholly before
+/// the one holding it; reading a retired window is a bug and panics.
+///
 /// # Examples
 ///
 /// ```
@@ -47,40 +52,52 @@ const CHUNK: usize = 1 << CHUNK_SHIFT;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    /// Booked service per window, as a chunked dense array indexed by
-    /// window number. A missing chunk means every window in it is
-    /// untouched; windows are written once and never removed, so a flat
-    /// array beats a search tree on both lookup and allocation churn.
+    /// Booked service per window, as a chunked dense array: `used[i]`
+    /// holds chunk `base + i`. A missing chunk means every window in it
+    /// is untouched, so a flat array beats a search tree on both lookup
+    /// and allocation churn.
     used: Vec<Option<Box<[Cycle; CHUNK]>>>,
-    max_finish: Cycle,
+    /// First live chunk; every chunk before it has been retired.
+    base: usize,
     busy: Cycle,
-    uses: u64,
 }
 
 impl Timeline {
+    /// Cycles covered by one storage chunk: the grain at which
+    /// [`retire_before`](Timeline::retire_before) frees windows.
+    pub const CHUNK_CYCLES: Cycle = BUCKET_CYCLES << CHUNK_SHIFT;
+
     /// Creates an idle resource.
     pub fn new() -> Self {
         Timeline::default()
     }
 
-    /// Booked service in window `b` (0 when never touched).
+    /// Booked service in window `b` (0 when never touched). A retired
+    /// window's bookings are gone, so reading one is a caller bug.
     #[inline]
     fn window(&self, b: Cycle) -> Cycle {
-        match self.used.get((b >> CHUNK_SHIFT) as usize) {
+        let ci = (b >> CHUNK_SHIFT) as usize;
+        assert!(
+            ci >= self.base,
+            "timeline window {b} read behind the retired horizon (chunk {})",
+            self.base
+        );
+        match self.used.get(ci - self.base) {
             Some(Some(chunk)) => chunk[b as usize & (CHUNK - 1)],
             _ => 0,
         }
     }
 
     /// Mutable booked-service slot for window `b`, allocating its chunk
-    /// on first touch.
+    /// on first touch. Callers read `b` through [`Timeline::window`]
+    /// first, which checks it against the retired horizon.
     #[inline]
     fn window_mut(&mut self, b: Cycle) -> &mut Cycle {
-        let ci = (b >> CHUNK_SHIFT) as usize;
-        if ci >= self.used.len() {
-            self.used.resize_with(ci + 1, || None);
+        let i = (b >> CHUNK_SHIFT) as usize - self.base;
+        if i >= self.used.len() {
+            self.used.resize_with(i + 1, || None);
         }
-        let chunk = self.used[ci].get_or_insert_with(|| Box::new([0; CHUNK]));
+        let chunk = self.used[i].get_or_insert_with(|| Box::new([0; CHUNK]));
         &mut chunk[b as usize & (CHUNK - 1)]
     }
 
@@ -106,59 +123,39 @@ impl Timeline {
     /// Books the resource for `dur` cycles for a request arriving at `at`.
     ///
     /// Returns the cycle at which service starts (`>= at`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies in a chunk freed by
+    /// [`retire_before`](Timeline::retire_before).
     #[inline]
     pub fn acquire(&mut self, at: Cycle, dur: Cycle) -> Cycle {
         let (bucket, start) = self.place(at);
         let bstart = bucket << BUCKET_SHIFT;
         *self.window_mut(bucket) = (start - bstart) + dur;
-        self.max_finish = self.max_finish.max(start + dur);
         self.busy += dur;
-        self.uses += 1;
         start
     }
 
-    /// The latest known service completion.
-    pub fn free_at(&self) -> Cycle {
-        self.max_finish
-    }
-
-    /// How long a request arriving at `at` would wait before service.
-    #[inline]
-    pub fn wait_at(&self, at: Cycle) -> Cycle {
-        let (_, start) = self.place(at);
-        start - at
+    /// Frees every chunk that lies wholly before the chunk holding
+    /// `floor`. The caller promises that no later booking arrives before
+    /// `floor`; bookings at or after it see exactly the schedule they
+    /// would have seen without retirement, because placement only ever
+    /// scans forward from the arrival window.
+    pub fn retire_before(&mut self, floor: Cycle) {
+        let keep_from = (floor / Self::CHUNK_CYCLES) as usize;
+        if keep_from > self.base {
+            let dead = (keep_from - self.base).min(self.used.len());
+            self.used.drain(..dead);
+            self.base = keep_from;
+        }
     }
 
     /// Total cycles of booked service time.
     pub fn busy_cycles(&self) -> Cycle {
         self.busy
     }
-
-    /// Number of acquisitions.
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-
-    /// Resets utilization counters (not the schedule).
-    pub fn reset_stats(&mut self) {
-        self.busy = 0;
-        self.uses = 0;
-    }
 }
-
-// Equality is over the *schedule*, not the storage: a chunk allocated but
-// still all-zero books nothing and must compare equal to no chunk at all.
-impl PartialEq for Timeline {
-    fn eq(&self, other: &Self) -> bool {
-        self.max_finish == other.max_finish
-            && self.busy == other.busy
-            && self.uses == other.uses
-            && (0..(self.used.len().max(other.used.len()) * CHUNK) as Cycle)
-                .all(|b| self.window(b) == other.window(b))
-    }
-}
-
-impl Eq for Timeline {}
 
 /// Outcome of dispatching a request to a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,7 +193,6 @@ pub struct ServerGrant {
 #[derive(Debug, Clone, Default)]
 pub struct Server {
     timeline: Timeline,
-    handled: u64,
 }
 
 impl Server {
@@ -219,7 +215,6 @@ impl Server {
             "handler latency ({latency}) must not exceed occupancy ({occupancy})"
         );
         let start = self.timeline.acquire(at, occupancy);
-        self.handled += 1;
         ServerGrant {
             start,
             reply_at: start + latency,
@@ -231,7 +226,6 @@ impl Server {
     /// acknowledgment). Returns the start cycle.
     #[inline]
     pub fn occupy(&mut self, at: Cycle, occupancy: Cycle) -> Cycle {
-        self.handled += 1;
         self.timeline.acquire(at, occupancy)
     }
 
@@ -240,20 +234,10 @@ impl Server {
         self.timeline.busy_cycles()
     }
 
-    /// Number of requests handled.
-    pub fn handled(&self) -> u64 {
-        self.handled
-    }
-
-    /// The cycle at which the server next becomes free.
-    pub fn free_at(&self) -> Cycle {
-        self.timeline.free_at()
-    }
-
-    /// Resets utilization counters (not the schedule).
-    pub fn reset_stats(&mut self) {
-        self.timeline.reset_stats();
-        self.handled = 0;
+    /// Frees the server's schedule behind `floor`; see
+    /// [`Timeline::retire_before`].
+    pub fn retire_before(&mut self, floor: Cycle) {
+        self.timeline.retire_before(floor);
     }
 }
 
@@ -265,7 +249,6 @@ mod tests {
     fn timeline_idle_starts_immediately() {
         let mut t = Timeline::new();
         assert_eq!(t.acquire(50, 5), 50);
-        assert_eq!(t.free_at(), 55);
     }
 
     #[test]
@@ -275,7 +258,6 @@ mod tests {
         assert_eq!(t.acquire(3, 10), 10);
         assert_eq!(t.acquire(3, 10), 20);
         assert_eq!(t.busy_cycles(), 30);
-        assert_eq!(t.uses(), 3);
     }
 
     #[test]
@@ -284,8 +266,8 @@ mod tests {
         t.acquire(0, 10);
         // Arrives after the resource went idle again.
         assert_eq!(t.acquire(100, 10), 100);
-        assert_eq!(t.wait_at(105), 5);
-        assert_eq!(t.wait_at(200), 0);
+        assert_eq!(t.clone().acquire(105, 1), 110);
+        assert_eq!(t.clone().acquire(200, 1), 200);
     }
 
     #[test]
@@ -297,7 +279,6 @@ mod tests {
         assert_eq!(g.free_at, 240);
         let g2 = s.dispatch(100, 40, 80);
         assert_eq!(g2.start, 240);
-        assert_eq!(s.handled(), 2);
         assert_eq!(s.busy_cycles(), 220);
     }
 
@@ -312,16 +293,33 @@ mod tests {
         let mut s = Server::new();
         assert_eq!(s.occupy(10, 40), 10);
         assert_eq!(s.occupy(10, 40), 50);
-        assert_eq!(s.free_at(), 90);
     }
 
     #[test]
-    fn reset_stats_keeps_schedule() {
+    fn retirement_keeps_chunks_from_the_floor_on() {
+        let c = Timeline::CHUNK_CYCLES;
         let mut t = Timeline::new();
-        t.acquire(0, 100);
-        t.reset_stats();
-        assert_eq!(t.busy_cycles(), 0);
-        // Schedule preserved: still busy until 100.
-        assert_eq!(t.acquire(0, 1), 100);
+        for chunk in [0, 1, 3] {
+            t.acquire(chunk * c + 7, 10);
+        }
+        t.retire_before(c + 1);
+        assert_eq!(t.base, 1);
+        let live: Vec<bool> = t.used.iter().map(Option::is_some).collect();
+        assert_eq!(live, [true, false, true], "chunks 1..=3 stay, 0 is freed");
+        // The kept chunk still holds its booking; the freed one is gone.
+        assert_eq!(t.clone().acquire(c + 7, 1), c + 17);
+        t.retire_before(5 * c);
+        assert!(t.used.is_empty());
+        assert_eq!(t.acquire(5 * c, 4), 5 * c);
+        assert_eq!(t.busy_cycles(), 34);
+    }
+
+    #[test]
+    #[should_panic(expected = "retired horizon")]
+    fn booking_behind_the_horizon_panics() {
+        let mut t = Timeline::new();
+        t.acquire(0, 10);
+        t.retire_before(Timeline::CHUNK_CYCLES);
+        t.acquire(Timeline::CHUNK_CYCLES - 1, 1);
     }
 }

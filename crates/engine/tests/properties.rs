@@ -91,6 +91,42 @@ proptest! {
         }
     }
 
+    /// Retirement is invisible: two timelines fed the same `(at, dur)`
+    /// stream, with every `at` at or after a nondecreasing floor, agree on
+    /// every start and on busy cycles when one of them retires the chunks
+    /// behind the floor after every floor advance. Floor steps range from
+    /// a few cycles to past a chunk, plus 2M-cycle jumps (disk faults);
+    /// bookings land just past the floor, across chunk boundaries, and a
+    /// disk fault ahead of it.
+    #[test]
+    fn timeline_retirement_is_invisible(
+        ops in proptest::collection::vec((0u64..7, 0u64..100_000, 1u64..300), 1..400)
+    ) {
+        let mut kept = Timeline::new();
+        let mut retired = Timeline::new();
+        let mut floor = 0u64;
+        for (kind, x, dur) in ops {
+            match kind {
+                0 | 1 => {
+                    floor += if kind == 0 { x } else { 2_000_000 + x };
+                    retired.retire_before(floor);
+                }
+                _ => {
+                    let at = floor
+                        + match kind {
+                            2 => x % 64,
+                            3 => x % 4096,
+                            4 => x,
+                            5 => 2_000_000 + x,
+                            _ => 0,
+                        };
+                    prop_assert_eq!(kept.acquire(at, dur), retired.acquire(at, dur), "at {}", at);
+                }
+            }
+        }
+        prop_assert_eq!(kept.busy_cycles(), retired.busy_cycles());
+    }
+
     /// The event queue pops every event in time order, FIFO on ties.
     #[test]
     fn event_queue_is_a_stable_priority_queue(

@@ -65,9 +65,10 @@ impl Dram {
         self.accesses
     }
 
-    /// Busy cycles on the data port (for utilization reports).
-    pub fn port_busy(&self) -> Cycle {
-        self.port.busy_cycles()
+    /// Frees the port's schedule behind `floor`; see
+    /// [`Timeline::retire_before`].
+    pub fn retire_before(&mut self, floor: Cycle) {
+        self.port.retire_before(floor);
     }
 }
 
@@ -89,7 +90,6 @@ mod tests {
         let t2 = d.access(0, 128);
         assert_eq!(t1, 14);
         assert_eq!(t2, 18); // queued 4 cycles behind the first transfer
-        assert_eq!(d.port_busy(), 8);
     }
 
     #[test]

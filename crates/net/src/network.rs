@@ -214,11 +214,11 @@ impl Network {
             .unwrap_or(0)
     }
 
-    /// Resets statistics (not link schedules).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
+    /// Frees every link's schedule behind `floor`; see
+    /// [`Timeline::retire_before`].
+    pub fn retire_before(&mut self, floor: Cycle) {
         for l in &mut self.links {
-            l.reset_stats();
+            l.retire_before(floor);
         }
     }
 }
@@ -343,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate() {
         let mut n = net();
         n.send(0, 3, 64, 0);
         n.send(3, 0, 64, 0);
@@ -352,8 +352,5 @@ mod tests {
         assert_eq!(s.bytes, 128);
         assert!(s.total_latency > 0);
         assert!(n.total_link_busy() > 0);
-        n.reset_stats();
-        assert_eq!(n.stats(), NetStats::default());
-        assert_eq!(n.total_link_busy(), 0);
     }
 }

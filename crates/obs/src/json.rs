@@ -354,12 +354,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..])
+                // Copy the plain run up to the next quote or backslash at
+                // once. Both are ASCII, so the run ends on a character
+                // boundary and each byte is validated exactly once.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                let text = std::str::from_utf8(&b[*pos..run])
                     .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -410,5 +415,45 @@ mod tests {
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1, 2,").is_err());
         assert!(parse("[1] extra").is_err());
+        assert_eq!(parse("\"abc"), Err("unterminated string".into()));
+        assert_eq!(parse("\"a\\q\""), Err("bad escape Some(113)".into()));
+        assert_eq!(parse("\"\\u12\""), Err("truncated \\u escape".into()));
+        assert_eq!(parse("\"\\uzzzz\""), Err("bad \\u escape".into()));
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters_and_escapes() {
+        let v = JsonValue::str("héllo → ✓ \"q\" \\ \u{1F600}\ttab");
+        assert_eq!(parse(&v.render()).unwrap(), v);
+        assert_eq!(
+            parse("\"caf\\u00e9 \\/ é\"").unwrap(),
+            JsonValue::str("café / é")
+        );
+    }
+
+    /// String parsing is linear in the input: a Chrome trace of a few
+    /// thousand events is megabytes of mostly string bytes, and a parser
+    /// that re-scans the rest of the input per character takes minutes.
+    #[test]
+    fn parses_a_multi_megabyte_string_document_quickly() {
+        let name = "proto.handler \"ReadExclusive\" → D-node \\ ".repeat(3);
+        let doc = JsonValue::arr((0..32_000u64).map(|i| {
+            JsonValue::obj([
+                ("name", JsonValue::str(format!("{name}{i}"))),
+                ("cat", JsonValue::str("net.link")),
+                ("ts", JsonValue::u64(i)),
+            ])
+        }));
+        let text = doc.render();
+        assert!(text.len() >= 4 << 20, "document is {} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        let parsed = parse(&text).expect("document parses");
+        let took = t0.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(
+            took < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {took:?}",
+            text.len()
+        );
     }
 }

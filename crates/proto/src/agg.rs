@@ -1140,6 +1140,16 @@ impl MemSystem for AggSystem {
         (busy, self.d_list.len())
     }
 
+    fn retire_before(&mut self, floor: Cycle) {
+        self.fab.net.retire_before(floor);
+        for role in &mut self.roles {
+            match role {
+                Role::P(s) => s.retire_before(floor),
+                Role::D(d) => d.retire_before(floor),
+            }
+        }
+    }
+
     fn check_coherence(&self) {
         crate::check::check_agg(self);
     }

@@ -775,6 +775,16 @@ impl MemSystem for ComaSystem {
         (busy, self.ctrls.len())
     }
 
+    fn retire_before(&mut self, floor: Cycle) {
+        self.fab.net.retire_before(floor);
+        for s in &mut self.nodes {
+            s.retire_before(floor);
+        }
+        for c in &mut self.ctrls {
+            c.retire_before(floor);
+        }
+    }
+
     fn check_coherence(&self) {
         crate::check::check_coma(self);
     }

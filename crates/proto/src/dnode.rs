@@ -172,6 +172,15 @@ impl DNode {
         self.stats
     }
 
+    /// Frees the protocol processor's and both DRAM devices' schedules
+    /// behind `floor`; see
+    /// [`Timeline::retire_before`](pimdsm_engine::Timeline::retire_before).
+    pub fn retire_before(&mut self, floor: Cycle) {
+        self.server.retire_before(floor);
+        self.mem_on.retire_before(floor);
+        self.mem_off.retire_before(floor);
+    }
+
     /// Free Data slots.
     pub fn free_slots(&self) -> u64 {
         self.free_slots

@@ -485,6 +485,17 @@ impl MemSystem for NumaSystem {
         (busy, self.ctrls.len())
     }
 
+    fn retire_before(&mut self, floor: Cycle) {
+        self.fab.net.retire_before(floor);
+        for n in &mut self.nodes {
+            n.mem_on.retire_before(floor);
+            n.mem_off.retire_before(floor);
+        }
+        for c in &mut self.ctrls {
+            c.retire_before(floor);
+        }
+    }
+
     fn check_coherence(&self) {
         crate::check::check_numa(self);
     }

@@ -317,6 +317,13 @@ impl PNodeStore {
         }
     }
 
+    /// Frees both DRAM devices' schedules behind `floor`; see
+    /// [`Timeline::retire_before`](pimdsm_engine::Timeline::retire_before).
+    pub fn retire_before(&mut self, floor: Cycle) {
+        self.mem_on.retire_before(floor);
+        self.mem_off.retire_before(floor);
+    }
+
     /// Fills the private caches after a serviced miss, folding a dirty L2
     /// victim's modification into the attraction memory (the AM backs the
     /// caches, so the victim's data merges locally rather than writing

@@ -44,6 +44,15 @@ pub trait MemSystem {
     /// processors, for utilization and epoch metrics.
     fn controllers_busy(&self) -> (Cycle, usize);
 
+    /// Frees the storage of every resource timeline (links, DRAM ports,
+    /// protocol processors) for windows wholly before the
+    /// [`Timeline::CHUNK_CYCLES`](pimdsm_engine::Timeline::CHUNK_CYCLES)
+    /// chunk holding `floor`. The caller promises that no later access
+    /// books anything before `floor`; the machine driver passes its
+    /// event-loop pop time. Simulated timing is unchanged, and a booking
+    /// behind the floor panics.
+    fn retire_before(&mut self, floor: Cycle);
+
     /// Runs the full-sweep coherence oracle over every directory entry,
     /// panicking on the first invariant violation (see [`crate::check`]).
     fn check_coherence(&self);

@@ -7,7 +7,9 @@
 //! This test pins that property with *committed ceilings* on the
 //! allocation count of three Figure 6 points, so a regression that
 //! reintroduces per-event, per-transaction or per-preloaded-line
-//! allocation fails CI instead of silently eroding the speedup.
+//! allocation fails CI instead of silently eroding the speedup. A fourth
+//! ceiling bounds how far the live heap grows while a long service point
+//! runs, so run-phase storage that grows with simulated time fails too.
 //!
 //! This file is its own integration-test binary on purpose: the counting
 //! allocator tallies process-wide, and sibling tests allocating on other
@@ -30,7 +32,7 @@ const AGG_ALLOC_CEILING: u64 = 10_000;
 const AGG_BYTE_CEILING: u64 = 8 << 20;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 COMA
-/// point (Swim:COMA75, measured 949). COMA has no backing store, so
+/// point (Swim:COMA75, measured 909). COMA has no backing store, so
 /// building the machine preloads every initialised line into some
 /// attraction memory; placing a line must not allocate. The sort-based
 /// placement this replaced allocated once per preloaded line and fails
@@ -41,7 +43,7 @@ const COMA_ALLOC_CEILING: u64 = 5_000;
 const COMA_BYTE_CEILING: u64 = 8 << 20;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 NUMA
-/// point (Swim:NUMA, measured 481). The home directory allocates one
+/// point (Swim:NUMA, measured 446). The home directory allocates one
 /// entry chunk per page it tracks; the per-line `BTreeMap` directory
 /// this replaced made 1,742 allocations at the same point and fails
 /// this ceiling.
@@ -49,6 +51,14 @@ const NUMA_ALLOC_CEILING: u64 = 1_000;
 
 /// Ceiling on allocated bytes for the NUMA point (measured ~1.5 MB).
 const NUMA_BYTE_CEILING: u64 = 8 << 20;
+
+/// Committed ceiling on live-heap growth inside `Machine::run` for the
+/// fig-svc point `1/1AGG75 kv-0.6` (CI scale, 4 threads; measured
+/// 2.3 MiB over 166.8M simulated cycles, most of them spent waiting on
+/// 2M-cycle disk faults). Resource timelines free their windows behind
+/// the engine's pop time; when every window lived until the end of the
+/// run, the heap grew 11.8 MiB here, in proportion to simulated time.
+const RUN_HEAP_CEILING: u64 = 4 << 20;
 
 /// Allocation calls and bytes of one build-and-run of `point`, after a
 /// warm-up run so suite registries, workload tables and other one-time
@@ -66,6 +76,18 @@ fn measure(point: &PointSpec) -> (u64, u64) {
         "both runs simulate the same machine"
     );
     (after.allocs - before.allocs, after.bytes - before.bytes)
+}
+
+/// Peak live-heap growth of `point` inside `Machine::run`: the peak is
+/// rebased to the live heap right after the machine is built.
+fn run_heap_growth(point: &PointSpec) -> u64 {
+    let mut machine = point.build_machine();
+    pimdsm_prof::reset();
+    let before = pimdsm_prof::alloc::totals().live_bytes;
+    let report = machine.run();
+    let peak = pimdsm_prof::alloc::totals().peak_bytes;
+    assert!(report.total_cycles > 0, "the point actually simulated");
+    peak - before
 }
 
 #[test]
@@ -122,4 +144,19 @@ fn fig6_point_stays_under_the_committed_alloc_budget() {
             p.label
         );
     }
+
+    let svc = find("fig-svc").expect("fig-svc suite exists").points(&ctx);
+    let kv = svc
+        .iter()
+        .find(|p| p.label == "1/1AGG75 kv-0.6")
+        .expect("fig-svc has the 1/1AGG75 kv-0.6 point");
+    let growth = run_heap_growth(kv);
+    eprintln!("fig-svc/{}: run grew the heap {growth} bytes", kv.label);
+    assert!(
+        growth <= RUN_HEAP_CEILING,
+        "fig-svc point {} grew the live heap {growth} bytes while running \
+         (budget {RUN_HEAP_CEILING}): some run-phase storage grows with \
+         simulated time again",
+        kv.label
+    );
 }
