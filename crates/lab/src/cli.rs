@@ -30,19 +30,43 @@ pub const DEFAULT_CACHE_DIR: &str = "target/lab-cache";
 
 /// Standard thread count for the main comparison (the paper uses 32; a
 /// smaller count keeps quick runs fast). `PIMDSM_THREADS` overrides.
-fn default_threads() -> usize {
-    std::env::var("PIMDSM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
+const DEFAULT_THREADS: usize = 32;
+
+/// Parses a simulated thread count given through `what` (a flag or an
+/// environment variable name).
+fn parse_threads(what: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{what} takes a positive integer, not {v:?}")),
+    }
 }
 
-/// Scale selected via `PIMDSM_SCALE` (full / bench / ci), default bench.
-fn default_scale() -> Scale {
-    match std::env::var("PIMDSM_SCALE").as_deref() {
-        Ok("full") => Scale::full(),
-        Ok("ci") => Scale::ci(),
-        _ => Scale::bench(),
+/// Parses a workload scale given through `what` (a flag or an environment
+/// variable name).
+fn parse_scale(what: &str, v: &str) -> Result<Scale, String> {
+    match v {
+        "full" => Ok(Scale::full()),
+        "bench" => Ok(Scale::bench()),
+        "ci" => Ok(Scale::ci()),
+        other => Err(format!("{what} takes full|bench|ci, not {other:?}")),
+    }
+}
+
+/// Default thread count and scale from the values of `PIMDSM_THREADS`
+/// and `PIMDSM_SCALE` (`None` when unset: 32 threads, bench scale).
+fn env_defaults(threads: Option<&str>, scale: Option<&str>) -> Result<(usize, Scale), String> {
+    Ok((
+        threads.map_or(Ok(DEFAULT_THREADS), |v| parse_threads("PIMDSM_THREADS", v))?,
+        scale.map_or(Ok(Scale::bench()), |v| parse_scale("PIMDSM_SCALE", v))?,
+    ))
+}
+
+/// The value of environment variable `name`, `None` when unset.
+fn env_value(name: &str) -> Result<Option<String>, String> {
+    match std::env::var(name) {
+        Ok(v) => Ok(Some(v)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name} is not UTF-8: {v:?}")),
     }
 }
 
@@ -105,7 +129,7 @@ struct Options {
 }
 
 impl Options {
-    fn defaults(command: Command) -> Options {
+    fn defaults(command: Command, threads: usize, scale: Scale) -> Options {
         let bench = matches!(command, Command::Bench(_)).then(BenchCmd::default);
         Options {
             command,
@@ -113,8 +137,8 @@ impl Options {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache_dir: DEFAULT_CACHE_DIR.into(),
             no_cache: false,
-            threads: default_threads(),
-            scale: default_scale(),
+            threads,
+            scale,
             trace_path: None,
             trace_only: None,
             metrics_path: None,
@@ -123,15 +147,6 @@ impl Options {
             require_hit_rate: None,
             quiet: false,
         }
-    }
-}
-
-fn parse_scale(v: &str) -> Result<Scale, String> {
-    match v {
-        "full" => Ok(Scale::full()),
-        "bench" => Ok(Scale::bench()),
-        "ci" => Ok(Scale::ci()),
-        other => Err(format!("--scale takes full|bench|ci, not {other:?}")),
     }
 }
 
@@ -153,12 +168,8 @@ fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result
             }
             "--cache-dir" => opts.cache_dir = value("--cache-dir")?.into(),
             "--no-cache" => opts.no_cache = true,
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--scale" => opts.scale = parse_scale(&value("--scale")?)?,
+            "--threads" => opts.threads = parse_threads("--threads", &value("--threads")?)?,
+            "--scale" => opts.scale = parse_scale("--scale", &value("--scale")?)?,
             "--trace" => opts.trace_path = Some(value("--trace")?.into()),
             "--trace-only" => opts.trace_only = Some(value("--trace-only")?),
             "--metrics" => opts.metrics_path = Some(value("--metrics")?.into()),
@@ -257,7 +268,11 @@ fn parse_lab_args(argv: impl Iterator<Item = String>) -> Result<Options, String>
         }
         None => return Err("usage: pimdsm-lab <run|bench|list|clean> [flags]".into()),
     };
-    let mut opts = Options::defaults(command);
+    let (threads, scale) = env_defaults(
+        env_value("PIMDSM_THREADS")?.as_deref(),
+        env_value("PIMDSM_SCALE")?.as_deref(),
+    )?;
+    let mut opts = Options::defaults(command, threads, scale);
     parse_flags(argv, &mut opts)?;
     Ok(opts)
 }
@@ -276,6 +291,9 @@ pub fn main() -> ExitCode {
             eprintln!("       --require-hit-rate PCT --quiet");
             eprintln!(
                 "bench: --runs N --out F --no-out --compare BASE --against CUR --check F --threshold X"
+            );
+            eprintln!(
+                "env: PIMDSM_THREADS=N (default 32) PIMDSM_SCALE=full|bench|ci (default bench)"
             );
             return ExitCode::FAILURE;
         }
@@ -692,6 +710,25 @@ mod tests {
         assert!(parse_lab_args(args("run fig6 --frobnicate")).is_err());
         assert!(parse_lab_args(args("run")).is_err());
         assert!(parse_lab_args(args("run fig6 --scale huge")).is_err());
+        assert!(parse_lab_args(args("run fig6 --threads 0")).is_err());
+    }
+
+    #[test]
+    fn environment_defaults_parse_or_name_the_variable() {
+        assert_eq!(env_defaults(None, None), Ok((32, Scale::bench())));
+        assert_eq!(env_defaults(Some("4"), Some("ci")), Ok((4, Scale::ci())));
+        assert_eq!(env_defaults(None, Some("full")), Ok((32, Scale::full())));
+        for bad in ["abc", "0", "-1", "", " 4"] {
+            let e = env_defaults(Some(bad), None).unwrap_err();
+            assert!(
+                e.starts_with("PIMDSM_THREADS takes a positive integer"),
+                "{e}"
+            );
+        }
+        for bad in ["CI", "huge", ""] {
+            let e = env_defaults(None, Some(bad)).unwrap_err();
+            assert_eq!(e, format!("PIMDSM_SCALE takes full|bench|ci, not {bad:?}"));
+        }
     }
 
     #[test]

@@ -2,14 +2,20 @@
 //!
 //! The tag store is a single flat slab (`num_sets * ways` slots) instead
 //! of a `Vec` per set: building a memory-sized attraction-memory cache
-//! costs two allocations total rather than one per set, which dominated
-//! `point.build` wall time before the arena layout. Set `i` occupies the
-//! slot range `[i*ways, i*ways + occ[i])`, entries stay in the exact
-//! order the old per-set `Vec` kept them (append on insert, last-slot
-//! backfill on removal — `swap_remove` semantics), so iteration and
-//! drain order are bit-identical to the previous representation.
+//! costs one allocation rather than one per set, which dominated
+//! `point.build` wall time before the arena layout. Set `i` owns the slot
+//! range `[i*ways, (i+1)*ways)` and its filled ways are always a prefix of
+//! it, so no occupancy count is stored. Entries stay in the exact order
+//! the old per-set `Vec` kept them (append on insert, last-slot backfill
+//! on removal — `swap_remove` semantics), so iteration and drain order
+//! are bit-identical to the previous representation.
+//!
+//! Recency is a `u8` rank inside the set (0 = most recently used; the `n`
+//! filled ways hold ranks `0..n`, so the order is total), which keeps a
+//! tag entry with a one-byte payload at 16 bytes.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::addr::Line;
 
@@ -104,7 +110,8 @@ impl CacheCfg {
 struct Entry<S> {
     line: Line,
     state: S,
-    last_use: u64,
+    /// Recency within the set: 0 is the most recently used way.
+    rank: u8,
 }
 
 /// A line evicted to make room for an insertion.
@@ -143,11 +150,9 @@ pub struct Evicted<S> {
 pub struct SetAssocCache<S> {
     cfg: CacheCfg,
     ways: usize,
-    /// Flat arena of tag slots; set `i` occupies `[i*ways, i*ways+occ[i])`.
+    /// Flat arena of tag slots; set `i` owns `[i*ways, (i+1)*ways)`, filled
+    /// ways first.
     slab: Vec<Option<Entry<S>>>,
-    /// Occupied ways per set.
-    occ: Vec<u32>,
-    tick: u64,
     len: usize,
 }
 
@@ -160,19 +165,67 @@ impl<S: fmt::Debug> fmt::Debug for SetAssocCache<S> {
     }
 }
 
+/// The way of `set` holding `line`, scanning only the filled ways.
+fn way_of<S>(set: &[Option<Entry<S>>], line: Line) -> Option<usize> {
+    set.iter()
+        .map_while(Option::as_ref)
+        .position(|e| e.line == line)
+}
+
+/// Number of filled ways of `set`.
+fn filled<S>(set: &[Option<Entry<S>>]) -> usize {
+    set.iter().take_while(|s| s.is_some()).count()
+}
+
+/// Ages by one every filled way of `set` more recent than `rank`.
+fn age<S>(set: &mut [Option<Entry<S>>], rank: u8) {
+    for e in set.iter_mut().map_while(Option::as_mut) {
+        if e.rank < rank {
+            e.rank += 1;
+        }
+    }
+}
+
+/// Makes filled way `way` of `set` the most recently used and returns it.
+fn touch<S>(set: &mut [Option<Entry<S>>], way: usize) -> &mut Entry<S> {
+    let rank = set[way].as_ref().expect("touched way is filled").rank;
+    if rank != 0 {
+        age(set, rank);
+    }
+    let e = set[way].as_mut().expect("touched way is filled");
+    e.rank = 0;
+    e
+}
+
+/// The way of a full `set` that an insertion evicts: the highest victim
+/// class, then the least recently used.
+fn victim_way<S>(set: &[Option<Entry<S>>], victim_class: impl Fn(&S) -> u32) -> usize {
+    set.iter()
+        .map_while(Option::as_ref)
+        .enumerate()
+        .max_by_key(|(_, e)| (victim_class(&e.state), e.rank))
+        .map(|(i, _)| i)
+        .expect("set is full, so non-empty")
+}
+
 impl<S> SetAssocCache<S> {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 256 ways: recency ranks are one byte.
     pub fn new(cfg: CacheCfg) -> Self {
         let ways = cfg.ways() as usize;
-        let n = cfg.num_sets() as usize;
+        assert!(
+            ways <= 256,
+            "a set of {ways} ways exceeds the 256 that u8 recency ranks can order"
+        );
         let mut slab = Vec::new();
-        slab.resize_with(n * ways, || None);
+        slab.resize_with(cfg.num_sets() as usize * ways, || None);
         SetAssocCache {
             cfg,
             ways,
             slab,
-            occ: vec![0; n],
-            tick: 0,
             len: 0,
         }
     }
@@ -201,44 +254,35 @@ impl<S> SetAssocCache<S> {
         }
     }
 
-    /// The occupied slot range of the set `line` maps to.
-    fn set_range(&self, line: Line) -> (usize, usize) {
-        let set = self.set_index(line);
-        let base = set * self.ways;
-        (base, base + self.occ[set] as usize)
+    /// The slot range of the set `line` maps to.
+    fn set_range(&self, line: Line) -> Range<usize> {
+        let base = self.set_index(line) * self.ways;
+        base..base + self.ways
     }
 
     /// Looks up a line, updating LRU. Returns the payload if present.
     pub fn get(&mut self, line: Line) -> Option<&mut S> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (base, end) = self.set_range(line);
-        self.slab[base..end]
-            .iter_mut()
-            .map(|s| s.as_mut().expect("slot within occupancy is filled"))
-            .find(|e| e.line == line)
-            .map(|e| {
-                e.last_use = tick;
-                &mut e.state
-            })
+        let range = self.set_range(line);
+        let set = &mut self.slab[range];
+        let way = way_of(set, line)?;
+        Some(&mut touch(set, way).state)
     }
 
     /// Looks up a line without touching LRU.
     pub fn peek(&self, line: Line) -> Option<&S> {
-        let (base, end) = self.set_range(line);
-        self.slab[base..end]
+        self.slab[self.set_range(line)]
             .iter()
-            .map(|s| s.as_ref().expect("slot within occupancy is filled"))
+            .map_while(Option::as_ref)
             .find(|e| e.line == line)
             .map(|e| &e.state)
     }
 
     /// Mutable lookup without touching LRU.
     pub fn peek_mut(&mut self, line: Line) -> Option<&mut S> {
-        let (base, end) = self.set_range(line);
-        self.slab[base..end]
+        let range = self.set_range(line);
+        self.slab[range]
             .iter_mut()
-            .map(|s| s.as_mut().expect("slot within occupancy is filled"))
+            .map_while(Option::as_mut)
             .find(|e| e.line == line)
             .map(|e| &mut e.state)
     }
@@ -260,57 +304,36 @@ impl<S> SetAssocCache<S> {
         state: S,
         victim_class: impl Fn(&S) -> u32,
     ) -> Option<Evicted<S>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(line);
-        let base = set * self.ways;
-        let occ = self.occ[set] as usize;
-
-        if let Some(e) = self.slab[base..base + occ]
-            .iter_mut()
-            .map(|s| s.as_mut().expect("slot within occupancy is filled"))
-            .find(|e| e.line == line)
-        {
-            e.state = state;
-            e.last_use = tick;
+        let range = self.set_range(line);
+        let set = &mut self.slab[range];
+        if let Some(way) = way_of(set, line) {
+            touch(set, way).state = state;
             return None;
         }
-
-        let (evicted, at) = if occ == self.ways {
-            // Pick victim: highest class, then least recently used (the
-            // same scan order and `max_by_key` tie behavior as the old
-            // per-set `Vec`).
-            let vi = self.slab[base..base + occ]
-                .iter()
-                .map(|s| s.as_ref().expect("slot within occupancy is filled"))
-                .enumerate()
-                .max_by_key(|(_, e)| (victim_class(&e.state), std::cmp::Reverse(e.last_use)))
-                .map(|(i, _)| i)
-                .expect("set is full, so non-empty");
+        let n = filled(set);
+        // The new line takes the rank of the way it displaces (a free way
+        // ranks below every filled one), then becomes the most recent.
+        let (at, rank, evicted) = if n == self.ways {
             // `Vec::swap_remove(vi)` followed by `push` left the formerly
             // last entry in slot `vi` and the new entry in the last slot;
             // reproduce that exactly so iteration order never changes.
-            let victim = self.slab[base + vi].take().expect("victim slot is filled");
-            if vi != occ - 1 {
-                self.slab[base + vi] = self.slab[base + occ - 1].take();
-            }
+            let vi = victim_way(set, victim_class);
+            let victim = set[vi].take().expect("victim way is filled");
+            set.swap(vi, n - 1);
             self.len -= 1;
-            (
-                Some(Evicted {
-                    line: victim.line,
-                    state: victim.state,
-                }),
-                occ - 1,
-            )
+            let evicted = Evicted {
+                line: victim.line,
+                state: victim.state,
+            };
+            (n - 1, victim.rank, Some(evicted))
         } else {
-            self.occ[set] += 1;
-            (None, occ)
+            (n, n as u8, None)
         };
-
-        self.slab[base + at] = Some(Entry {
+        age(set, rank);
+        set[at] = Some(Entry {
             line,
             state,
-            last_use: tick,
+            rank: 0,
         });
         self.len += 1;
         evicted
@@ -320,42 +343,36 @@ impl<S> SetAssocCache<S> {
     /// now, without changing any state. `None` means the insertion would
     /// be eviction-free (free way, or the line is already resident).
     pub fn peek_victim(&self, line: Line, victim_class: impl Fn(&S) -> u32) -> Option<(Line, &S)> {
-        let (base, end) = self.set_range(line);
-        let set = &self.slab[base..end];
-        if end - base < self.ways
-            || set
-                .iter()
-                .any(|s| s.as_ref().is_some_and(|e| e.line == line))
-        {
+        let set = &self.slab[self.set_range(line)];
+        if set[self.ways - 1].is_none() || way_of(set, line).is_some() {
             return None;
         }
-        set.iter()
-            .map(|s| s.as_ref().expect("slot within occupancy is filled"))
-            .max_by_key(|e| (victim_class(&e.state), std::cmp::Reverse(e.last_use)))
-            .map(|e| (e.line, &e.state))
+        let e = set[victim_way(set, victim_class)].as_ref()?;
+        Some((e.line, &e.state))
     }
 
     /// Removes a line, returning its payload if it was resident.
     pub fn remove(&mut self, line: Line) -> Option<S> {
-        let set = self.set_index(line);
-        let base = set * self.ways;
-        let occ = self.occ[set] as usize;
-        let pos = self.slab[base..base + occ]
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|e| e.line == line))?;
-        // `Vec::swap_remove`: the last occupied slot backfills the hole.
-        let removed = self.slab[base + pos].take().expect("slot is filled");
-        if pos != occ - 1 {
-            self.slab[base + pos] = self.slab[base + occ - 1].take();
+        let range = self.set_range(line);
+        let set = &mut self.slab[range];
+        let way = way_of(set, line)?;
+        // `Vec::swap_remove`: the last filled way backfills the hole.
+        let last = filled(set) - 1;
+        let removed = set[way].take().expect("way is filled");
+        set.swap(way, last);
+        // Ways older than the removed one move up a rank.
+        for e in set.iter_mut().map_while(Option::as_mut) {
+            if e.rank > removed.rank {
+                e.rank -= 1;
+            }
         }
-        self.occ[set] -= 1;
         self.len -= 1;
         Some(removed.state)
     }
 
     /// Whether the set that `line` maps to has a free way.
     pub fn has_room_for(&self, line: Line) -> bool {
-        (self.occ[self.set_index(line)] as usize) < self.ways
+        self.slab[self.set_range(line).end - 1].is_none()
     }
 
     /// Iterates over all resident `(line, payload)` pairs in the arena's
@@ -364,13 +381,10 @@ impl<S> SetAssocCache<S> {
     /// order is reproducible because the order is a pure function of the
     /// operation history.
     pub fn iter_deterministic(&self) -> impl Iterator<Item = (Line, &S)> {
-        self.occ.iter().enumerate().flat_map(move |(set, &occ)| {
-            let base = set * self.ways;
-            self.slab[base..base + occ as usize]
-                .iter()
-                .map(|s| s.as_ref().expect("slot within occupancy is filled"))
-                .map(|e| (e.line, &e.state))
-        })
+        self.slab
+            .chunks(self.ways)
+            .flat_map(|set| set.iter().map_while(Option::as_ref))
+            .map(|e| (e.line, &e.state))
     }
 
     /// Iterates over all resident `(line, payload)` pairs (alias of
@@ -386,8 +400,7 @@ impl<S> SetAssocCache<S> {
         self.len = 0;
         DrainAll {
             cache: self,
-            set: 0,
-            way: 0,
+            slot: 0,
         }
     }
 }
@@ -397,26 +410,23 @@ impl<S> SetAssocCache<S> {
 /// drain, so the cache is always left empty.
 pub struct DrainAll<'a, S> {
     cache: &'a mut SetAssocCache<S>,
-    set: usize,
-    way: usize,
+    slot: usize,
 }
 
 impl<S> Iterator for DrainAll<'_, S> {
     type Item = (Line, S);
 
     fn next(&mut self) -> Option<(Line, S)> {
-        while self.set < self.cache.occ.len() {
-            if self.way < self.cache.occ[self.set] as usize {
-                let slot = self.set * self.cache.ways + self.way;
-                self.way += 1;
-                let e = self.cache.slab[slot]
-                    .take()
-                    .expect("slot within occupancy is filled");
-                return Some((e.line, e.state));
+        let ways = self.cache.ways;
+        while self.slot < self.cache.slab.len() {
+            match self.cache.slab[self.slot].take() {
+                Some(e) => {
+                    self.slot += 1;
+                    return Some((e.line, e.state));
+                }
+                // Filled ways are a prefix: the rest of this set is empty.
+                None => self.slot = (self.slot / ways + 1) * ways,
             }
-            self.cache.occ[self.set] = 0;
-            self.set += 1;
-            self.way = 0;
         }
         None
     }
@@ -572,6 +582,19 @@ mod tests {
         // The cache is fully reusable after an abandoned drain.
         assert!(c.insert(3, 3, any).is_none());
         assert_eq!(c.peek(3), Some(&3));
+    }
+
+    #[test]
+    fn a_tag_entry_with_an_enum_payload_is_sixteen_bytes() {
+        // A one-byte enum like the coherence states: its niche marks the
+        // empty way, so `Option` costs nothing.
+        assert_eq!(std::mem::size_of::<Option<Entry<std::cmp::Ordering>>>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "256")]
+    fn new_rejects_more_than_256_ways() {
+        SetAssocCache::<u8>::new(CacheCfg::new(257 * 64, 257, 6));
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! the tail, reclamation from the head, unlink when a line changes state;
 //! Section 2.2.2 of the paper).
 
-const NIL: usize = usize::MAX;
-/// Empty marker for index slots.
-const EMPTY: usize = usize::MAX;
+/// Link value for "no neighbour": the list's ends.
+const NIL: u32 = u32::MAX;
+/// `prev` value of a vacant table slot. Slot positions stay below it.
+const VACANT: u32 = u32::MAX - 1;
 /// Fibonacci multiplier for the slot hash.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Key types a [`KeyedQueue`] can index: totally ordered, copyable, and
 /// reducible to a `u64` slot number. All simulator keys (lines, pages,
-/// cycles) are `u64` line/page numbers already.
-pub trait QueueKey: Ord + Copy {
+/// cycles) are `u64` line/page numbers already. The default value fills
+/// vacant slots; it is never compared against a queued key.
+pub trait QueueKey: Ord + Copy + Default {
     /// The key as a 64-bit slot number.
     fn as_u64(self) -> u64;
 }
@@ -27,21 +29,41 @@ impl QueueKey for u64 {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Node<K> {
+/// One table slot: a queued key with the slot positions of its list
+/// neighbours, or a vacant slot (`prev == VACANT`). 16 bytes for a `u64`
+/// key.
+#[derive(Debug, Clone, Copy)]
+struct Slot<K> {
     key: K,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
+}
+
+impl<K: Default> Slot<K> {
+    fn vacant() -> Self {
+        Slot {
+            key: K::default(),
+            prev: VACANT,
+            next: NIL,
+        }
+    }
+
+    fn is_vacant(&self) -> bool {
+        self.prev == VACANT
+    }
 }
 
 /// A FIFO/LRU list with O(1) removal by key.
 ///
-/// The key index is a private open-addressing table (fibonacci hash,
-/// linear probing, backward-shift deletion) mapping each key to its node
-/// slot. This stays inside determinism contract D001 because the index is
-/// **never iterated**: every visible ordering — iteration, pop order,
-/// victim choice — comes from the queue's own links, so nothing in the
-/// simulation can observe slot order.
+/// The whole queue is one power-of-two open-addressing table (fibonacci
+/// hash, linear probing, backward-shift deletion): each occupied slot holds
+/// a key and the `u32` positions of its list neighbours, so the key index
+/// and the list share one 16-byte entry. Moving a slot during deletion
+/// re-points its neighbours' links, and growth re-inserts the keys in list
+/// order. This stays inside determinism contract D001 because the table is
+/// **never iterated in slot order**: every visible ordering — iteration,
+/// pop order, victim choice — follows the list links, so nothing in the
+/// simulation can observe slot positions.
 ///
 /// # Examples
 ///
@@ -57,24 +79,26 @@ struct Node<K> {
 /// assert_eq!(q.pop_front(), Some(30));
 /// assert!(q.is_empty());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct KeyedQueue<K> {
-    nodes: Vec<Node<K>>,
-    free: Vec<usize>,
-    /// Open-addressing index: node slot or [`EMPTY`], power-of-two sized.
-    slots: Vec<usize>,
+    /// The table; empty until the first push.
+    slots: Vec<Slot<K>>,
     /// Number of queued keys.
     count: usize,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
+}
+
+impl<K: QueueKey> Default for KeyedQueue<K> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<K: QueueKey> KeyedQueue<K> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         KeyedQueue {
-            nodes: Vec::new(),
-            free: Vec::new(),
             slots: Vec::new(),
             count: 0,
             head: NIL,
@@ -99,90 +123,127 @@ impl<K: QueueKey> KeyedQueue<K> {
         (key.as_u64().wrapping_mul(FIB) >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The index slot holding `key`, if present.
+    /// The slot holding `key`, if queued.
     #[inline]
-    fn slot_of(&self, key: K) -> Option<usize> {
+    fn find(&self, key: K) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
         let mut s = self.home(key);
         loop {
-            let n = self.slots[s];
-            if n == EMPTY {
+            let slot = &self.slots[s];
+            if slot.is_vacant() {
                 return None;
             }
-            if self.nodes[n].key == key {
+            if slot.key == key {
                 return Some(s);
             }
             s = (s + 1) & mask;
         }
     }
 
-    /// Records `node` (whose key is already stored in `nodes`) in the
-    /// index, growing the table past 7/8 load.
-    fn index_insert(&mut self, node: usize) {
-        if (self.count + 1) * 8 > self.slots.len() * 7 {
-            let cap = (self.slots.len() * 2).max(8);
-            let old = std::mem::replace(&mut self.slots, vec![EMPTY; cap]);
-            for n in old {
-                if n != EMPTY {
-                    self.index_place(n);
-                }
-            }
+    /// Points the `next` link of slot `at` (the head when `at` is
+    /// [`NIL`]) at `to`.
+    fn set_next(&mut self, at: u32, to: u32) {
+        match at {
+            NIL => self.head = to,
+            at => self.slots[at as usize].next = to,
         }
-        self.index_place(node);
+    }
+
+    /// Points the `prev` link of slot `at` (the tail when `at` is
+    /// [`NIL`]) at `to`.
+    fn set_prev(&mut self, at: u32, to: u32) {
+        match at {
+            NIL => self.tail = to,
+            at => self.slots[at as usize].prev = to,
+        }
+    }
+
+    /// Stores `key` in the first vacant slot of its probe chain and links
+    /// it at the back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain already holds `key`.
+    fn insert_back(&mut self, key: K) {
+        let mask = self.slots.len() - 1;
+        let mut s = self.home(key);
+        while !self.slots[s].is_vacant() {
+            assert!(
+                self.slots[s].key != key,
+                "key already queued; duplicate insertion is a bookkeeping bug"
+            );
+            s = (s + 1) & mask;
+        }
+        self.slots[s] = Slot {
+            key,
+            prev: self.tail,
+            next: NIL,
+        };
+        self.set_next(self.tail, s as u32);
+        self.tail = s as u32;
         self.count += 1;
     }
 
-    /// Probes for a free slot and stores `node` there.
-    fn index_place(&mut self, node: usize) {
-        let mask = self.slots.len() - 1;
-        let mut s = self.home(self.nodes[node].key);
-        while self.slots[s] != EMPTY {
-            s = (s + 1) & mask;
+    /// Doubles the table and re-inserts the keys in list order, which
+    /// rebuilds the same list over the new slot positions.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(8);
+        assert!(
+            cap <= VACANT as usize,
+            "KeyedQueue of {cap} slots would reach its u32 link sentinels"
+        );
+        let old = std::mem::replace(&mut self.slots, vec![Slot::vacant(); cap]);
+        let mut cur = self.head;
+        self.head = NIL;
+        self.tail = NIL;
+        self.count = 0;
+        while cur != NIL {
+            let Slot { key, next, .. } = old[cur as usize];
+            self.insert_back(key);
+            cur = next;
         }
-        self.slots[s] = node;
     }
 
-    /// Unindexes `key`, returning its node slot. Uses backward-shift
-    /// deletion so the table never accumulates tombstones.
-    fn index_remove(&mut self, key: K) -> Option<usize> {
-        let s = self.slot_of(key)?;
-        let node = self.slots[s];
+    /// Unlinks and vacates slot `s`. Uses backward-shift deletion, so the
+    /// table never accumulates tombstones; a shifted slot's neighbours
+    /// (or head/tail) are re-pointed at its new position.
+    fn remove_at(&mut self, s: usize) {
+        let Slot { prev, next, .. } = self.slots[s];
+        self.set_next(prev, next);
+        self.set_prev(next, prev);
+        self.count -= 1;
         let mask = self.slots.len() - 1;
         let mut hole = s;
         let mut j = s;
         loop {
             j = (j + 1) & mask;
-            let n = self.slots[j];
-            if n == EMPTY {
+            let slot = self.slots[j];
+            if slot.is_vacant() {
                 break;
             }
-            // Shift n back iff its probe chain passes through the hole.
-            let h = self.home(self.nodes[n].key);
+            // Shift the slot back iff its probe chain passes through the hole.
+            let h = self.home(slot.key);
             if (j.wrapping_sub(h) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = n;
+                self.slots[hole] = slot;
+                self.set_next(slot.prev, hole as u32);
+                self.set_prev(slot.next, hole as u32);
                 hole = j;
             }
         }
-        self.slots[hole] = EMPTY;
-        self.count -= 1;
-        Some(node)
+        self.slots[hole] = Slot::vacant();
     }
 
     /// Whether `key` is queued.
     pub fn contains(&self, key: &K) -> bool {
-        self.slot_of(*key).is_some()
+        self.find(*key).is_some()
     }
 
     /// The key at the front (oldest), if any.
     pub fn front(&self) -> Option<&K> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(&self.nodes[self.head].key)
-        }
+        (self.head != NIL).then(|| &self.slots[self.head as usize].key)
     }
 
     /// Appends `key` at the back.
@@ -192,32 +253,11 @@ impl<K: QueueKey> KeyedQueue<K> {
     /// Panics if the key is already queued; callers track membership and a
     /// double insert indicates a protocol bookkeeping bug.
     pub fn push_back(&mut self, key: K) {
-        assert!(
-            !self.contains(&key),
-            "key already queued; duplicate insertion is a bookkeeping bug"
-        );
-        let idx = if let Some(i) = self.free.pop() {
-            self.nodes[i] = Node {
-                key,
-                prev: self.tail,
-                next: NIL,
-            };
-            i
-        } else {
-            self.nodes.push(Node {
-                key,
-                prev: self.tail,
-                next: NIL,
-            });
-            self.nodes.len() - 1
-        };
-        if self.tail != NIL {
-            self.nodes[self.tail].next = idx;
-        } else {
-            self.head = idx;
+        // Grow past 7/8 load.
+        if (self.count + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
         }
-        self.tail = idx;
-        self.index_insert(idx);
+        self.insert_back(key);
     }
 
     /// Removes and returns the front key, if any.
@@ -225,28 +265,18 @@ impl<K: QueueKey> KeyedQueue<K> {
         if self.head == NIL {
             return None;
         }
-        let key = self.nodes[self.head].key;
-        self.remove(&key);
+        let s = self.head as usize;
+        let key = self.slots[s].key;
+        self.remove_at(s);
         Some(key)
     }
 
     /// Removes `key`, returning whether it was present.
     pub fn remove(&mut self, key: &K) -> bool {
-        let Some(idx) = self.index_remove(*key) else {
+        let Some(s) = self.find(*key) else {
             return false;
         };
-        let Node { prev, next, .. } = self.nodes[idx];
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.free.push(idx);
+        self.remove_at(s);
         true
     }
 
@@ -254,31 +284,25 @@ impl<K: QueueKey> KeyedQueue<K> {
     /// whether it was present.
     ///
     /// This is the attraction memory's per-touch operation, so it relinks
-    /// the node in place: the key's slot — and therefore the index —
-    /// never changes, avoiding the two index operations a
-    /// remove-then-reinsert would cost on every cache touch.
+    /// the slot in place: the key never moves in the table.
     pub fn move_to_back(&mut self, key: &K) -> bool {
-        let Some(s) = self.slot_of(*key) else {
+        let Some(s) = self.find(*key) else {
             return false;
         };
-        let idx = self.slots[s];
-        if idx == self.tail {
+        let s = s as u32;
+        if s == self.tail {
             return true;
         }
-        let Node { prev, next, .. } = self.nodes[idx];
-        // Unlink from the middle (or front) …
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        // idx != tail, so a successor exists.
-        self.nodes[next].prev = prev;
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        // Unlink from the middle (or front); s is not the tail, so a
+        // successor exists …
+        self.set_next(prev, next);
+        self.slots[next as usize].prev = prev;
         // … and splice in behind the old tail.
-        self.nodes[idx].prev = self.tail;
-        self.nodes[idx].next = NIL;
-        self.nodes[self.tail].next = idx;
-        self.tail = idx;
+        self.slots[s as usize].prev = self.tail;
+        self.slots[s as usize].next = NIL;
+        self.slots[self.tail as usize].next = s;
+        self.tail = s;
         true
     }
 
@@ -296,7 +320,7 @@ impl<K: QueueKey> KeyedQueue<K> {
 #[derive(Debug)]
 pub struct Iter<'a, K> {
     queue: &'a KeyedQueue<K>,
-    cur: usize,
+    cur: u32,
 }
 
 impl<'a, K> Iterator for Iter<'a, K> {
@@ -306,9 +330,9 @@ impl<'a, K> Iterator for Iter<'a, K> {
         if self.cur == NIL {
             return None;
         }
-        let node = &self.queue.nodes[self.cur];
-        self.cur = node.next;
-        Some(&node.key)
+        let slot = &self.queue.slots[self.cur as usize];
+        self.cur = slot.next;
+        Some(&slot.key)
     }
 }
 
@@ -391,8 +415,8 @@ mod tests {
         for i in 100..200u64 {
             q.push_back(i);
         }
-        // Internal node storage did not grow past the peak.
-        assert!(q.nodes.len() <= 100);
+        // The table did not grow past the size the peak needed.
+        assert_eq!(q.slots.len(), 128);
         assert_eq!(q.len(), 100);
         assert_eq!(q.front(), Some(&100));
     }
@@ -403,6 +427,11 @@ mod tests {
         let mut q = KeyedQueue::new();
         q.push_back(1u64);
         q.push_back(1u64);
+    }
+
+    #[test]
+    fn a_slot_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot<u64>>(), 16);
     }
 
     #[test]

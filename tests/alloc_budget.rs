@@ -19,42 +19,46 @@ use pimdsm_lab::{find, PointSpec, SuiteCtx, WorkloadSpec};
 use pimdsm_workloads::{AppId, Scale};
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 AGG point
-/// (FFT:1/2AGG75, measured 537; the slack covers small legitimate drift,
+/// (FFT:1/2AGG75, measured 404; the slack covers small legitimate drift,
 /// not a per-event regression — this point runs hundreds of thousands
 /// of events, so even one allocation per event blows the budget a
 /// hundred times over).
 const AGG_ALLOC_CEILING: u64 = 10_000;
 
-/// Ceiling on allocated bytes for the same point (measured ~1.3 MB).
+/// Ceiling on allocated bytes for the same point (measured ~1.0 MB).
 /// Dominated by the machine's fixed arenas (slab caches, page-table and
 /// directory chunks), so it scales with configuration, not with
 /// simulated work.
 const AGG_BYTE_CEILING: u64 = 8 << 20;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 COMA
-/// point (Swim:COMA75, measured 909). COMA has no backing store, so
+/// point (Swim:COMA75, measured 821). COMA has no backing store, so
 /// building the machine preloads every initialised line into some
 /// attraction memory; placing a line must not allocate. The sort-based
 /// placement this replaced allocated once per preloaded line and fails
 /// this ceiling (25,691 allocations at the same point).
 const COMA_ALLOC_CEILING: u64 = 5_000;
 
-/// Ceiling on allocated bytes for the COMA point (measured ~5.1 MB).
-const COMA_BYTE_CEILING: u64 = 8 << 20;
+/// Ceiling on allocated bytes for the COMA point (measured ~3.6 MB).
+/// Building the machine allocates every node's attraction-memory tags
+/// and on-chip LRU, so the bytes follow the per-line entry size: with
+/// 24-byte tags and 24-byte queue nodes plus index slots the same point
+/// allocated ~5.1 MB and fails this ceiling.
+const COMA_BYTE_CEILING: u64 = 4 << 20;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 NUMA
-/// point (Swim:NUMA, measured 446). The home directory allocates one
+/// point (Swim:NUMA, measured 425). The home directory allocates one
 /// entry chunk per page it tracks; the per-line `BTreeMap` directory
 /// this replaced made 1,742 allocations at the same point and fails
 /// this ceiling.
 const NUMA_ALLOC_CEILING: u64 = 1_000;
 
-/// Ceiling on allocated bytes for the NUMA point (measured ~1.5 MB).
+/// Ceiling on allocated bytes for the NUMA point (measured ~1.1 MB).
 const NUMA_BYTE_CEILING: u64 = 8 << 20;
 
 /// Committed ceiling on live-heap growth inside `Machine::run` for the
 /// fig-svc point `1/1AGG75 kv-0.6` (CI scale, 4 threads; measured
-/// 2.3 MiB over 166.8M simulated cycles, most of them spent waiting on
+/// 1.3 MiB over 166.8M simulated cycles, most of them spent waiting on
 /// 2M-cycle disk faults). Resource timelines free their windows behind
 /// the engine's pop time; when every window lived until the end of the
 /// run, the heap grew 11.8 MiB here, in proportion to simulated time.
