@@ -15,9 +15,10 @@
 //! did different work or merely ran at a different speed.
 //!
 //! [`compare`] implements `bench --compare`: two documents are comparable
-//! only if schema, suite, scale, thread count, and job count all match;
-//! a comparable current document regresses if its median wall time
-//! exceeds the baseline's by more than the configured threshold factor.
+//! only if schema, suite, scale, thread count, job count and the simulated
+//! work (engine events, queue peak, Txn walks and steps) all match; a
+//! comparable current document regresses if its median wall time exceeds
+//! the baseline's by more than the configured threshold factor.
 
 use std::time::Duration;
 
@@ -305,8 +306,8 @@ pub fn measure_suite(
 
 // ------------------------------------------------------------- documents
 
-/// The comparator's view of a bench document: identity fields plus the
-/// median wall time.
+/// The comparator's view of a bench document: identity fields, the
+/// simulated-work counters, and the median wall time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchDoc {
     /// Suite name.
@@ -321,6 +322,14 @@ pub struct BenchDoc {
     pub jobs: u64,
     /// Measured runs.
     pub runs: u64,
+    /// Engine events drained per run.
+    pub engine_events: u64,
+    /// Peak event-queue depth.
+    pub engine_queue_peak: u64,
+    /// Txn walks per run.
+    pub txn_walks: u64,
+    /// Txn steps per run.
+    pub txn_steps: u64,
     /// Median wall time in milliseconds.
     pub wall_median_ms: f64,
     /// Whether the document's deterministic fields were run-stable.
@@ -369,14 +378,8 @@ pub fn validate_doc(text: &str) -> Result<BenchDoc, String> {
             per_run.len()
         ));
     }
-    for key in [
-        "alloc_bytes",
-        "allocs",
-        "engine_events",
-        "engine_queue_peak",
-        "txn_steps",
-        "txn_walks",
-    ] {
+    // The work counters are read into the `BenchDoc` below.
+    for key in ["alloc_bytes", "allocs"] {
         field_u64(&doc, &["deterministic", key])?;
     }
     let stable = matches!(
@@ -393,6 +396,10 @@ pub fn validate_doc(text: &str) -> Result<BenchDoc, String> {
         iter_div: field_u64(&doc, &["config", "scale", "iter_div"])?,
         jobs: field_u64(&doc, &["config", "jobs"])?,
         runs,
+        engine_events: field_u64(&doc, &["deterministic", "engine_events"])?,
+        engine_queue_peak: field_u64(&doc, &["deterministic", "engine_queue_peak"])?,
+        txn_walks: field_u64(&doc, &["deterministic", "txn_walks"])?,
+        txn_steps: field_u64(&doc, &["deterministic", "txn_steps"])?,
         wall_median_ms: field(&doc, &["wall_ms", "median"])?
             .as_f64()
             .ok_or("wall_ms.median is not a number")?,
@@ -413,20 +420,37 @@ pub enum Compared {
 
 /// Compares `current` against `baseline`: identity fields must match
 /// exactly, and the current median wall must stay within
-/// `threshold * baseline`. Wall time is the only regression axis —
-/// deterministic-count changes are legitimate behavior changes and show
-/// up in review as a `BENCH_*.json` diff instead.
+/// `threshold * baseline`. The simulated-work counters (engine events,
+/// queue peak, Txn walks and steps) are identity fields too: a change
+/// that alters simulated work is incomparable until its baseline is
+/// re-measured and committed. Allocation counts stay out, because they
+/// can move with the toolchain's std. Wall time is the only regression
+/// axis.
 pub fn compare(current: &BenchDoc, baseline: &BenchDoc, threshold: f64) -> Compared {
+    let (c, b) = (current, baseline);
     let mut mismatches = Vec::new();
-    let mut ident = |name: &str, cur: u64, base: u64| {
+    for (name, cur, base) in [
+        ("config.threads", c.threads, b.threads),
+        ("config.scale.size_div", c.size_div, b.size_div),
+        ("config.scale.iter_div", c.iter_div, b.iter_div),
+        ("config.jobs", c.jobs, b.jobs),
+        (
+            "deterministic.engine_events",
+            c.engine_events,
+            b.engine_events,
+        ),
+        (
+            "deterministic.engine_queue_peak",
+            c.engine_queue_peak,
+            b.engine_queue_peak,
+        ),
+        ("deterministic.txn_walks", c.txn_walks, b.txn_walks),
+        ("deterministic.txn_steps", c.txn_steps, b.txn_steps),
+    ] {
         if cur != base {
             mismatches.push(format!("{name}: current {cur} vs baseline {base}"));
         }
-    };
-    ident("config.threads", current.threads, baseline.threads);
-    ident("config.scale.size_div", current.size_div, baseline.size_div);
-    ident("config.scale.iter_div", current.iter_div, baseline.iter_div);
-    ident("config.jobs", current.jobs, baseline.jobs);
+    }
     if current.suite != baseline.suite {
         mismatches.push(format!(
             "suite: current {:?} vs baseline {:?}",
@@ -510,6 +534,34 @@ mod tests {
             compare(&doc, &renamed, 3.0),
             Compared::Incomparable(_)
         ));
+    }
+
+    #[test]
+    fn one_extra_txn_walk_makes_documents_incomparable() {
+        let base = BenchDoc {
+            suite: "smoke".into(),
+            threads: 32,
+            size_div: 1,
+            iter_div: 1,
+            jobs: 1,
+            runs: 3,
+            engine_events: 1_000,
+            engine_queue_peak: 32,
+            txn_walks: 20_000,
+            txn_steps: 130_000,
+            wall_median_ms: 100.0,
+            stable: true,
+        };
+        assert_eq!(compare(&base, &base, 1.5), Compared::Ok(1.0));
+        let mut more = base.clone();
+        more.txn_walks += 1;
+        let Compared::Incomparable(why) = compare(&more, &base, 1.5) else {
+            panic!("a changed walk count must not compare");
+        };
+        assert_eq!(
+            why,
+            "deterministic.txn_walks: current 20001 vs baseline 20000"
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@ use pimdsm_obs::breakdown::{DRAM, HANDLER, NETWORK};
 use pimdsm_obs::{trace::track, EpochProbe};
 
 use crate::common::{
-    Access, AmState, CState, Census, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg, Level,
-    MsgSize, NodeId, NodeList, PreloadKind,
+    Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
+    LatencyCfg, Level, MsgSize, NodeId, NodeList, PreloadKind,
 };
 use crate::dnode::{DNode, DNodeCfg, Master};
 use crate::fabric::Fabric;
@@ -332,7 +332,7 @@ impl AggSystem {
                 for s in e.sharers.iter() {
                     holders.push(s);
                 }
-                if let Some(o) = e.owner {
+                if let Some(o) = e.owner.map(CompactNode::get) {
                     if !holders.contains(&o) {
                         holders.push(o);
                     }
@@ -517,7 +517,7 @@ impl AggSystem {
                 (Level::Hop2, AmState::SharedMaster)
             }
             Some(e) if e.owner.is_some() => {
-                let k = e.owner.expect("checked");
+                let k = e.owner.expect("checked").get();
                 debug_assert_ne!(k, node, "owner cannot miss in its own memory");
                 let g = self.dispatch(home, HandlerKind::Read, 0, t1);
                 tx.handler(g);
@@ -555,6 +555,7 @@ impl AggSystem {
                     let Master::Node(k) = e.master else {
                         unreachable!("dropped home copy implies an outside master")
                     };
+                    let k = k.get();
                     debug_assert_ne!(k, node);
                     self.fab.stats.master_fetches += 1;
                     tx.handler(g);
@@ -646,7 +647,7 @@ impl AggSystem {
         }
 
         let had_local_copy = am_state.is_some();
-        let prev_owner = entry.and_then(|e| e.owner);
+        let prev_owner = entry.and_then(|e| e.owner).map(CompactNode::get);
         let home_had_copy = entry.is_some_and(|e| e.in_mem);
 
         // Directory mutation: who must be invalidated.
@@ -689,7 +690,7 @@ impl AggSystem {
             // it — the master is always a sharer).
             let master = entry
                 .map(|e| match e.master {
-                    Master::Node(m) => m,
+                    Master::Node(m) => m.get(),
                     Master::Home => k,
                 })
                 .unwrap_or(k);
@@ -921,14 +922,15 @@ impl AggSystem {
         let line_transfer = self.recovery_line_transfer();
         let mut t = now;
         let d_list = self.d_list.clone();
+        let dead = CompactNode::new(victim);
         for d in d_list {
             let affected: Vec<Line> = self
                 .dstore_ref(d)
                 .iter_deterministic()
                 .filter(|(_, e)| {
-                    e.owner == Some(victim)
+                    e.owner == Some(dead)
                         || e.sharers.contains(victim)
-                        || e.master == Master::Node(victim)
+                        || e.master == Master::Node(dead)
                 })
                 .map(|(l, _)| l)
                 .collect();
@@ -938,7 +940,7 @@ impl AggSystem {
                     .dstore(d)
                     .evict_entry(line)
                     .expect("affected entry must exist");
-                if e.owner == Some(victim) {
+                if e.owner == Some(dead) {
                     // The only up-to-date copy was dirty at the victim.
                     e.owner = None;
                     e.sharers.clear();
@@ -959,10 +961,10 @@ impl AggSystem {
                     }
                 } else {
                     e.sharers.remove(victim);
-                    if e.master == Master::Node(victim) {
+                    if e.master == Master::Node(dead) {
                         if let Some(s) = e.sharers.first() {
                             // Re-elect mastership onto a surviving sharer.
-                            e.master = Master::Node(s);
+                            e.master = Master::Node(CompactNode::new(s));
                             if let Some(st) = self.pstore(s).am.peek_mut(line) {
                                 *st = AmState::SharedMaster;
                             }
@@ -1068,7 +1070,7 @@ impl AggSystem {
                     e.in_mem = false;
                     if e.master == Master::Home {
                         let s = e.sharers.first().expect("nonempty");
-                        e.master = Master::Node(s);
+                        e.master = Master::Node(CompactNode::new(s));
                         if let Some(st) = self.pstore(s).am.peek_mut(line) {
                             *st = AmState::SharedMaster;
                         }

@@ -24,7 +24,7 @@ use pimdsm_mem::Line;
 
 use crate::agg::AggSystem;
 use crate::coma::ComaSystem;
-use crate::common::{AmState, CState, NodeList};
+use crate::common::{AmState, CState, CompactNode, NodeList};
 use crate::dnode::Master;
 use crate::numa::NumaSystem;
 use crate::system::MemSystem;
@@ -86,7 +86,11 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
         }
     }
 
-    if let Some(k) = e.owner {
+    let master = match e.master {
+        Master::Node(m) => Some(m.get()),
+        Master::Home => None,
+    };
+    if let Some(k) = e.owner.map(CompactNode::get) {
         assert!(
             holders[..] == [k] && am_state(k) == Some(AmState::Dirty),
             "owned line {line:#x}: owner {k} must be the unique (dirty) holder, \
@@ -94,8 +98,8 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
             &holders[..]
         );
         assert_eq!(
-            e.master,
-            Master::Node(k),
+            master,
+            Some(k),
             "owned line {line:#x}: mastership must sit with the owner"
         );
         return;
@@ -116,7 +120,7 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
             e.sharers.contains(p),
             "node {p} holds shared line {line:#x} without a sharer bit"
         );
-        let expect = if e.master == Master::Node(p) {
+        let expect = if master == Some(p) {
             AmState::SharedMaster
         } else {
             AmState::Shared
@@ -132,7 +136,7 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
             "sharer bit for node {s} on line {line:#x} but no AM copy"
         );
     }
-    if let Master::Node(m) = e.master {
+    if let Some(m) = master {
         assert!(
             e.sharers.contains(m),
             "master {m} of line {line:#x} is not a sharer"
@@ -177,7 +181,8 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
         }
     }
 
-    if let Some(k) = e.owner {
+    let master = e.master.map(CompactNode::get);
+    if let Some(k) = e.owner.map(CompactNode::get) {
         assert!(
             holders[..] == [k] && am_state(k) == Some(AmState::Dirty),
             "owned line {line:#x}: owner {k} must be the unique (dirty) holder, \
@@ -185,7 +190,7 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
             &holders[..]
         );
         assert_eq!(
-            e.master,
+            master,
             Some(k),
             "owned line {line:#x}: mastership must sit with the owner"
         );
@@ -208,7 +213,7 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
             e.sharers.contains(p),
             "node {p} holds shared line {line:#x} without a sharer bit"
         );
-        let expect = if e.master == Some(p) {
+        let expect = if master == Some(p) {
             AmState::SharedMaster
         } else {
             AmState::Shared
@@ -224,7 +229,7 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
             "sharer bit for node {s} on line {line:#x} but no AM copy"
         );
     }
-    if let Some(m) = e.master {
+    if let Some(m) = master {
         assert!(
             e.sharers.contains(m),
             "master {m} of line {line:#x} is not a sharer"
@@ -246,13 +251,14 @@ pub fn check_numa(sys: &NumaSystem) {
 pub(crate) fn numa_line(sys: &NumaSystem, line: Line) {
     let Some(e) = sys.dir_entry(line) else { return };
     let n = sys.n_nodes();
+    let owner = e.owner.map(CompactNode::get);
     let mut dirty_holder = None;
     for p in 0..n {
         let Some(c) = sys.cached_state(p, line) else {
             continue;
         };
         assert!(
-            e.sharers.contains(p) || e.owner == Some(p),
+            e.sharers.contains(p) || owner == Some(p),
             "node {p} caches line {line:#x} unknown to the directory"
         );
         if c == CState::Dirty {
@@ -262,13 +268,13 @@ pub(crate) fn numa_line(sys: &NumaSystem, line: Line) {
             );
             dirty_holder = Some(p);
             assert_eq!(
-                e.owner,
+                owner,
                 Some(p),
                 "node {p} holds line {line:#x} dirty without directory ownership"
             );
         }
     }
-    if let Some(k) = e.owner {
+    if let Some(k) = owner {
         for p in 0..n {
             if p != k {
                 assert_eq!(

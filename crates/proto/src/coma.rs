@@ -23,8 +23,8 @@ use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::NETWORK;
 
 use crate::common::{
-    Access, AmState, CState, Census, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg, Level,
-    MsgSize, NodeId, NodeList, NodeSet, PreloadKind,
+    Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
+    LatencyCfg, Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind,
 };
 use crate::fabric::Fabric;
 use crate::pnode::{victim_class, PNodeStore, WriteProbe};
@@ -89,15 +89,16 @@ impl ComaCfg {
 }
 
 /// Directory entry of one line (the flat-COMA home holds only this state,
-/// not necessarily the data).
+/// not necessarily the data): 16 bytes, and 16 as an `Option` in the
+/// directory's slots (node ids take one byte each).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirEntry {
     /// Nodes whose attraction memory holds a copy.
     pub sharers: NodeSet,
     /// Exclusive (dirty) holder, if any.
-    pub owner: Option<NodeId>,
+    pub owner: Option<CompactNode>,
     /// Holder of the master copy.
-    pub master: Option<NodeId>,
+    pub master: Option<CompactNode>,
     /// The only copy was spilled to disk by a forced injection.
     pub on_disk: bool,
 }
@@ -418,16 +419,17 @@ impl ComaSystem {
         }
         self.mem_access(c, line, g.start);
         let e = self.dir.get_or_insert_with(line, DirEntry::default);
+        let holder = Some(CompactNode::new(c));
         match state {
             AmState::Dirty => {
-                e.owner = Some(c);
-                e.master = Some(c);
+                e.owner = holder;
+                e.master = holder;
                 e.sharers = NodeSet::singleton(c);
             }
             _ => {
                 e.sharers.remove(node);
                 e.sharers.insert(c);
-                e.master = Some(c);
+                e.master = holder;
             }
         }
     }
@@ -501,8 +503,9 @@ impl ComaSystem {
         let victim = self.nodes[node].fill_caches(line, state);
         if let Some((vline, CState::Dirty)) = victim {
             let e = self.dir.get_or_insert_with(vline, DirEntry::default);
-            e.owner = Some(node);
-            e.master = Some(node);
+            let holder = Some(CompactNode::new(node));
+            e.owner = holder;
+            e.master = holder;
         }
     }
 
@@ -518,8 +521,9 @@ impl ComaSystem {
         let e = self.dir.get_or_insert_with(line, DirEntry::default);
         let targets = NodeList::sharers_except(&e.sharers, node);
         e.sharers = NodeSet::singleton(node);
-        e.owner = Some(node);
-        e.master = Some(node);
+        let holder = Some(CompactNode::new(node));
+        e.owner = holder;
+        e.master = holder;
         let n_inv = targets.len() as u32;
         let ctrl = self.fab.msg_ctrl();
         if home == node {
@@ -576,7 +580,7 @@ impl ComaSystem {
             self.purge_stale(node, line);
             let de = self.dir.get_or_insert_with(line, DirEntry::default);
             de.on_disk = false;
-            de.master = Some(node);
+            de.master = Some(CompactNode::new(node));
             de.sharers = NodeSet::singleton(node);
             let lvl = if home == node {
                 Level::LocalMem
@@ -584,7 +588,7 @@ impl ComaSystem {
                 Level::Hop2
             };
             (home, lvl, AmState::SharedMaster)
-        } else if let Some(k) = e.owner {
+        } else if let Some(k) = e.owner.map(CompactNode::get) {
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::Read, 0, t1);
             tx.handler(g);
@@ -596,12 +600,12 @@ impl ComaSystem {
             }
             let de = self.dir.get_or_insert_with(line, DirEntry::default);
             de.owner = None;
-            de.master = Some(k);
+            de.master = Some(CompactNode::new(k));
             de.sharers = NodeSet::singleton(k);
             de.sharers.insert(node);
             (k, lvl, AmState::Shared)
         } else if !e.sharers.is_empty() {
-            let m_node = e.master.expect("shared lines must have a master");
+            let m_node = e.master.expect("shared lines must have a master").get();
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::Read, 0, t1);
             tx.handler(g);
@@ -615,7 +619,7 @@ impl ComaSystem {
         } else {
             // First touch: the line materializes (cold/zero data).
             let de = self.dir.get_or_insert_with(line, DirEntry::default);
-            de.master = Some(node);
+            de.master = Some(CompactNode::new(node));
             de.sharers = NodeSet::singleton(node);
             let lvl = self.cold_round(&mut tx, node, home, HandlerKind::Read);
             (home, lvl, AmState::SharedMaster)
@@ -705,7 +709,7 @@ impl ComaSystem {
                 Level::Hop2
             };
             (home, lvl)
-        } else if let Some(k) = e.owner {
+        } else if let Some(k) = e.owner.map(CompactNode::get) {
             targets.retain(|&x| x != k); // the owner supplies and self-invalidates
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, t1);
@@ -716,7 +720,7 @@ impl ComaSystem {
             self.fab.stats.invalidations += 1;
             (k, lvl)
         } else if !e.sharers.is_empty() {
-            let m_node = e.master.expect("shared lines must have a master");
+            let m_node = e.master.expect("shared lines must have a master").get();
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, t1);
             let gr = g.reply_at;
@@ -733,8 +737,9 @@ impl ComaSystem {
         };
 
         let de = self.dir.get_or_insert_with(line, DirEntry::default);
-        de.owner = Some(node);
-        de.master = Some(node);
+        let holder = Some(CompactNode::new(node));
+        de.owner = holder;
+        de.master = holder;
         de.sharers = NodeSet::singleton(node);
         tx.fill(&self.fab);
         self.am_fill(node, line, AmState::Dirty, provider, tx.at());
@@ -820,8 +825,9 @@ impl MemSystem for ComaSystem {
         // Scrub every directory entry naming the victim: re-elect
         // mastership onto a surviving sharer, write dirty data off to
         // disk-resident state when no copy survives.
+        let dead = Some(CompactNode::new(node));
         self.dir.for_each_mut(|line, e| {
-            if e.owner == Some(node) {
+            if e.owner == dead {
                 e.owner = None;
                 e.master = None;
                 e.sharers.clear();
@@ -831,9 +837,9 @@ impl MemSystem for ComaSystem {
                 } else {
                     rs.lines_lost += 1;
                 }
-            } else if e.sharers.remove(node) && e.master == Some(node) {
+            } else if e.sharers.remove(node) && e.master == dead {
                 if let Some(s) = e.sharers.first() {
-                    e.master = Some(s);
+                    e.master = Some(CompactNode::new(s));
                     rs.lines_recalled += 1;
                     if let Some(st) = self.nodes[s].am.peek_mut(line) {
                         *st = AmState::SharedMaster;
@@ -920,10 +926,11 @@ impl MemSystem for ComaSystem {
         };
         self.nodes[c].am.insert(line, state, victim_class);
         let e = self.dir.get_or_insert_with(line, DirEntry::default);
-        e.master = Some(c);
+        let holder = Some(CompactNode::new(c));
+        e.master = holder;
         e.sharers = NodeSet::singleton(c);
         if state == AmState::Dirty {
-            e.owner = Some(c);
+            e.owner = holder;
         }
     }
 }
@@ -973,6 +980,11 @@ mod tests {
         others.sort_by_key(|&c| (m.fab.net.hops(node, c), c));
         candidates.extend(others);
         candidates
+    }
+
+    #[test]
+    fn directory_slots_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<DirEntry>>(), 16);
     }
 
     #[test]
@@ -1034,7 +1046,7 @@ mod tests {
                     match want {
                         Some(c) => {
                             placed += 1;
-                            assert_eq!(e.master, Some(c));
+                            assert_eq!(e.master.map(CompactNode::get), Some(c));
                             assert_eq!(e.sharers, NodeSet::singleton(c));
                             assert_eq!(e.owner.is_some(), kind == PreloadKind::ColdPrivate);
                             assert!(m.am_state(c, line).is_some());

@@ -49,10 +49,13 @@ impl NodeSet {
         self.0 |= 1 << node;
     }
 
-    /// Removes a node; returns whether it was present.
+    /// Removes a node; returns whether it was present. Ids outside the
+    /// set's range are never present, so removing one changes nothing.
     pub fn remove(&mut self, node: NodeId) -> bool {
         let had = self.contains(node);
-        self.0 &= !(1u64 << node);
+        if had {
+            self.0 &= !(1u64 << node);
+        }
         had
     }
 
@@ -89,6 +92,46 @@ impl NodeSet {
         } else {
             Some(self.0.trailing_zeros() as usize)
         }
+    }
+}
+
+/// A node id stored in one byte, for the per-line directory entries.
+///
+/// Directory entries exist once per simulated line, so their node fields
+/// set the per-line cost; every node id is below [`NodeSet::MAX_NODES`],
+/// so one byte holds it. [`CompactNode::new`] is the only way to make one
+/// and [`CompactNode::get`] the only way to read one back.
+///
+/// # Examples
+///
+/// ```
+/// use pimdsm_proto::CompactNode;
+///
+/// let n = CompactNode::new(17);
+/// assert_eq!(n.get(), 17);
+/// assert_eq!(std::mem::size_of::<Option<CompactNode>>(), 2);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompactNode(u8);
+
+impl CompactNode {
+    /// Narrows `node` to one byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node >= 64`, in release builds too: a truncated id
+    /// would silently corrupt directory state.
+    pub fn new(node: NodeId) -> Self {
+        assert!(
+            node < NodeSet::MAX_NODES,
+            "node {node} out of NodeSet range"
+        );
+        CompactNode(node as u8)
+    }
+
+    /// The node id.
+    pub fn get(self) -> NodeId {
+        NodeId::from(self.0)
     }
 }
 
@@ -692,6 +735,27 @@ mod tests {
     #[should_panic(expected = "out of NodeSet range")]
     fn nodeset_rejects_large_ids() {
         NodeSet::new().insert(64);
+    }
+
+    #[test]
+    fn nodeset_remove_ignores_ids_out_of_range() {
+        let mut s = NodeSet::singleton(0);
+        assert!(!s.remove(64));
+        assert!(!s.remove(usize::MAX));
+        assert_eq!(s, NodeSet::singleton(0));
+    }
+
+    #[test]
+    fn compact_node_round_trips_every_id() {
+        for n in 0..NodeSet::MAX_NODES {
+            assert_eq!(CompactNode::new(n).get(), n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of NodeSet range")]
+    fn compact_node_rejects_large_ids() {
+        CompactNode::new(NodeSet::MAX_NODES);
     }
 
     #[test]

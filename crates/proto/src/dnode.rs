@@ -26,7 +26,7 @@
 use pimdsm_engine::{Cycle, Server};
 use pimdsm_mem::{Dram, KeyedQueue, Line, Page, PagedMap, Residency};
 
-use crate::common::{NodeId, NodeList, NodeSet};
+use crate::common::{CompactNode, NodeId, NodeList, NodeSet};
 use crate::pnode::OnChipLru;
 
 /// Who holds the master (authoritative clean) copy of a line.
@@ -36,16 +36,17 @@ pub enum Master {
     Home,
     /// A P-node holds the master copy (shared-master, or the owner when
     /// dirty).
-    Node(NodeId),
+    Node(CompactNode),
 }
 
-/// Directory entry for one line homed at a D-node.
+/// Directory entry for one line homed at a D-node: 16 bytes, and 16 as
+/// an `Option` in the directory's slots (node ids take one byte each).
 #[derive(Debug, Clone, Copy)]
 pub struct DirEntry {
     /// P-nodes holding a clean copy.
     pub sharers: NodeSet,
     /// P-node holding the line dirty, if any.
-    pub owner: Option<NodeId>,
+    pub owner: Option<CompactNode>,
     /// Location of the master copy.
     pub master: Master,
     /// Whether the home Data array holds a copy.
@@ -317,7 +318,7 @@ impl DNode {
         debug_assert!(e.uncached() && !e.in_mem);
         e.in_mem = true;
         e.paged_out = false;
-        e.master = Master::Node(reader);
+        e.master = Master::Node(CompactNode::new(reader));
         e.sharers = NodeSet::singleton(reader);
         e.owner = None;
         self.shared_list.push_back(line);
@@ -330,7 +331,7 @@ impl DNode {
     pub fn grant_master_read(&mut self, line: Line, reader: NodeId) {
         let e = self.dir.get_mut(line).expect("line must exist in memory");
         debug_assert!(e.in_mem && e.master == Master::Home && e.owner.is_none());
-        e.master = Master::Node(reader);
+        e.master = Master::Node(CompactNode::new(reader));
         e.sharers.insert(reader);
         debug_assert!(!self.shared_list.contains(&line));
         self.shared_list.push_back(line);
@@ -352,10 +353,10 @@ impl DNode {
             .expect("dirty line must have an entry");
         let owner = e.owner.take().expect("line must be dirty");
         e.master = Master::Node(owner);
-        e.sharers = NodeSet::singleton(owner);
+        e.sharers = NodeSet::singleton(owner.get());
         e.sharers.insert(reader);
         debug_assert!(!e.in_mem, "dirty lines keep no home copy");
-        owner
+        owner.get()
     }
 
     /// Write (read-exclusive/upgrade) by `writer`: returns the nodes to
@@ -364,7 +365,7 @@ impl DNode {
     pub fn make_owner(&mut self, line: Line, writer: NodeId) -> NodeList {
         let e = self.entry_mut(line);
         let mut inval = NodeList::new();
-        if let Some(prev) = e.owner.take() {
+        if let Some(prev) = e.owner.take().map(CompactNode::get) {
             if prev != writer {
                 inval.push(prev);
             }
@@ -375,6 +376,7 @@ impl DNode {
             }
         }
         e.sharers.clear();
+        let writer = CompactNode::new(writer);
         e.owner = Some(writer);
         e.master = Master::Node(writer);
         e.paged_out = false;
@@ -398,7 +400,7 @@ impl DNode {
             .expect("written-back line must exist");
         match e.owner {
             Some(owner) => {
-                debug_assert_eq!(owner, from, "only the owner can write back dirty");
+                debug_assert_eq!(owner.get(), from, "only the owner can write back dirty");
                 e.owner = None;
             }
             None => {
@@ -429,7 +431,8 @@ impl DNode {
     /// A non-master sharer silently dropped its copy and sent a hint.
     pub fn replacement_hint(&mut self, line: Line, from: NodeId) {
         if let Some(e) = self.dir.get_mut(line) {
-            if e.master != Master::Node(from) && e.owner != Some(from) {
+            let node = CompactNode::new(from);
+            if e.master != Master::Node(node) && e.owner != Some(node) {
                 e.sharers.remove(from);
             }
         }
@@ -638,12 +641,17 @@ mod tests {
     }
 
     #[test]
+    fn directory_slots_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<DirEntry>>(), 16);
+    }
+
+    #[test]
     fn first_read_gives_out_mastership() {
         let mut d = dnode(8);
         assert_eq!(d.alloc_slot(100), Ok(None));
         d.grant_first_read(100, 3);
         let e = d.entry(100).unwrap();
-        assert_eq!(e.master, Master::Node(3));
+        assert_eq!(e.master, Master::Node(CompactNode::new(3)));
         assert!(e.in_mem);
         assert!(e.sharers.contains(3));
         assert_eq!(d.shared_list_len(), 1);
@@ -661,7 +669,7 @@ mod tests {
         assert_eq!(inval.len(), 2);
         assert!(inval.contains(&3) && inval.contains(&4));
         let e = d.entry(100).unwrap();
-        assert_eq!(e.owner, Some(5));
+        assert_eq!(e.owner.map(CompactNode::get), Some(5));
         assert!(!e.in_mem, "dirty lines keep no place holder");
         assert_eq!(d.free_slots(), 8, "slot reused");
         assert_eq!(d.shared_list_len(), 0);
@@ -687,7 +695,7 @@ mod tests {
         assert_eq!(prev, 1);
         let e = d.entry(7).unwrap();
         assert_eq!(e.owner, None);
-        assert_eq!(e.master, Master::Node(1));
+        assert_eq!(e.master, Master::Node(CompactNode::new(1)));
         assert!(e.sharers.contains(1) && e.sharers.contains(2));
         assert!(!e.in_mem, "home did not take a copy");
         d.check_invariants();

@@ -54,8 +54,8 @@ pub use agg::{AggCfg, AggSystem};
 pub use check::{check_agg, check_coma, check_numa};
 pub use coma::{ComaCfg, ComaSystem};
 pub use common::{
-    Access, AmState, CState, Census, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg, Level,
-    MsgSize, NodeId, NodeList, NodeSet, PreloadKind, ProtoStats,
+    Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
+    LatencyCfg, Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind, ProtoStats,
 };
 pub use dnode::DNode;
 pub use fabric::Fabric;

@@ -21,8 +21,8 @@ use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::NETWORK;
 
 use crate::common::{
-    Access, CState, Census, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg, Level, MsgSize,
-    NodeId, NodeList, NodeSet, PreloadKind,
+    Access, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg,
+    Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind,
 };
 use crate::fabric::Fabric;
 use crate::pnode::{OnChipLru, PrivCaches, WriteProbe};
@@ -83,14 +83,15 @@ impl NumaCfg {
     }
 }
 
-/// Directory entry of one line at its home node.
+/// Directory entry of one line at its home node: 16 bytes, and 16 as an
+/// `Option` in the directory's slots (the owner takes one byte).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirEntry {
     /// Nodes that may cache a clean copy (stale bits are legal: Shared
     /// drops are silent and cost at most a wasted invalidation later).
     pub sharers: NodeSet,
     /// Exclusive (dirty) cache-level holder, if any.
-    pub owner: Option<NodeId>,
+    pub owner: Option<CompactNode>,
 }
 
 #[derive(Debug)]
@@ -258,7 +259,7 @@ impl NumaSystem {
         let data = self.fab.msg_data();
 
         let level = if home == node {
-            match entry.owner {
+            match entry.owner.map(CompactNode::get) {
                 Some(k) if k != node => {
                     // Local home, dirty at remote k: fetch + write back here.
                     let t1 = tx.send(&mut self.fab, node, k, ctrl);
@@ -282,7 +283,7 @@ impl NumaSystem {
         } else {
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::Read, 0, t1);
-            match entry.owner {
+            match entry.owner.map(CompactNode::get) {
                 Some(k) if k != node && k != home => {
                     // Forward to the owner; owner replies to the requestor
                     // and writes the line back to the home (DASH style).
@@ -347,7 +348,7 @@ impl NumaSystem {
                 let entry = self.dir.get_or_insert_with(line, DirEntry::default);
                 let targets = NodeList::sharers_except(&entry.sharers, node);
                 entry.sharers = NodeSet::singleton(node);
-                entry.owner = Some(node);
+                entry.owner = Some(CompactNode::new(node));
                 let n_inv = targets.len() as u32;
                 let ctrl = self.fab.msg_ctrl();
                 let level = if home == node {
@@ -385,7 +386,7 @@ impl NumaSystem {
         let data = self.fab.msg_data();
 
         let level = if home == node {
-            match entry.owner {
+            match entry.owner.map(CompactNode::get) {
                 Some(k) if k != node => {
                     let t1 = tx.send(&mut self.fab, node, k, ctrl);
                     let g = self.dispatch(k, HandlerKind::ReadExclusive, n_inv, t1);
@@ -411,7 +412,7 @@ impl NumaSystem {
             self.fab.stats.remote_writes += 1;
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, t1);
-            match entry.owner {
+            match entry.owner.map(CompactNode::get) {
                 Some(k) if k != node && k != home => {
                     tx.handler(g);
                     let t2 = tx.send(&mut self.fab, home, k, ctrl);
@@ -445,7 +446,7 @@ impl NumaSystem {
 
         let e = self.dir.get_or_insert_with(line, DirEntry::default);
         e.sharers.clear();
-        e.owner = Some(node);
+        e.owner = Some(CompactNode::new(node));
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Dirty);
         self.handle_victim(node, victim, tx.at());
@@ -522,9 +523,10 @@ impl MemSystem for NumaSystem {
         // The victim's SRAM caches vanish; its memory contents are only
         // reachable again via a replica or a stale home copy.
         let _ = self.nodes[node].caches.drain_all();
+        let dead = Some(CompactNode::new(node));
         self.dir.for_each_mut(|_, e| {
             e.sharers.remove(node);
-            if e.owner == Some(node) {
+            if e.owner == dead {
                 // The dirty cache copy died; the home memory now serves
                 // the last written-back version of the line.
                 e.owner = None;
@@ -592,5 +594,15 @@ impl MemSystem for NumaSystem {
         // Plain memory backs everything: establishing the page home is
         // all the state NUMA needs (capacity spill included).
         self.home_of(line, owner);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn directory_slots_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<DirEntry>>(), 16);
     }
 }

@@ -3,7 +3,7 @@
 
 use pimdsm_mem::CacheCfg;
 use pimdsm_proto::dnode::Master;
-use pimdsm_proto::{AggCfg, AggSystem, AmState, Level, MemSystem};
+use pimdsm_proto::{AggCfg, AggSystem, AmState, CompactNode, Level, MemSystem};
 
 fn sys(n_p: usize, n_d: usize, p_am_lines: u64, d_lines: u64) -> AggSystem {
     AggSystem::new(AggCfg::paper(n_p, n_d, 8, 32, p_am_lines, d_lines))
@@ -28,7 +28,7 @@ fn first_read_grants_mastership_to_reader() {
     assert_eq!(a.level, Level::Hop2);
     assert_eq!(s.am_state(p, 64), Some(AmState::SharedMaster));
     let e = s.dnode(d).entry(64).expect("directory entry exists");
-    assert_eq!(e.master, Master::Node(p));
+    assert_eq!(e.master, Master::Node(CompactNode::new(p)));
     assert!(e.in_mem, "home keeps its copy after a first read");
     assert_eq!(s.dnode(d).shared_list_len(), 1);
     s.check_invariants();
@@ -55,7 +55,7 @@ fn write_makes_dirty_and_frees_home_slot() {
     let a = s.write(p1, 0x1000, 10_000);
     assert_eq!(a.level, Level::Hop2);
     let e = s.dnode(d).entry(64).expect("entry");
-    assert_eq!(e.owner, Some(p1));
+    assert_eq!(e.owner.map(CompactNode::get), Some(p1));
     assert!(!e.in_mem, "owned line releases its home Data slot");
     assert_eq!(s.dnode(d).free_slots(), free_before + 1);
     assert_eq!(s.am_state(p0, 64), None, "sharer invalidated");

@@ -2,7 +2,7 @@
 //! `coma.rs` unit tests; same scenarios, driven through the public API).
 
 use pimdsm_mem::CacheCfg;
-use pimdsm_proto::{AmState, ComaCfg, ComaSystem, Level, MemSystem};
+use pimdsm_proto::{AmState, ComaCfg, ComaSystem, CompactNode, Level, MemSystem};
 
 fn sys(am_lines: u64) -> ComaSystem {
     ComaSystem::new(ComaCfg::paper(4, 8, 32, am_lines))
@@ -39,7 +39,7 @@ fn read_of_dirty_line_leaves_shared_master_at_owner() {
     assert_eq!(s.am_state(1, 64), Some(AmState::Shared));
     let e = s.dir_entry(64).expect("entry");
     assert_eq!(e.owner, None);
-    assert_eq!(e.master, Some(0));
+    assert_eq!(e.master.map(CompactNode::get), Some(0));
 }
 
 #[test]
@@ -51,7 +51,10 @@ fn write_invalidates_other_copies() {
     assert_eq!(s.am_state(0, 64), None);
     assert_eq!(s.am_state(1, 64), None);
     assert_eq!(s.am_state(2, 64), Some(AmState::Dirty));
-    assert_eq!(s.dir_entry(64).expect("entry").owner, Some(2));
+    assert_eq!(
+        s.dir_entry(64).expect("entry").owner.map(CompactNode::get),
+        Some(2)
+    );
 }
 
 #[test]
@@ -95,7 +98,12 @@ fn master_replacement_injects() {
     s.write(0, 0, 0); // line 0 dirty at node 0
     s.write(0, 64, 1000); // displaces line 0 -> inject
     assert_eq!(s.injections(), 1);
-    let holder = s.dir_entry(0).expect("entry").owner.expect("still owned");
+    let holder = s
+        .dir_entry(0)
+        .expect("entry")
+        .owner
+        .expect("still owned")
+        .get();
     assert!(s.am_state(holder, 0).is_some(), "line lives at {holder}");
     assert_ne!(holder, 0);
 }
@@ -114,7 +122,10 @@ fn forced_injection_spills_displaced_master_to_disk() {
                        // 1's only way, displacing line 1 to disk.
     s.write(0, 128, 1000);
     assert_eq!(s.stats().disk_spills, 1);
-    assert_eq!(s.dir_entry(0).expect("entry").owner, Some(1));
+    assert_eq!(
+        s.dir_entry(0).expect("entry").owner.map(CompactNode::get),
+        Some(1)
+    );
     assert!(s.am_state(1, 0).is_some());
     assert!(s.dir_entry(1).expect("entry").on_disk);
     // Reading the spilled line pays the disk fault.

@@ -9,7 +9,8 @@
 use pimdsm_faults::{Durability, RecoveryStats};
 use pimdsm_proto::dnode::Master;
 use pimdsm_proto::{
-    AggCfg, AggSystem, AmState, ComaCfg, ComaSystem, Level, MemSystem, NumaCfg, NumaSystem,
+    AggCfg, AggSystem, AmState, ComaCfg, ComaSystem, CompactNode, Level, MemSystem, NumaCfg,
+    NumaSystem,
 };
 
 fn agg(n_p: usize, n_d: usize) -> AggSystem {
@@ -60,7 +61,7 @@ fn agg_kill_p_while_it_owns_dirty_lines() {
     let h3 = s.fabric().pages.home(3).expect("page 3 mapped");
     let e3 = s.dnode(h3).entry(192).expect("entry");
     assert!(!e3.sharers.contains(p0));
-    assert_eq!(e3.master, Master::Node(p1));
+    assert_eq!(e3.master, Master::Node(CompactNode::new(p1)));
 
     s.check_coherence();
     s.check_invariants();
@@ -78,7 +79,11 @@ fn agg_kill_p_reelects_master_onto_surviving_sharer() {
 
     let h = s.fabric().pages.home(1).expect("page 1 mapped");
     let e = s.dnode(h).entry(64).expect("entry");
-    assert_eq!(e.master, Master::Node(p1), "mastership re-elected");
+    assert_eq!(
+        e.master,
+        Master::Node(CompactNode::new(p1)),
+        "mastership re-elected"
+    );
     assert_eq!(s.am_state(p1, 64), Some(AmState::SharedMaster));
     assert!(rs.lines_recalled >= 1);
     s.check_coherence();
@@ -105,12 +110,12 @@ fn agg_kill_d_while_it_is_home_for_remote_pages() {
 
     // The dirty line at a live P-node survives with ownership intact.
     let e = s.dnode(survivor).entry(128).expect("entry moved home");
-    assert_eq!(e.owner, Some(p0));
+    assert_eq!(e.owner.map(CompactNode::get), Some(p0));
     // The victim's in-memory home copy of page 4 died; its master is
     // still the reader.
     let e4 = s.dnode(survivor).entry(256).expect("entry moved home");
     assert!(!e4.in_mem, "home copy died with the victim");
-    assert_eq!(e4.master, Master::Node(p0));
+    assert_eq!(e4.master, Master::Node(CompactNode::new(p0)));
     assert!(rs.lines_recalled >= 2);
 
     s.check_coherence();
@@ -229,7 +234,11 @@ fn coma_kill_reelects_master_onto_surviving_sharer() {
     let mut rs = RecoveryStats::default();
     s.apply_kill(0, 10_000, Durability::None, &mut rs);
     let e = s.dir_entry(64).expect("entry");
-    assert_eq!(e.master, Some(1), "mastership re-elected");
+    assert_eq!(
+        e.master.map(CompactNode::get),
+        Some(1),
+        "mastership re-elected"
+    );
     assert_eq!(s.am_state(1, 64), Some(AmState::SharedMaster));
     assert!(!e.sharers.contains(0));
     assert!(rs.lines_recalled >= 1);
@@ -291,7 +300,7 @@ fn numa_kill_clears_dirty_ownership_and_rehomes_pages() {
 
     // A survivor's dirty copy keeps its ownership across the re-home.
     let e64 = s.dir_entry(64).expect("entry");
-    assert_eq!(e64.owner, Some(1));
+    assert_eq!(e64.owner.map(CompactNode::get), Some(1));
     // The victim's own dirty line is scrubbed and written off.
     let e128 = s.dir_entry(128).expect("entry");
     assert_eq!(e128.owner, None);

@@ -25,11 +25,12 @@ use pimdsm_workloads::{AppId, Scale};
 /// hundred times over).
 const AGG_ALLOC_CEILING: u64 = 10_000;
 
-/// Ceiling on allocated bytes for the same point (measured ~1.0 MB).
+/// Ceiling on allocated bytes for the same point (measured 772,759 B).
 /// Dominated by the machine's fixed arenas (slab caches, page-table and
 /// directory chunks), so it scales with configuration, not with
-/// simulated work.
-const AGG_BYTE_CEILING: u64 = 8 << 20;
+/// simulated work. With 48-byte D-node directory slots (`usize` node
+/// ids) the same point allocated 1,018,519 B and fails this ceiling.
+const AGG_BYTE_CEILING: u64 = 7 << 17;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 COMA
 /// point (Swim:COMA75, measured 821). COMA has no backing store, so
@@ -39,12 +40,14 @@ const AGG_BYTE_CEILING: u64 = 8 << 20;
 /// this ceiling (25,691 allocations at the same point).
 const COMA_ALLOC_CEILING: u64 = 5_000;
 
-/// Ceiling on allocated bytes for the COMA point (measured ~3.6 MB).
+/// Ceiling on allocated bytes for the COMA point (measured 2,835,008 B).
 /// Building the machine allocates every node's attraction-memory tags
-/// and on-chip LRU, so the bytes follow the per-line entry size: with
-/// 24-byte tags and 24-byte queue nodes plus index slots the same point
-/// allocated ~5.1 MB and fails this ceiling.
-const COMA_BYTE_CEILING: u64 = 4 << 20;
+/// and on-chip LRU, and preloading fills the home directory, so the
+/// bytes follow the per-line entry sizes: with 48-byte directory slots
+/// the same point allocated 3,625,536 B, and with 24-byte tags and
+/// 24-byte queue nodes plus index slots as well ~5.1 MB; both fail this
+/// ceiling.
+const COMA_BYTE_CEILING: u64 = 3 << 20;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 NUMA
 /// point (Swim:NUMA, measured 425). The home directory allocates one
@@ -53,7 +56,8 @@ const COMA_BYTE_CEILING: u64 = 4 << 20;
 /// this ceiling.
 const NUMA_ALLOC_CEILING: u64 = 1_000;
 
-/// Ceiling on allocated bytes for the NUMA point (measured ~1.1 MB).
+/// Ceiling on allocated bytes for the NUMA point (measured 1,045,436 B;
+/// 1,110,972 B with 24-byte directory slots).
 const NUMA_BYTE_CEILING: u64 = 8 << 20;
 
 /// Committed ceiling on live-heap growth inside `Machine::run` for the
