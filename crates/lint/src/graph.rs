@@ -2,9 +2,8 @@
 //!
 //! [`CallGraph::build`] lifts the per-file structure from [`crate::scan`]
 //! into a workspace-level model: every function definition with its
-//! parsed signature (self kind, parameter names/type text, return type
-//! text, enclosing `impl` type), and every call site with its callee
-//! candidates resolved by name. The resolver is deliberately
+//! enclosing `impl` type, and every call site with its callee candidates
+//! resolved by name. The resolver is deliberately
 //! *conservative over-approximate* — still no `syn`, no type inference:
 //!
 //! - `Type::method(..)` resolves to functions of that name inside an
@@ -16,8 +15,8 @@
 //! - `self.method(..)` prefers the enclosing impl's own method; other
 //!   `recv.method(..)` calls resolve to *every* dep-visible method of
 //!   that name. For trait objects (`dyn MemSystem`) this lands on every
-//!   implementor — exactly the over-approximation the interprocedural
-//!   rules want. Precise trait dispatch is documented out of scope.
+//!   implementor — exactly the over-approximation the reachability rule
+//!   (D004) wants. Precise trait dispatch is documented out of scope.
 //! - Plain `func(..)` resolves to free functions only (same file, then
 //!   same crate, then dependency crates) — never to methods, so common
 //!   names like `drop` cannot leak across the free/method boundary.
@@ -28,31 +27,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::scan::{find_keyword, is_ident_char, match_paren, split_args};
+use crate::scan::{is_ident_char, match_paren};
 use crate::Workspace;
-
-/// How a function receives `self`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelfKind {
-    /// Free function or associated function without a receiver.
-    None,
-    /// `&self`.
-    Ref,
-    /// `&mut self`.
-    RefMut,
-    /// `self` / `mut self` by value.
-    Value,
-}
-
-/// One non-self parameter: name (as written, `mut` stripped) and the
-/// raw type text after the `:`.
-#[derive(Debug, Clone)]
-pub struct ParamSig {
-    /// Binding name (may be a pattern for destructuring params).
-    pub name: String,
-    /// Type text, whitespace-trimmed, otherwise verbatim.
-    pub ty: String,
-}
 
 /// One function definition, workspace-wide.
 #[derive(Debug, Clone)]
@@ -67,13 +43,6 @@ pub struct FnSig {
     pub name: String,
     /// Enclosing `impl` self type, if any.
     pub self_ty: Option<String>,
-    /// How the function takes `self`.
-    pub self_kind: SelfKind,
-    /// Non-self parameters in order.
-    pub params: Vec<ParamSig>,
-    /// Return type text (empty when the function returns `()`); a
-    /// standalone `Self` is resolved to the impl type.
-    pub ret: String,
     /// Byte offset of the `fn` keyword.
     pub start: usize,
     /// Byte offset just past the opening `{`.
@@ -112,10 +81,6 @@ pub struct CallSite {
     pub recv_self: bool,
     /// Byte offset of the callee name.
     pub name_at: usize,
-    /// Byte offset of the opening `(`.
-    pub paren: usize,
-    /// Byte offset of the matching `)`.
-    pub close: usize,
     /// Resolved candidate definitions (indices into `CallGraph::fns`).
     pub callees: Vec<usize>,
 }
@@ -195,12 +160,6 @@ impl CallGraph {
                     .filter(|im| im.body_start <= f.start && f.start < im.body_end)
                     .max_by_key(|im| im.body_start)
                     .map(|im| im.ty.clone());
-                let (self_kind, params, ret) = parse_signature(
-                    &entry.file.masked,
-                    f.start,
-                    f.body_start,
-                    self_ty.as_deref(),
-                );
                 here.push(fns.len());
                 fns.push(FnSig {
                     file: fi,
@@ -208,9 +167,6 @@ impl CallGraph {
                     rel: entry.file.rel.clone(),
                     name: f.name,
                     self_ty,
-                    self_kind,
-                    params,
-                    ret,
                     start: f.start,
                     body_start: f.body_start,
                     body_end: f.body_end,
@@ -269,127 +225,6 @@ impl CallGraph {
             by_name,
         }
     }
-
-    /// The argument texts of a call, as `(abs_offset, trimmed_text)`.
-    pub fn call_args<'a>(&self, masked: &'a str, call: &CallSite) -> Vec<(usize, &'a str)> {
-        split_args(&masked[call.paren + 1..call.close])
-            .into_iter()
-            .map(|(off, text)| (call.paren + 1 + off, text.trim()))
-            .collect()
-    }
-}
-
-/// Parses the signature text between the `fn` keyword and the body
-/// brace: self kind, parameters, and return type (with `Self` resolved).
-fn parse_signature(
-    masked: &str,
-    start: usize,
-    body_start: usize,
-    self_ty: Option<&str>,
-) -> (SelfKind, Vec<ParamSig>, String) {
-    let b = masked.as_bytes();
-    let mut i = start + 2;
-    while i < body_start && (b[i] as char).is_whitespace() {
-        i += 1;
-    }
-    while i < body_start && is_ident_char(b[i]) {
-        i += 1;
-    }
-    // Parameter list: first `(` outside the generics' angle brackets.
-    // `->` inside `Fn(..) -> T` bounds balances its own `<`-free arrow,
-    // so simple depth counting stays net-correct for the opening paren.
-    let mut angle = 0i32;
-    let mut open = None;
-    while i < body_start {
-        match b[i] {
-            b'<' => angle += 1,
-            b'>' => angle -= 1,
-            b'(' if angle <= 0 => {
-                open = Some(i);
-                break;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let Some(open) = open else {
-        return (SelfKind::None, Vec::new(), String::new());
-    };
-    let Some(close) = match_paren(masked, open) else {
-        return (SelfKind::None, Vec::new(), String::new());
-    };
-
-    let mut self_kind = SelfKind::None;
-    let mut params = Vec::new();
-    for (k, (_, arg)) in split_args(&masked[open + 1..close]).iter().enumerate() {
-        let t = arg.trim();
-        if k == 0 {
-            if let Some(kind) = self_param_kind(t) {
-                self_kind = kind;
-                continue;
-            }
-        }
-        let Some(c) = t.find(':') else { continue };
-        let name = t[..c].trim();
-        let name = name.strip_prefix("mut ").unwrap_or(name).trim();
-        params.push(ParamSig {
-            name: name.to_string(),
-            ty: t[c + 1..].trim().to_string(),
-        });
-    }
-
-    // Return type: `-> T` before any `where` clause and the `{`.
-    let tail_end = body_start.saturating_sub(1).max(close + 1);
-    let tail = &masked[close + 1..tail_end];
-    let tail = match find_keyword(tail, "where").first() {
-        Some(&w) => &tail[..w],
-        None => tail,
-    };
-    let ret = match tail.find("->") {
-        Some(a) => tail[a + 2..].trim().to_string(),
-        None => String::new(),
-    };
-    let ret = match self_ty {
-        Some(ty) => replace_keyword(&ret, "Self", ty),
-        None => ret,
-    };
-    (self_kind, params, ret)
-}
-
-/// Classifies a first parameter as a `self` receiver, if it is one.
-/// Handles `self`, `mut self`, `&self`, `&mut self`, `&'a self`,
-/// `&'a mut self`; typed receivers (`self: Box<Self>`) are out of scope.
-fn self_param_kind(t: &str) -> Option<SelfKind> {
-    if t == "self" || t == "mut self" {
-        return Some(SelfKind::Value);
-    }
-    let rest = t.strip_prefix('&')?.trim_start();
-    let rest = if let Some(lt) = rest.strip_prefix('\'') {
-        lt.trim_start_matches(|c: char| c.is_alphanumeric() || c == '_')
-            .trim_start()
-    } else {
-        rest
-    };
-    if rest == "self" {
-        Some(SelfKind::Ref)
-    } else if rest.strip_prefix("mut").map(str::trim_start) == Some("self") {
-        Some(SelfKind::RefMut)
-    } else {
-        None
-    }
-}
-
-/// Replaces standalone occurrences of `word` in `text` with `with`.
-pub fn replace_keyword(text: &str, word: &str, with: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut last = 0usize;
-    for at in find_keyword(text, word) {
-        out.push_str(&text[last..at]);
-        out.push_str(with);
-        last = at + word.len();
-    }
-    out.push_str(&text[last..]);
-    out
 }
 
 /// Scans a masked file for `ident(` call shapes. `caller` and `callees`
@@ -440,9 +275,9 @@ fn extract_calls(masked: &str) -> Vec<CallSite> {
         } else if masked[..s].trim_end().ends_with("fn") {
             continue; // a definition, not a call
         }
-        let Some(close) = match_paren(masked, p) else {
+        if match_paren(masked, p).is_none() {
             continue;
-        };
+        }
         out.push(CallSite {
             caller: usize::MAX,
             name: name.to_string(),
@@ -450,8 +285,6 @@ fn extract_calls(masked: &str) -> Vec<CallSite> {
             is_method,
             recv_self,
             name_at: s,
-            paren: p,
-            close,
             callees: Vec::new(),
         });
     }
@@ -579,33 +412,6 @@ mod tests {
             );
         }
         ws
-    }
-
-    fn find<'g>(g: &'g CallGraph, name: &str) -> &'g FnSig {
-        &g.fns[g.by_name[name][0]]
-    }
-
-    #[test]
-    fn signatures_parse_self_params_and_returns() {
-        let w = ws(&[(
-            "crates/proto/src/a.rs",
-            "proto",
-            "impl Walk {\n fn go(&mut self, fab: &mut Fabric, n: u32) -> Access { fab.hit(n) }\n fn take(self) -> Self { self }\n}\nfn free(x: u64) -> u64 { x }\n",
-        )]);
-        let g = CallGraph::build(&w);
-        let go = find(&g, "go");
-        assert_eq!(go.self_kind, SelfKind::RefMut);
-        assert_eq!(go.self_ty.as_deref(), Some("Walk"));
-        assert_eq!(go.params.len(), 2);
-        assert_eq!(go.params[0].name, "fab");
-        assert_eq!(go.params[0].ty, "&mut Fabric");
-        assert_eq!(go.ret, "Access");
-        let take = find(&g, "take");
-        assert_eq!(take.self_kind, SelfKind::Value);
-        assert_eq!(take.ret, "Walk", "Self resolved to the impl type");
-        let free = find(&g, "free");
-        assert_eq!(free.self_kind, SelfKind::None);
-        assert!(free.self_ty.is_none());
     }
 
     #[test]

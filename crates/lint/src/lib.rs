@@ -3,9 +3,11 @@
 //! The simulator's evaluation rests on cycle-exact, reproducible runs,
 //! and two whole bug classes that threaten that are statically visible in
 //! the source: *nondeterminism* (unordered collections and ambient
-//! time/randomness on the simulation path) and *invariant holes*
-//! (transaction walks that never `finish`, report fields dropped from the
-//! JSON round-trip, trace events no consumer knows about). This crate
+//! time/randomness on the simulation path) and *invariant holes* (report
+//! fields dropped from the JSON round-trip, trace events no consumer
+//! knows about). Transaction walks need no rule: `pimdsm_proto::txn::walk`
+//! is the only way to open and finish one, so every walk is finished by
+//! construction and the compiler rejects one that is not. This crate
 //! scans the workspace source directly — it is dependency-free by design
 //! (the build environment is offline), so instead of a `syn` AST it uses
 //! a masking lexer plus just enough structure extraction; see
@@ -17,16 +19,15 @@
 //! |------|-----------|
 //! | D001 | no `HashMap`/`HashSet` in simulation crates |
 //! | D002 | no `Instant::now`/`SystemTime`/`thread_rng` outside tooling and tests |
+//! | D003 | no `BinaryHeap` in simulation crates; arena `slab`s expose `iter_deterministic()` |
 //! | D004 | no determinism taint reaching simulation crates through any call chain |
-//! | T001 | every constructed `Txn` reaches `.finish(...)` |
-//! | T002 | `Txn`s passed/returned/stored across functions reach `.finish(...)` |
 //! | S001 | every pub stats field appears in both `to_json` and `from_json` |
 //! | O001 | emitted trace names/categories ⊆ obs registry, and vice versa |
 //! | P001 | entered `phase!(...)` names ⊆ prof phase registry, and vice versa |
 //! | L000 | `pimdsm-lint:` directives are well-formed and name a known rule |
 //!
 //! The per-function rules work straight off [`scan`]'s masked text; the
-//! cross-function rules (D004/T002) run on [`graph`]'s symbol table and
+//! cross-function rule (D004) runs on [`graph`]'s symbol table and
 //! resolved call graph, built once per [`run_all`]. [`emit`] renders the
 //! `--format json` diagnostics document.
 //!
@@ -88,9 +89,9 @@ pub struct FileEntry {
     /// Owning crate, named by its `crates/<name>` directory (`core` for
     /// the `pimdsm` package); the workspace-root harness is `repro`.
     pub krate: String,
-    /// Whether the file is test/bench/example code (rules D001/D002/T001
-    /// and the O001 emission check skip those; `#[cfg(test)]` modules
-    /// inside `src/` are additionally skipped per-region).
+    /// Whether the file is test/bench/example code (every rule but L000
+    /// skips those; `#[cfg(test)]` modules inside `src/` are additionally
+    /// skipped per-region).
     pub is_test_code: bool,
 }
 
@@ -201,12 +202,10 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
         rules::d001(ws),
         rules::d002(ws),
         rules::d003(ws),
-        rules::t001(ws),
         rules::s001(ws),
         rules::o001(ws),
         rules::p001(ws),
         rules::l000(ws),
-        semantic::t002(ws, &graph),
         semantic::d004(ws, &graph),
     ]
     .into_iter()

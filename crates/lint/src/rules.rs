@@ -6,8 +6,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::scan::{find_keyword, is_ident_char, match_paren, split_args, FnSpan, SourceFile};
-use crate::{Diagnostic, FileEntry, Workspace, SIM_CRATES};
+use crate::scan::{find_keyword, is_ident_char, match_paren, split_args, SourceFile};
+use crate::{Diagnostic, Workspace, SIM_CRATES};
 
 /// Rule table: `(id, one-line description)` — the contract DESIGN.md
 /// documents and `pimdsm-lint --list` prints.
@@ -29,14 +29,6 @@ pub const RULES: &[(&str, &str)] = &[
         "determinism taint: wall-clock/randomness/env/thread-id/pointer-derived values must not reach simulation crates through any call chain",
     ),
     (
-        "T001",
-        "every function that constructs a Txn must reach .finish(...) on its return paths",
-    ),
-    (
-        "T002",
-        "interprocedural Txn escape: by-value Txn params, Txn-producing call sites and struct fields must reach .finish(...) across the call graph",
-    ),
-    (
         "S001",
         "every pub stats field must appear in both to_json and from_json of its struct",
     ),
@@ -56,7 +48,7 @@ pub const RULES: &[(&str, &str)] = &[
 
 /// Crates whose `src/` is simulation path: a nondeterministic collection
 /// here can leak into simulated time.
-fn is_sim(krate: &str) -> bool {
+pub(crate) fn is_sim(krate: &str) -> bool {
     SIM_CRATES.contains(&krate)
 }
 
@@ -177,139 +169,6 @@ pub fn d003(ws: &Workspace) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-/// T001 — a constructed `Txn` must reach `.finish(...)`.
-///
-/// Source-level approximation of "on all return paths": the body must
-/// call `.finish(` at least once, and every `return` statement *after*
-/// the first construction must either call `.finish(` itself or move the
-/// transaction variable onward (a callee then owns finishing it). A
-/// dropped `Txn` silently loses the walk's span, statistics, and the
-/// breakdown-sums-to-total guarantee.
-pub fn t001(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for entry in &ws.files {
-        if !is_sim(&entry.krate) || entry.is_test_code {
-            continue;
-        }
-        if !entry.file.masked.contains("Txn::start") {
-            continue;
-        }
-        for f in entry.file.fns() {
-            if entry.file.in_test_region(f.start) {
-                continue;
-            }
-            out.extend(check_txn_fn(entry, &f));
-        }
-    }
-    out
-}
-
-fn check_txn_fn(entry: &FileEntry, f: &FnSpan) -> Vec<Diagnostic> {
-    let body = &entry.file.masked[f.body_start..f.body_end];
-    let starts = find_pattern(body, "Txn::start");
-    if starts.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    if !body.contains(".finish(") {
-        // Report every construction site, not just the first: each is an
-        // independently dropped walk.
-        for &s in &starts {
-            out.push(Diagnostic {
-                rule: "T001",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(f.body_start + s),
-                msg: format!(
-                    "`{}` constructs a Txn but never calls .finish(...): the walk's trace span, read statistics and latency breakdown are silently dropped",
-                    f.name
-                ),
-            });
-        }
-        return out;
-    }
-    // Per-construction binding variable: `let [mut] tx = Txn::start(..)`.
-    // Resolved against each construction's own statement head, so a
-    // second construction shadowing the first gets its own entry instead
-    // of all checks keying off the first `let`.
-    let bindings: Vec<Option<String>> = starts.iter().map(|&s| txn_binding_var(body, s)).collect();
-
-    // Shadowing drop: construction `i`'s binding is rebound by a later
-    // construction while the first walk was never touched in between —
-    // the first Txn is dropped at the rebind, with no return statement
-    // involved. Reported against construction `i` (the dropped walk).
-    for (i, &s) in starts.iter().enumerate() {
-        let Some(v) = bindings[i].as_deref() else {
-            continue;
-        };
-        let Some(&s2) = starts
-            .iter()
-            .skip(i + 1)
-            .find(|&&s2| txn_binding_var(body, s2).as_deref() == Some(v))
-        else {
-            continue;
-        };
-        let seg_start = body[s..].find(';').map_or(body.len(), |p| s + p + 1);
-        let seg_end = body[..s2].rfind([';', '{', '}']).map_or(s2, |p| p + 1);
-        let untouched =
-            seg_start >= seg_end || find_keyword(&body[seg_start..seg_end], v).is_empty();
-        if untouched {
-            out.push(Diagnostic {
-                rule: "T001",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(f.body_start + s),
-                msg: format!(
-                    "Txn bound to `{v}` in `{}` is shadowed by a later `let {v} = Txn::start(...)` without being finished or moved: the first walk is dropped at the rebind",
-                    f.name
-                ),
-            });
-        }
-    }
-
-    for ret in find_keyword(body, "return") {
-        if ret < starts[0] {
-            continue;
-        }
-        let stmt_end = body[ret..].find(';').map_or(body.len(), |p| ret + p);
-        let stmt = &body[ret..stmt_end];
-        let finishes = stmt.contains(".finish(");
-        let moves_txn = starts.iter().zip(&bindings).any(|(&s, v)| {
-            s < ret
-                && v.as_deref()
-                    .is_some_and(|v| !find_keyword(stmt, v).is_empty())
-        });
-        if !finishes && !moves_txn {
-            out.push(Diagnostic {
-                rule: "T001",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(f.body_start + ret),
-                msg: format!(
-                    "return path in `{}` after Txn::start neither calls .finish(...) nor moves the transaction: the in-flight walk is dropped unaccounted",
-                    f.name
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// The variable bound by the `let` statement a `Txn::start` at `at`
-/// belongs to, if that construction is directly let-bound.
-fn txn_binding_var(body: &str, at: usize) -> Option<String> {
-    let stmt_start = body[..at].rfind([';', '{', '}']).map_or(0, |p| p + 1);
-    let head = body[stmt_start..at].trim();
-    let rest = head.strip_prefix("let")?;
-    if !rest.starts_with(char::is_whitespace) || !head.ends_with('=') {
-        return None;
-    }
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-    let name: String = rest
-        .chars()
-        .take_while(|&c| is_ident_char(c as u8))
-        .collect();
-    (!name.is_empty()).then_some(name)
 }
 
 /// S001 — report-schema sync: every `pub` field of a struct that has both

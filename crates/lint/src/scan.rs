@@ -252,49 +252,6 @@ impl SourceFile {
         out
     }
 
-    /// Every `struct` with a braced body (any visibility), as
-    /// `(name, body_start, body_end)` byte spans — the body is the text
-    /// between the braces. Tuple and unit structs are skipped.
-    pub fn struct_spans(&self) -> Vec<(String, usize, usize)> {
-        let b = self.masked.as_bytes();
-        let mut out = Vec::new();
-        for start in find_keyword(&self.masked, "struct") {
-            let mut i = start + 6;
-            while i < b.len() && (b[i] as char).is_whitespace() {
-                i += 1;
-            }
-            let name_start = i;
-            while i < b.len() && is_ident_char(b[i]) {
-                i += 1;
-            }
-            let name = self.masked[name_start..i].to_string();
-            if name.is_empty() {
-                continue;
-            }
-            let mut open = None;
-            let mut angle = 0i32;
-            while i < b.len() {
-                match b[i] {
-                    b'<' => angle += 1,
-                    b'>' => angle -= 1,
-                    b'(' | b';' if angle == 0 => break,
-                    b'{' if angle == 0 => {
-                        open = Some(i);
-                        break;
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            let Some(open) = open else { continue };
-            let Some(close) = match_brace(&self.masked, open) else {
-                continue;
-            };
-            out.push((name, open + 1, close));
-        }
-        out
-    }
-
     /// Every `pub struct` with named fields, with its `pub` field names.
     pub fn pub_structs(&self) -> Vec<StructSpan> {
         let b = self.masked.as_bytes();

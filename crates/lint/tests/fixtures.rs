@@ -132,27 +132,6 @@ fn d003_does_not_fire_outside_simulation_crates() {
 }
 
 #[test]
-fn t001_fires_on_unfinished_txn_walks() {
-    // T002 independently reports the never-finished construction; this
-    // test pins the per-function rule.
-    let diags: Vec<Diagnostic> = scan_fixture("t001_txn_leak.rs", "proto")
-        .into_iter()
-        .filter(|d| d.rule == "T001")
-        .collect();
-    assert_eq!(diags.len(), 2, "one per leak: {diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("t001_txn_leak.rs", "let mut tx = Txn::start"),
-        "never-finished walk reported at its construction"
-    );
-    assert_eq!(
-        diags[1].line,
-        line_of("t001_txn_leak.rs", "return now;"),
-        "early return reported at the return"
-    );
-}
-
-#[test]
 fn s001_fires_on_schema_drift() {
     let diags = scan_fixture("s001_schema_drift.rs", "core");
     assert!(diags.iter().all(|d| d.rule == "S001"), "{diags:?}");
@@ -199,54 +178,6 @@ fn p001_fires_on_unregistered_phase_names() {
         diags[0].line,
         line_of("p001_unknown_phase.rs", "point.rnu\");"),
         "span points at the bad invocation"
-    );
-}
-
-#[test]
-fn t001_shadowed_rebind_is_reported_at_the_dropped_construction() {
-    let diags: Vec<Diagnostic> = scan_fixture("t001_shadowed.rs", "proto")
-        .into_iter()
-        .filter(|d| d.rule == "T001")
-        .collect();
-    assert_eq!(diags.len(), 1, "exactly the shadowing drop: {diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("t001_shadowed.rs", "let tx = Txn::start(node, line, now)"),
-        "span points at the dropped (first) construction, not the rebind"
-    );
-    assert!(diags[0].msg.contains("shadowed"), "{diags:?}");
-}
-
-#[test]
-fn t002_fires_across_the_call_graph() {
-    let diags: Vec<Diagnostic> = scan_fixture("t002_escape.rs", "proto")
-        .into_iter()
-        .filter(|d| d.rule == "T002")
-        .collect();
-    // The dropped by-value parameter, the producing call site whose walk
-    // feeds it, and the struct-stored Txn.
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("t002_escape.rs", "pub fn forward_and_forget"),
-        "unfinished by-value param reported at the helper: {diags:?}"
-    );
-    assert!(diags[0].msg.contains("`tx`"), "{diags:?}");
-    assert_eq!(
-        diags[1].line,
-        line_of("t002_escape.rs", "let tx = Txn::start(node, line, now)"),
-        "producing call site reported at the construction: {diags:?}"
-    );
-    assert_eq!(
-        diags[2].line,
-        line_of("t002_escape.rs", "pub txn: Txn,"),
-        "stored Txn reported at the field: {diags:?}"
-    );
-    assert!(diags[2].msg.contains("ParkedWalk"), "{diags:?}");
-    // The allow-hatch case (`ParkedAllowed`) is suppressed.
-    assert!(
-        !diags.iter().any(|d| d.msg.contains("ParkedAllowed")),
-        "justified allow suppresses the parked walk: {diags:?}"
     );
 }
 
@@ -347,11 +278,15 @@ fn cli_exits_zero_on_clean_workspace_and_lists_rules() {
         .output()
         .expect("run pimdsm-lint --list");
     let text = String::from_utf8_lossy(&list.stdout);
-    for id in [
-        "D001", "D002", "D003", "D004", "T001", "T002", "S001", "O001", "P001", "L000",
-    ] {
-        assert!(text.contains(id), "--list names {id}");
-    }
+    let ids: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        ids,
+        ["D001", "D002", "D003", "D004", "S001", "O001", "P001", "L000"],
+        "--list names exactly the rule table: {text}"
+    );
 }
 
 #[test]
@@ -369,7 +304,10 @@ fn cli_json_format_emits_the_stable_schema() {
     // The workspace carries no suppression: doc comments and string
     // literals that merely quote the directive syntax are not directives.
     assert!(text.contains("\"allows\": []"), "{text}");
-    for id in ["\"D004\"", "\"T002\"", "\"L000\""] {
-        assert!(text.contains(id), "rules array names {id}: {text}");
-    }
+    assert!(
+        text.contains(
+            r#""rules": ["D001", "D002", "D003", "D004", "S001", "O001", "P001", "L000"]"#
+        ),
+        "rules array names exactly the rule table: {text}"
+    );
 }

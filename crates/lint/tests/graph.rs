@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 
-use pimdsm_lint::graph::{crate_deps, CallGraph, SelfKind};
+use pimdsm_lint::graph::{crate_deps, CallGraph};
 use pimdsm_lint::Workspace;
 
 fn root() -> PathBuf {
@@ -123,7 +123,6 @@ fn machine_event_handlers_exist_and_call_into_proto() {
         .iter()
         .position(|f| f.self_ty.as_deref() == Some("Machine") && f.name == "step" && !f.is_test)
         .expect("Machine::step in the symbol table");
-    assert_eq!(g.fns[step].self_kind, SelfKind::RefMut);
     assert!(!g.calls_of[step].is_empty(), "Machine::step makes calls");
     // Cross-crate: some call from core's machine.rs resolves into proto.
     let into_proto = g.calls_of[step]
@@ -182,23 +181,4 @@ fn dependency_filter_keeps_lab_out_of_sim_call_edges() {
             }
         }
     }
-}
-
-#[test]
-fn txn_finish_has_interprocedural_callers() {
-    let (_ws, g) = real_graph();
-    let finish = g
-        .fns
-        .iter()
-        .position(|f| f.self_ty.as_deref() == Some("Txn") && f.name == "finish")
-        .expect("Txn::finish in symbol table");
-    assert_eq!(g.fns[finish].self_kind, SelfKind::Value, "finish consumes");
-    let caller_crates: BTreeSet<&str> = g.callers_of[finish]
-        .iter()
-        .map(|&c| g.fns[c].krate.as_str())
-        .collect();
-    assert!(
-        caller_crates.contains("proto"),
-        "protocol walks finish transactions: {caller_crates:?}"
-    );
 }

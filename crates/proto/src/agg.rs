@@ -36,7 +36,7 @@ use crate::dnode::{DNode, DNodeCfg, Master};
 use crate::fabric::Fabric;
 use crate::pnode::{victim_class, PNodeStore, WriteProbe};
 use crate::system::MemSystem;
-use crate::txn::{cache_hit, Txn, TxnKind};
+use crate::txn::{cache_hit, walk, Txn, TxnKind};
 
 /// Configuration of an [`AggSystem`].
 #[derive(Debug, Clone)]
@@ -480,8 +480,13 @@ impl AggSystem {
         if let Some(level) = self.pstore(node).caches.read_probe(line) {
             return cache_hit(&mut self.fab, level, now, true);
         }
+        walk(self, node, line, now, TxnKind::Read, |s, tx| {
+            s.read_txn(tx, node, line)
+        })
+    }
 
-        let mut tx = Txn::start(node, line, now);
+    /// The steps of a read that missed the private caches.
+    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         if self.pstore(node).am.contains(line) {
             self.fab.am_hit(node, line, tx.at());
@@ -489,7 +494,7 @@ impl AggSystem {
             tx.dram(m);
             tx.fill(&self.fab);
             self.pstore(node).fill_caches(line, CState::Shared);
-            return tx.finish(&mut self.fab, Level::LocalMem, TxnKind::Read, false);
+            return (Level::LocalMem, false);
         }
         self.fab.am_miss(node, line, tx.at());
 
@@ -527,7 +532,7 @@ impl AggSystem {
                 if let Some(s) = self.pstore(k).am.peek_mut(line) {
                     *s = AmState::SharedMaster;
                 }
-                self.supply_from_p(&mut tx, k, node, line);
+                self.supply_from_p(tx, k, node, line);
                 self.dstore(home).dirty_to_shared(line, node);
                 (Level::Hop3, AmState::Shared)
             }
@@ -560,7 +565,7 @@ impl AggSystem {
                     self.fab.stats.master_fetches += 1;
                     tx.handler(g);
                     tx.send(&mut self.fab, home, k, ctrl);
-                    self.supply_from_p(&mut tx, k, node, line);
+                    self.supply_from_p(tx, k, node, line);
                     self.dstore(home).add_sharer(line, node);
                     (Level::Hop3, AmState::Shared)
                 }
@@ -596,17 +601,24 @@ impl AggSystem {
         tx.fill(&self.fab);
         self.am_fill(node, line, new_state, tx.at());
         self.pstore(node).fill_caches(line, CState::Shared);
-        tx.finish(&mut self.fab, level, TxnKind::Read, true)
+        (level, true)
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let line = line_of(addr, self.cfg.line_shift);
         match self.pstore(node).caches.write_probe(line) {
-            WriteProbe::Done(level) => return cache_hit(&mut self.fab, level, now, false),
-            WriteProbe::NeedUpgrade | WriteProbe::Miss => {}
+            WriteProbe::Done(level) => cache_hit(&mut self.fab, level, now, false),
+            WriteProbe::NeedUpgrade | WriteProbe::Miss => {
+                walk(self, node, line, now, TxnKind::Write, |s, tx| {
+                    s.write_txn(tx, node, line)
+                })
+            }
         }
+    }
 
-        let mut tx = Txn::start(node, line, now);
+    /// The steps of a write that the private caches could not complete:
+    /// a miss, or a shared copy that needs ownership.
+    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         let am_state = self.pstore(node).am.peek(line).copied();
 
@@ -616,7 +628,7 @@ impl AggSystem {
             tx.dram(m);
             tx.fill(&self.fab);
             self.pstore(node).fill_caches(line, CState::Dirty);
-            return tx.finish(&mut self.fab, Level::LocalMem, TxnKind::Write, false);
+            return (Level::LocalMem, false);
         }
 
         let home = self.home_of(line, node);
@@ -642,7 +654,7 @@ impl AggSystem {
                 tx.fill(&self.fab);
                 self.am_fill(node, line, AmState::Dirty, tx.at());
                 self.pstore(node).fill_caches(line, CState::Dirty);
-                return tx.finish(&mut self.fab, Level::Hop2, TxnKind::Write, false);
+                return (Level::Hop2, true);
             }
         }
 
@@ -670,7 +682,7 @@ impl AggSystem {
             tx.handler(g);
             let acks = self.invalidate_p_copies(&targets, line, home, node, tx.at());
             tx.send(&mut self.fab, home, k, ctrl);
-            self.supply_from_p(&mut tx, k, node, line);
+            self.supply_from_p(tx, k, node, line);
             self.pstore(k).caches.invalidate(line);
             self.pstore(k).am.remove(line);
             self.fab.stats.invalidations += 1;
@@ -699,7 +711,7 @@ impl AggSystem {
             tx.handler(g);
             let acks = self.invalidate_p_copies(&targets, line, home, node, tx.at());
             tx.send(&mut self.fab, home, supplier, ctrl);
-            self.supply_from_p(&mut tx, supplier, node, line);
+            self.supply_from_p(tx, supplier, node, line);
             self.pstore(supplier).caches.invalidate(line);
             self.pstore(supplier).am.remove(line);
             self.fab.stats.invalidations += 1;
@@ -718,7 +730,7 @@ impl AggSystem {
             self.am_fill(node, line, AmState::Dirty, tx.at());
         }
         self.pstore(node).fill_caches(line, CState::Dirty);
-        tx.finish(&mut self.fab, level, TxnKind::Write, true)
+        (level, true)
     }
 
     /// Generic computation-in-memory offload (Section 2.4): P-node `p`

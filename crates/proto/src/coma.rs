@@ -29,7 +29,7 @@ use crate::common::{
 use crate::fabric::Fabric;
 use crate::pnode::{victim_class, PNodeStore, WriteProbe};
 use crate::system::MemSystem;
-use crate::txn::{cache_hit, Txn, TxnKind};
+use crate::txn::{cache_hit, walk, Txn, TxnKind};
 
 /// Configuration of a [`ComaSystem`].
 #[derive(Debug, Clone)]
@@ -549,8 +549,13 @@ impl ComaSystem {
         if let Some(level) = self.nodes[node].caches.read_probe(line) {
             return cache_hit(&mut self.fab, level, now, true);
         }
+        walk(self, node, line, now, TxnKind::Read, |s, tx| {
+            s.read_txn(tx, node, line)
+        })
+    }
 
-        let mut tx = Txn::start(node, line, now);
+    /// The steps of a read that missed the private caches.
+    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         // Attraction-memory hit: the whole point of the organization.
         if self.nodes[node].am.contains(line) {
@@ -559,7 +564,7 @@ impl ComaSystem {
             tx.dram(m);
             tx.fill(&self.fab);
             self.fill_caches(node, line, CState::Shared);
-            return tx.finish(&mut self.fab, Level::LocalMem, TxnKind::Read, false);
+            return (Level::LocalMem, false);
         }
         self.fab.am_miss(node, line, tx.at());
 
@@ -592,7 +597,7 @@ impl ComaSystem {
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::Read, 0, t1);
             tx.handler(g);
-            let lvl = self.supply_from(&mut tx, node, home, k, line, false);
+            let lvl = self.supply_from(tx, node, home, k, line, false);
             // The owner keeps the master copy, now shared.
             self.nodes[k].caches.downgrade(line);
             if let Some(s) = self.nodes[k].am.peek_mut(line) {
@@ -610,7 +615,7 @@ impl ComaSystem {
             let g = self.dispatch(home, HandlerKind::Read, 0, t1);
             tx.handler(g);
             let supplier = self.pick_supplier(node, home, m_node, line);
-            let lvl = self.supply_from(&mut tx, node, home, supplier, line, true);
+            let lvl = self.supply_from(tx, node, home, supplier, line, true);
             self.dir
                 .get_or_insert_with(line, DirEntry::default)
                 .sharers
@@ -621,46 +626,54 @@ impl ComaSystem {
             let de = self.dir.get_or_insert_with(line, DirEntry::default);
             de.master = Some(CompactNode::new(node));
             de.sharers = NodeSet::singleton(node);
-            let lvl = self.cold_round(&mut tx, node, home, HandlerKind::Read);
+            let lvl = self.cold_round(tx, node, home, HandlerKind::Read);
             (home, lvl, AmState::SharedMaster)
         };
 
         tx.fill(&self.fab);
         self.am_fill(node, line, new_state, provider, tx.at());
         self.fill_caches(node, line, CState::Shared);
-        tx.finish(&mut self.fab, level, TxnKind::Read, true)
+        (level, true)
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let line = line_of(addr, self.cfg.line_shift);
         match self.nodes[node].caches.write_probe(line) {
-            WriteProbe::Done(level) => return cache_hit(&mut self.fab, level, now, false),
-            WriteProbe::NeedUpgrade => {
-                let mut tx = Txn::start(node, line, now);
-                tx.probe(self.fab.lat.l2);
-                let am_state = self.nodes[node]
-                    .am
-                    .peek(line)
-                    .copied()
-                    .expect("cached line must be in the AM (inclusion)");
-                if am_state == AmState::Dirty {
-                    // Already exclusive at the memory level.
-                    tx.probe(self.fab.lat.am_tag_check);
-                    self.nodes[node].caches.mark_dirty(line);
-                    return tx.finish(&mut self.fab, Level::L2, TxnKind::Write, false);
-                }
-                let level = self.upgrade_round(&mut tx, node, line);
-                if let Some(s) = self.nodes[node].am.peek_mut(line) {
-                    *s = AmState::Dirty;
-                }
-                self.nodes[node].caches.mark_dirty(line);
-                tx.fill(&self.fab);
-                return tx.finish(&mut self.fab, level, TxnKind::Write, true);
-            }
-            WriteProbe::Miss => {}
+            WriteProbe::Done(level) => cache_hit(&mut self.fab, level, now, false),
+            WriteProbe::NeedUpgrade => walk(self, node, line, now, TxnKind::Write, |s, tx| {
+                s.upgrade_txn(tx, node, line)
+            }),
+            WriteProbe::Miss => walk(self, node, line, now, TxnKind::Write, |s, tx| {
+                s.write_txn(tx, node, line)
+            }),
         }
+    }
 
-        let mut tx = Txn::start(node, line, now);
+    /// The steps of a write to a line the private caches hold shared.
+    fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+        tx.probe(self.fab.lat.l2);
+        let am_state = self.nodes[node]
+            .am
+            .peek(line)
+            .copied()
+            .expect("cached line must be in the AM (inclusion)");
+        if am_state == AmState::Dirty {
+            // Already exclusive at the memory level.
+            tx.probe(self.fab.lat.am_tag_check);
+            self.nodes[node].caches.mark_dirty(line);
+            return (Level::L2, false);
+        }
+        let level = self.upgrade_round(tx, node, line);
+        if let Some(s) = self.nodes[node].am.peek_mut(line) {
+            *s = AmState::Dirty;
+        }
+        self.nodes[node].caches.mark_dirty(line);
+        tx.fill(&self.fab);
+        (level, true)
+    }
+
+    /// The steps of a write that missed the private caches.
+    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         // AM hit under a full cache miss.
         if let Some(&st) = self.nodes[node].am.peek(line) {
@@ -669,18 +682,18 @@ impl ComaSystem {
                 tx.dram(m);
                 tx.fill(&self.fab);
                 self.fill_caches(node, line, CState::Dirty);
-                return tx.finish(&mut self.fab, Level::LocalMem, TxnKind::Write, false);
+                return (Level::LocalMem, false);
             }
             // Shared in our memory: upgrade through the home; the local
             // data access overlaps with the invalidation round.
-            let level = self.upgrade_round(&mut tx, node, line);
+            let level = self.upgrade_round(tx, node, line);
             tx.dram(m);
             if let Some(s) = self.nodes[node].am.peek_mut(line) {
                 *s = AmState::Dirty;
             }
             tx.fill(&self.fab);
             self.fill_caches(node, line, CState::Dirty);
-            return tx.finish(&mut self.fab, level, TxnKind::Write, true);
+            return (level, true);
         }
 
         // Full read-exclusive: fetch data and invalidate everyone.
@@ -714,7 +727,7 @@ impl ComaSystem {
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, t1);
             tx.handler(g);
-            let lvl = self.supply_from(&mut tx, node, home, k, line, false);
+            let lvl = self.supply_from(tx, node, home, k, line, false);
             self.nodes[k].caches.invalidate(line);
             self.nodes[k].am.remove(line);
             self.fab.stats.invalidations += 1;
@@ -726,13 +739,13 @@ impl ComaSystem {
             let gr = g.reply_at;
             tx.handler(g);
             let supplier = self.pick_supplier(node, home, m_node, line);
-            let lvl = self.supply_from(&mut tx, node, home, supplier, line, false);
+            let lvl = self.supply_from(tx, node, home, supplier, line, false);
             let acks = self.invalidate_all(&targets, line, home, node, gr);
             tx.to(NETWORK, acks);
             (supplier, lvl)
         } else {
             // Cold write.
-            let lvl = self.cold_round(&mut tx, node, home, HandlerKind::ReadExclusive);
+            let lvl = self.cold_round(tx, node, home, HandlerKind::ReadExclusive);
             (home, lvl)
         };
 
@@ -744,7 +757,7 @@ impl ComaSystem {
         tx.fill(&self.fab);
         self.am_fill(node, line, AmState::Dirty, provider, tx.at());
         self.fill_caches(node, line, CState::Dirty);
-        tx.finish(&mut self.fab, level, TxnKind::Write, true)
+        (level, true)
     }
 }
 

@@ -23,14 +23,17 @@
 //!    sizes, central [`ProtoStats`], tracer. It also hosts the shared
 //!    *mechanisms* (handler dispatch, invalidation fan-out, first-touch
 //!    placement) so the systems only encode protocol *policy*.
-//! 2. [`txn`] — the transaction-walk builder. A [`Txn`] walks one memory
-//!    transaction through the machine: each typed step (probe, send,
-//!    handler, DRAM access, fill) books the contended resource (links,
-//!    protocol processors/controllers, DRAM ports), emits the matching
-//!    trace event, and attributes the elapsed cycles to exactly one
-//!    latency component, so the cache/network/handler/DRAM/queueing
-//!    breakdown sums to the transaction's total latency (the paper's
-//!    Figure 7 decomposition, machine-checked).
+//! 2. [`txn`] — the transaction-walk builder. [`txn::walk`] runs one memory
+//!    transaction through the machine: it lends the protocol's body a
+//!    [`txn::Txn`] whose typed steps (probe, send, handler, DRAM access,
+//!    fill) book the contended resource (links, protocol
+//!    processors/controllers, DRAM ports), emit the matching trace event,
+//!    and attribute the elapsed cycles to exactly one latency component,
+//!    so the cache/network/handler/DRAM/queueing breakdown sums to the
+//!    transaction's total latency (the paper's Figure 7 decomposition,
+//!    machine-checked). `walk` then finishes the `Txn` exactly once,
+//!    recording its statistics and span; nothing else can open or finish
+//!    one, so every walk is accounted by construction.
 //! 3. [`check`] — the coherence oracle: full-sweep directory-vs-cache
 //!    assertions behind [`MemSystem::check_coherence`], and per-line
 //!    checks that run after **every** transaction when the
@@ -62,4 +65,3 @@ pub use fabric::Fabric;
 pub use numa::{NumaCfg, NumaSystem};
 pub use pnode::{PNodeStore, PrivCaches};
 pub use system::MemSystem;
-pub use txn::{Txn, TxnKind};

@@ -27,7 +27,7 @@ use crate::common::{
 use crate::fabric::Fabric;
 use crate::pnode::{OnChipLru, PrivCaches, WriteProbe};
 use crate::system::MemSystem;
-use crate::txn::{cache_hit, Txn, TxnKind};
+use crate::txn::{cache_hit, walk, Txn, TxnKind};
 
 /// Configuration of a [`NumaSystem`].
 #[derive(Debug, Clone)]
@@ -249,8 +249,13 @@ impl NumaSystem {
         if let Some(level) = self.nodes[node].caches.read_probe(line) {
             return cache_hit(&mut self.fab, level, now, true);
         }
+        walk(self, node, line, now, TxnKind::Read, |s, tx| {
+            s.read_txn(tx, node, line)
+        })
+    }
 
-        let mut tx = Txn::start(node, line, now);
+    /// The steps of a read that missed the private caches.
+    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
         tx.probe(self.fab.lat.l2); // L1+L2 probe time before going out
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
@@ -333,49 +338,56 @@ impl NumaSystem {
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Shared);
         self.handle_victim(node, victim, tx.at());
-        tx.finish(&mut self.fab, level, TxnKind::Read, true)
+        (level, true)
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let line = line_of(addr, self.cfg.line_shift);
         match self.nodes[node].caches.write_probe(line) {
-            WriteProbe::Done(level) => return cache_hit(&mut self.fab, level, now, false),
-            WriteProbe::NeedUpgrade => {
-                let mut tx = Txn::start(node, line, now);
-                tx.probe(self.fab.lat.l2);
-                let home = self.home_of(line, node);
-                tx.await_recovery(&mut self.fab);
-                let entry = self.dir.get_or_insert_with(line, DirEntry::default);
-                let targets = NodeList::sharers_except(&entry.sharers, node);
-                entry.sharers = NodeSet::singleton(node);
-                entry.owner = Some(CompactNode::new(node));
-                let n_inv = targets.len() as u32;
-                let ctrl = self.fab.msg_ctrl();
-                let level = if home == node {
-                    let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, tx.at());
-                    tx.handler(g);
-                    let acks = self.invalidate_all(&targets, line, home, node, g.reply_at);
-                    tx.to(NETWORK, acks);
-                    Level::LocalMem
-                } else {
-                    self.fab.stats.remote_writes += 1;
-                    let t1 = tx.send(&mut self.fab, node, home, ctrl);
-                    let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, t1);
-                    tx.handler(g);
-                    let acks = self.invalidate_all(&targets, line, home, node, g.reply_at);
-                    tx.send(&mut self.fab, home, node, ctrl);
-                    tx.to(NETWORK, acks);
-                    Level::Hop2
-                };
-                self.nodes[node].caches.mark_dirty(line);
-                tx.fill(&self.fab);
-                return tx.finish(&mut self.fab, level, TxnKind::Write, true);
-            }
-            WriteProbe::Miss => {}
+            WriteProbe::Done(level) => cache_hit(&mut self.fab, level, now, false),
+            WriteProbe::NeedUpgrade => walk(self, node, line, now, TxnKind::Write, |s, tx| {
+                s.upgrade_txn(tx, node, line)
+            }),
+            WriteProbe::Miss => walk(self, node, line, now, TxnKind::Write, |s, tx| {
+                s.write_txn(tx, node, line)
+            }),
         }
+    }
 
-        // Read-exclusive: fetch the line with ownership.
-        let mut tx = Txn::start(node, line, now);
+    /// The steps of a write to a line the private caches hold shared.
+    fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+        tx.probe(self.fab.lat.l2);
+        let home = self.home_of(line, node);
+        tx.await_recovery(&mut self.fab);
+        let entry = self.dir.get_or_insert_with(line, DirEntry::default);
+        let targets = NodeList::sharers_except(&entry.sharers, node);
+        entry.sharers = NodeSet::singleton(node);
+        entry.owner = Some(CompactNode::new(node));
+        let n_inv = targets.len() as u32;
+        let ctrl = self.fab.msg_ctrl();
+        let level = if home == node {
+            let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, tx.at());
+            tx.handler(g);
+            let acks = self.invalidate_all(&targets, line, home, node, g.reply_at);
+            tx.to(NETWORK, acks);
+            Level::LocalMem
+        } else {
+            self.fab.stats.remote_writes += 1;
+            let t1 = tx.send(&mut self.fab, node, home, ctrl);
+            let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, t1);
+            tx.handler(g);
+            let acks = self.invalidate_all(&targets, line, home, node, g.reply_at);
+            tx.send(&mut self.fab, home, node, ctrl);
+            tx.to(NETWORK, acks);
+            Level::Hop2
+        };
+        self.nodes[node].caches.mark_dirty(line);
+        tx.fill(&self.fab);
+        (level, true)
+    }
+
+    /// Read-exclusive: fetch the line with ownership.
+    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
         tx.probe(self.fab.lat.l2);
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
@@ -450,7 +462,7 @@ impl NumaSystem {
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Dirty);
         self.handle_victim(node, victim, tx.at());
-        tx.finish(&mut self.fab, level, TxnKind::Write, true)
+        (level, true)
     }
 }
 

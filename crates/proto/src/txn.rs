@@ -6,9 +6,14 @@
 //! completion frontier through those steps and attributes every cycle of
 //! the walk to exactly one latency component ([`pimdsm_obs::breakdown`]),
 //! so the per-component breakdown sums to the transaction's total latency
-//! *by construction*. [`Txn::finish`] then emits the walk's trace span and
-//! records [`ProtoStats`](crate::ProtoStats) in one place for all three
-//! protocols.
+//! *by construction*.
+//!
+//! [`walk`] is the only way to run one: it opens the `Txn`, lends it to
+//! the protocol's body and then finishes it, which emits the walk's trace
+//! span and records [`ProtoStats`](crate::ProtoStats) in one place for all
+//! three protocols. `Txn` has no public constructor and is not `Clone`, so
+//! a walk that is dropped, stored, duplicated or never finished does not
+//! compile.
 //!
 //! The contended resources themselves (links, controllers, DRAM ports)
 //! are booked by the steps' underlying [`Fabric`] and store calls in
@@ -22,20 +27,22 @@ use pimdsm_obs::trace::track;
 
 use crate::common::{Access, Level, NodeId};
 use crate::fabric::Fabric;
+use crate::system::MemSystem;
 
 /// Whether a transaction is a read or a write/upgrade — decides the span
-/// category and whether [`Txn::finish`] records read statistics.
+/// category and whether [`walk`] records read statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnKind {
-    /// A read; `finish` records it under the satisfying level.
+    /// A read; recorded under the satisfying level.
     Read,
     /// A write or ownership upgrade; only timing is accounted.
     Write,
 }
 
 /// One in-flight transaction walk: a monotone completion frontier plus
-/// the per-component attribution of every cycle since issue.
-#[derive(Debug, Clone)]
+/// the per-component attribution of every cycle since issue. Only
+/// [`walk`] creates and finishes one.
+#[derive(Debug)]
 pub struct Txn {
     node: NodeId,
     line: Line,
@@ -47,7 +54,7 @@ pub struct Txn {
 
 impl Txn {
     /// Opens a walk for `node` on `line` at cycle `now`.
-    pub fn start(node: NodeId, line: Line, now: Cycle) -> Self {
+    fn start(node: NodeId, line: Line, now: Cycle) -> Self {
         Txn {
             node,
             line,
@@ -135,7 +142,7 @@ impl Txn {
 
     /// Closes the walk: optionally emits the read/write span, records read
     /// statistics and the component breakdown, and returns the [`Access`].
-    pub fn finish(self, fab: &mut Fabric, level: Level, kind: TxnKind, span: bool) -> Access {
+    fn finish(self, fab: &mut Fabric, level: Level, kind: TxnKind, span: bool) -> Access {
         // Host-side profiler: one thread-local bump per walk, amortized
         // over the walk's many booked steps. Pure observation.
         pimdsm_prof::counters::add(pimdsm_prof::counters::TXN_WALKS, 1);
@@ -171,6 +178,26 @@ impl Txn {
             breakdown: self.comps,
         }
     }
+}
+
+/// Runs one transaction walk for `node` on `line`, issued at `now`.
+///
+/// Opens the [`Txn`], lends it to `body` together with the system, and
+/// finishes it with the satisfaction [`Level`] and span flag `body`
+/// returns (`true` emits the walk's `read.remote`/`write.remote` span).
+/// Finishing records the read statistics and the breakdown, so every walk
+/// is accounted exactly once.
+pub fn walk<S: MemSystem>(
+    sys: &mut S,
+    node: NodeId,
+    line: Line,
+    now: Cycle,
+    kind: TxnKind,
+    body: impl FnOnce(&mut S, &mut Txn) -> (Level, bool),
+) -> Access {
+    let mut tx = Txn::start(node, line, now);
+    let (level, span) = body(sys, &mut tx);
+    tx.finish(sys.fabric_mut(), level, kind, span)
 }
 
 /// The private-cache fast path: a hit at `level` costing that level's

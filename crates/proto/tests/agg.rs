@@ -2,6 +2,7 @@
 //! `agg.rs` unit tests; same scenarios, driven through the public API).
 
 use pimdsm_mem::CacheCfg;
+use pimdsm_obs::Tracer;
 use pimdsm_proto::dnode::Master;
 use pimdsm_proto::{AggCfg, AggSystem, AmState, CompactNode, Level, MemSystem};
 
@@ -131,8 +132,9 @@ fn pageout_when_nothing_reclaimable() {
     assert!(s.stats().page_outs >= 1, "page-outs aggregated in stats");
 }
 
-#[test]
-fn disk_fault_on_paged_out_line() {
+/// A 2P/1D system whose single D-node has paged lines out to disk, and
+/// the address of the first paged-out line.
+fn paged_out_system() -> (AggSystem, u64) {
     let mut cfg = AggCfg::paper(2, 1, 8, 32, 4096, 4);
     cfg.dnode.shared_list_min = 8;
     cfg.dnode.reuse_shared_list = false;
@@ -150,7 +152,12 @@ fn disk_fault_on_paged_out_line() {
         .map(|(l, _)| l)
         .collect();
     assert!(!paged.is_empty(), "something was paged out");
-    let addr = paged[0] << 6;
+    (s, paged[0] << 6)
+}
+
+#[test]
+fn disk_fault_on_paged_out_line() {
+    let (mut s, addr) = paged_out_system();
     let faults_before = s.stats().disk_faults;
     let p1 = s.p_nodes()[1];
     let a = s.read(p1, addr, 10_000_000);
@@ -158,6 +165,33 @@ fn disk_fault_on_paged_out_line() {
     assert!(
         a.done_at - 10_000_000 >= s.cfg().lat.disk,
         "disk fault pays the disk latency"
+    );
+}
+
+#[test]
+fn paged_out_write_emits_its_remote_span() {
+    let (mut s, addr) = paged_out_system();
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
+    let faults_before = s.stats().disk_faults;
+    let p1 = s.p_nodes()[1];
+    let a = s.write(p1, addr, 10_000_000);
+    assert_eq!(
+        s.stats().disk_faults,
+        faults_before + 1,
+        "took the page-in path"
+    );
+    assert_eq!(a.level, Level::Hop2);
+    let spans = tracer
+        .events_sorted()
+        .iter()
+        .filter(|e| e.name == "write.remote")
+        .count() as u64;
+    assert_eq!(s.stats().remote_writes, 1);
+    assert_eq!(
+        spans,
+        s.stats().remote_writes,
+        "every remote write emits one write.remote span"
     );
 }
 
