@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use pimdsm_engine::{Cycle, EventQueue, Timeline};
 use pimdsm_faults::{FaultKind, FaultPlan, FaultSchedule, RecoveryStats};
-use pimdsm_obs::{trace::track, EpochSampler, Tracer};
+use pimdsm_obs::{EpochSampler, Event, Tracer};
 use pimdsm_proto::{Access, AggSystem, ComaSystem, Level, MemSystem, NodeId, NumaSystem};
 use pimdsm_svc::SvcStats;
 use pimdsm_workloads::{Op, ThreadGen, Workload};
@@ -362,12 +362,8 @@ impl Machine {
     /// Attaches a declarative fault schedule (see [`pimdsm_faults`]): the
     /// run loop replays its cycle- and barrier-triggered events against
     /// the simulated clock, and the finished [`RunReport`] carries the
-    /// recovery accounting in [`RunReport::faults`]. The plan's retry
-    /// policy, when set, replaces the fabric's default.
+    /// recovery accounting in [`RunReport::faults`].
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        if let Some(r) = plan.retry {
-            self.system.sys().fabric_mut().retry = r;
-        }
         self.faults = Some(FaultRuntime {
             schedule: FaultSchedule::new(&plan),
             durability: plan.durability,
@@ -488,23 +484,15 @@ impl Machine {
         match kind {
             FaultKind::Kill { node } => self.apply_kill_fault(node, now),
             FaultKind::Rejoin { node } => {
-                self.tracer.instant(
-                    track::MACHINE,
-                    0,
-                    "rejoin",
-                    "machine.fault",
-                    now,
-                    &[("node", node as u64)],
-                );
+                self.tracer
+                    .instant(Event::Rejoin, 0, now, &[("node", node as u64)]);
                 self.system.sys().apply_rejoin(node, now);
                 self.faults.as_mut().expect("fault runtime").stats.rejoins += 1;
             }
             FaultKind::DegradeLink { extra, for_cycles } => {
                 self.tracer.instant(
-                    track::MACHINE,
+                    Event::Degrade,
                     0,
-                    "degrade",
-                    "machine.fault",
                     now,
                     &[("extra", extra), ("for_cycles", for_cycles)],
                 );
@@ -514,10 +502,8 @@ impl Machine {
             }
             FaultKind::HandlerStall { node, extra } => {
                 self.tracer.instant(
-                    track::MACHINE,
+                    Event::Stall,
                     0,
-                    "stall",
-                    "machine.fault",
                     now,
                     &[("node", node as u64), ("extra", extra)],
                 );
@@ -533,14 +519,8 @@ impl Machine {
     /// re-bound to survivors, and every affected thread stalls until the
     /// recovery completes.
     fn apply_kill_fault(&mut self, node: NodeId, now: Cycle) {
-        self.tracer.instant(
-            track::MACHINE,
-            0,
-            "kill",
-            "machine.fault",
-            now,
-            &[("node", node as u64)],
-        );
+        self.tracer
+            .instant(Event::Kill, 0, now, &[("node", node as u64)]);
         let durability = self.faults.as_ref().expect("fault runtime").durability;
         // Take the stats out so the system and the sink can be borrowed
         // together; put the updated sink back below.
@@ -549,10 +529,8 @@ impl Machine {
         rs.kills += 1;
         rs.lost_work_cycles += durability.lost_work(now);
         self.tracer.span(
-            track::MACHINE,
+            Event::Recovery,
             0,
-            "recovery",
-            "machine.recovery",
             now,
             (recovered_at - now).max(1),
             &[("node", node as u64)],
@@ -757,10 +735,8 @@ impl Machine {
                 let lat = now - start;
                 self.svc.record(class, lat);
                 self.tracer.span(
-                    track::MACHINE,
+                    Event::Request,
                     tid as u32,
-                    "request",
-                    "svc.request",
                     start,
                     lat.max(1),
                     &[("class", u64::from(class))],
@@ -883,10 +859,8 @@ impl Machine {
             self.apply_fault(kind, release_at);
         }
         self.tracer.instant(
-            track::MACHINE,
+            Event::Barrier,
             0,
-            "barrier",
-            "machine.barrier",
             release_at,
             &[("id", id as u64), ("width", width as u64)],
         );
@@ -986,10 +960,8 @@ impl Machine {
         t += pages_moved.div_ceil(10) * plan.per_10_pages;
         t += plan.tlb_per_p * plan.target_p as Cycle;
         self.tracer.span(
-            track::MACHINE,
+            Event::Reconfig,
             0,
-            "reconfig",
-            "machine.reconfig",
             now,
             (t - now).max(1),
             &[

@@ -223,11 +223,17 @@ impl RunReport {
 impl pimdsm_obs::ToJson for ThreadAcct {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;
+        let ThreadAcct {
+            compute,
+            memory,
+            sync,
+            finish,
+        } = *self;
         JsonValue::obj([
-            ("compute", JsonValue::u64(self.compute)),
-            ("memory", JsonValue::u64(self.memory)),
-            ("sync", JsonValue::u64(self.sync)),
-            ("finish", JsonValue::u64(self.finish)),
+            ("compute", JsonValue::u64(compute)),
+            ("memory", JsonValue::u64(memory)),
+            ("sync", JsonValue::u64(sync)),
+            ("finish", JsonValue::u64(finish)),
         ])
     }
 }
@@ -235,39 +241,56 @@ impl pimdsm_obs::ToJson for ThreadAcct {
 impl pimdsm_obs::ToJson for RunReport {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;
+        let RunReport {
+            arch,
+            app,
+            label,
+            total_cycles,
+            threads,
+            proto,
+            census,
+            net,
+            controller_util,
+            link_busy: (link_total, link_max),
+            reconfig_cycles,
+            reconfig_armed,
+            faults,
+            svc,
+            epochs,
+        } = self;
         let mut fields = vec![
-            ("arch", JsonValue::str(self.arch.as_str())),
-            ("app", JsonValue::str(self.app.as_str())),
-            ("label", JsonValue::str(self.label.as_str())),
-            ("total_cycles", JsonValue::u64(self.total_cycles)),
+            ("arch", JsonValue::str(arch.as_str())),
+            ("app", JsonValue::str(app.as_str())),
+            ("label", JsonValue::str(label.as_str())),
+            ("total_cycles", JsonValue::u64(*total_cycles)),
             (
                 "threads",
-                JsonValue::arr(self.threads.iter().map(|t| t.to_json())),
+                JsonValue::arr(threads.iter().map(|t| t.to_json())),
             ),
-            ("proto", self.proto.to_json()),
-            ("census", self.census.to_json()),
-            ("net", self.net.to_json()),
-            ("controller_util", JsonValue::num(self.controller_util)),
+            ("proto", proto.to_json()),
+            ("census", census.to_json()),
+            ("net", net.to_json()),
+            ("controller_util", JsonValue::num(*controller_util)),
             (
                 "link_busy",
                 JsonValue::obj([
-                    ("total", JsonValue::u64(self.link_busy.0)),
-                    ("max_per_link", JsonValue::u64(self.link_busy.1)),
+                    ("total", JsonValue::u64(*link_total)),
+                    ("max_per_link", JsonValue::u64(*link_max)),
                 ]),
             ),
-            ("reconfig_cycles", JsonValue::u64(self.reconfig_cycles)),
-            ("reconfig_armed", JsonValue::Bool(self.reconfig_armed)),
+            ("reconfig_cycles", JsonValue::u64(*reconfig_cycles)),
+            ("reconfig_armed", JsonValue::Bool(*reconfig_armed)),
             ("memory_time", JsonValue::num(self.memory_time())),
             ("processor_time", JsonValue::num(self.processor_time())),
             ("memory_fraction", JsonValue::num(self.memory_fraction())),
         ];
-        if let Some(f) = &self.faults {
+        if let Some(f) = faults {
             fields.push(("faults", f.to_json()));
         }
-        if let Some(s) = &self.svc {
+        if let Some(s) = svc {
             fields.push(("svc", s.to_json()));
         }
-        if let Some(e) = &self.epochs {
+        if let Some(e) = epochs {
             fields.push(("epochs", e.to_json()));
         }
         JsonValue::obj(fields)

@@ -11,7 +11,8 @@
 //! The crate deliberately knows nothing about the protocols. It supplies:
 //!
 //! * the fault vocabulary ([`FaultKind`], [`FaultTrigger`], [`FaultEvent`]),
-//! * the per-run policy knobs ([`Durability`], [`RetryCfg`]),
+//! * the policies: the per-run [`Durability`] and the [`RetryCfg`]
+//!   backoff every transaction racing a recovery pays,
 //! * the runtime queue the driver pops ([`FaultSchedule`]), and
 //! * the accounting sink every recovery path feeds ([`RecoveryStats`]),
 //!   including a recovery-latency [`Histogram`] for p50/p99 reporting.
@@ -24,6 +25,7 @@
 #![warn(missing_docs)]
 
 use pimdsm_engine::{Cycle, Histogram};
+use pimdsm_obs::json::histogram_from_json;
 use pimdsm_obs::{JsonValue, ToJson};
 
 /// Node identifier, matching the protocol crates' convention.
@@ -184,8 +186,6 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
     /// What survives a kill.
     pub durability: Durability,
-    /// Retry policy for transactions racing a recovery.
-    pub retry: Option<RetryCfg>,
 }
 
 impl FaultPlan {
@@ -242,12 +242,6 @@ impl FaultPlan {
     /// Sets the durability policy.
     pub fn with_durability(mut self, d: Durability) -> Self {
         self.durability = d;
-        self
-    }
-
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, r: RetryCfg) -> Self {
-        self.retry = Some(r);
         self
     }
 }
@@ -373,27 +367,6 @@ impl RecoveryStats {
                 .and_then(|x| x.as_u64())
                 .ok_or_else(|| format!("missing {key}"))
         };
-        let h = v
-            .get("recovery")
-            .ok_or_else(|| "missing recovery".to_string())?;
-        let hfield = |key: &str| -> Result<u64, String> {
-            h.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing recovery.{key}"))
-        };
-        let arr = h
-            .get("buckets")
-            .and_then(|x| x.as_arr())
-            .ok_or_else(|| "missing recovery.buckets".to_string())?;
-        if arr.len() != 64 {
-            return Err(format!("recovery.buckets has {} entries", arr.len()));
-        }
-        let mut buckets = [0u64; 64];
-        for (slot, x) in buckets.iter_mut().zip(arr) {
-            *slot = x
-                .as_u64()
-                .ok_or_else(|| "non-integer recovery bucket".to_string())?;
-        }
         Ok(RecoveryStats {
             kills: field("kills")?,
             rejoins: field("rejoins")?,
@@ -405,45 +378,38 @@ impl RecoveryStats {
             retry_wait_cycles: field("retry_wait_cycles")?,
             degraded_cycles: field("degraded_cycles")?,
             stall_cycles: field("stall_cycles")?,
-            recovery: Histogram::from_raw(
-                buckets,
-                hfield("count")?,
-                hfield("sum")?,
-                hfield("max")?,
-            ),
+            recovery: histogram_from_json(v, "recovery")?,
         })
     }
 }
 
 impl ToJson for RecoveryStats {
     fn to_json(&self) -> JsonValue {
-        let buckets = JsonValue::Arr(
-            self.recovery
-                .buckets()
-                .iter()
-                .map(|&n| JsonValue::u64(n))
-                .collect(),
-        );
+        let RecoveryStats {
+            kills,
+            rejoins,
+            pages_rehomed,
+            lines_recalled,
+            lines_lost,
+            lost_work_cycles,
+            retries,
+            retry_wait_cycles,
+            degraded_cycles,
+            stall_cycles,
+            recovery,
+        } = self;
         JsonValue::obj([
-            ("kills", JsonValue::u64(self.kills)),
-            ("rejoins", JsonValue::u64(self.rejoins)),
-            ("pages_rehomed", JsonValue::u64(self.pages_rehomed)),
-            ("lines_recalled", JsonValue::u64(self.lines_recalled)),
-            ("lines_lost", JsonValue::u64(self.lines_lost)),
-            ("lost_work_cycles", JsonValue::u64(self.lost_work_cycles)),
-            ("retries", JsonValue::u64(self.retries)),
-            ("retry_wait_cycles", JsonValue::u64(self.retry_wait_cycles)),
-            ("degraded_cycles", JsonValue::u64(self.degraded_cycles)),
-            ("stall_cycles", JsonValue::u64(self.stall_cycles)),
-            (
-                "recovery",
-                JsonValue::obj([
-                    ("count", JsonValue::u64(self.recovery.count())),
-                    ("sum", JsonValue::u64(self.recovery.sum())),
-                    ("max", JsonValue::u64(self.recovery.max())),
-                    ("buckets", buckets),
-                ]),
-            ),
+            ("kills", JsonValue::u64(*kills)),
+            ("rejoins", JsonValue::u64(*rejoins)),
+            ("pages_rehomed", JsonValue::u64(*pages_rehomed)),
+            ("lines_recalled", JsonValue::u64(*lines_recalled)),
+            ("lines_lost", JsonValue::u64(*lines_lost)),
+            ("lost_work_cycles", JsonValue::u64(*lost_work_cycles)),
+            ("retries", JsonValue::u64(*retries)),
+            ("retry_wait_cycles", JsonValue::u64(*retry_wait_cycles)),
+            ("degraded_cycles", JsonValue::u64(*degraded_cycles)),
+            ("stall_cycles", JsonValue::u64(*stall_cycles)),
+            ("recovery", recovery.to_json()),
         ])
     }
 }

@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 use pimdsm_obs::{json, JsonValue};
-use pimdsm_prof::Snapshot;
+use pimdsm_prof::{Phase, Snapshot};
 
 use crate::exec::{run_sweep, Instrumentation, SweepResult};
 use crate::suites::{Suite, SuiteCtx};
@@ -63,7 +63,8 @@ pub struct BenchResult {
     pub ctx: SuiteCtx,
     /// One sample per measured run, in run order.
     pub samples: Vec<BenchSample>,
-    /// Per-phase rollup over all measured runs (from the phase registry).
+    /// Per-phase rollup over all measured runs: `(unphased)`, then
+    /// [`Phase::ALL`] in order.
     pub phases: Vec<pimdsm_prof::PhaseStats>,
     /// The last run's slowest points: `(point key, wall)`.
     pub slowest: Vec<(String, Duration)>,
@@ -260,7 +261,7 @@ pub fn measure_suite(
         let specs = suite.points(ctx);
         let before = pimdsm_prof::alloc::totals();
         let result = {
-            pimdsm_prof::phase!("bench.measure");
+            pimdsm_prof::phase!(Phase::BenchMeasure);
             run_sweep(specs, None, &inst, jobs, false)
         };
         let after = pimdsm_prof::alloc::totals();

@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 
 use pimdsm::RunReport;
 use pimdsm_obs::{json, JsonValue, ToJson};
+use pimdsm_prof::Phase;
 
 use crate::spec::PointSpec;
 
@@ -85,7 +86,7 @@ impl ResultCache {
     /// Looks up `spec`. Any defect — missing file, unparsable JSON,
     /// canonical/fingerprint mismatch, missing report field — is a miss.
     pub fn load(&self, spec: &PointSpec) -> Option<RunReport> {
-        pimdsm_prof::phase!("cache.load");
+        pimdsm_prof::phase!(Phase::CacheLoad);
         let text = fs::read_to_string(self.entry_path(spec)).ok()?;
         let doc = json::parse(&text).ok()?;
         if doc.get("canonical")?.as_str()? != spec.canonical() {
@@ -101,7 +102,7 @@ impl ResultCache {
     /// use. Write errors are reported on stderr and otherwise ignored —
     /// a broken cache only costs re-simulation.
     pub fn store(&self, spec: &PointSpec, report: &RunReport) {
-        pimdsm_prof::phase!("cache.store");
+        pimdsm_prof::phase!(Phase::CacheStore);
         if let Err(e) = fs::create_dir_all(&self.dir) {
             eprintln!("[lab] cannot create cache dir {}: {e}", self.dir.display());
             return;
@@ -223,6 +224,35 @@ mod tests {
         let spec = point("1/1AGG75");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(format!("{}.json", cache.key(&spec))), "{ not json").unwrap();
+        assert!(cache.load(&spec).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Well-formed JSON whose histogram buckets do not sum to its count
+    /// must be rejected by the decoder, not panic inside `load` (which
+    /// runs outside the executor's `catch_unwind`).
+    #[test]
+    fn inconsistent_histogram_entry_is_a_miss() {
+        let dir = tmp_dir("histogram");
+        let cache = ResultCache::with_fingerprint(&dir, "f00d");
+        let spec = point("1/1AGG75");
+        let mut report = spec.build_machine().run();
+        let mut svc = pimdsm_svc::SvcStats::default();
+        svc.record(pimdsm_svc::stats::CLASS_GET, 100);
+        report.svc = Some(svc);
+        cache.store(&spec, &report);
+        assert!(cache.load(&spec).is_some(), "the intact entry hits");
+
+        let path = dir.join(format!("{}.json", cache.key(&spec)));
+        let mut doc = json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        let count = ["report", "svc", "latency", "count"]
+            .into_iter()
+            .fold(&mut doc, |v, key| match v {
+                JsonValue::Obj(m) => m.get_mut(key).expect("entry field"),
+                _ => panic!("{key}: parent is not an object"),
+            });
+        *count = JsonValue::u64(count.as_u64().unwrap() + 1);
+        fs::write(&path, doc.render_pretty()).unwrap();
         assert!(cache.load(&spec).is_none());
         let _ = fs::remove_dir_all(&dir);
     }

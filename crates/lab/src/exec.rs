@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use pimdsm::RunReport;
 use pimdsm_engine::Cycle;
 use pimdsm_obs::Tracer;
-use pimdsm_prof::Snapshot;
+use pimdsm_prof::{Phase, Snapshot};
 
 use crate::cache::ResultCache;
 use crate::spec::PointSpec;
@@ -128,7 +128,7 @@ impl SweepResult {
 /// serialized trace (when this point is the traced one).
 fn run_point(spec: &PointSpec, traced: bool, epoch: Option<Cycle>) -> (RunReport, Option<String>) {
     let mut machine = {
-        pimdsm_prof::phase!("point.build");
+        pimdsm_prof::phase!(Phase::PointBuild);
         spec.build_machine()
     };
     let tracer = traced.then(|| {
@@ -140,7 +140,7 @@ fn run_point(spec: &PointSpec, traced: bool, epoch: Option<Cycle>) -> (RunReport
         machine.sample_epochs(e);
     }
     let report = {
-        pimdsm_prof::phase!("point.run");
+        pimdsm_prof::phase!(Phase::PointRun);
         machine.run()
     };
     // The tracer is Rc-based (deliberately not Send), so the Chrome JSON

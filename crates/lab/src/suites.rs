@@ -13,6 +13,7 @@ use pimdsm::RunReport;
 use pimdsm_engine::Cycle;
 use pimdsm_faults::Durability;
 use pimdsm_obs::JsonValue;
+use pimdsm_prof::Phase;
 use pimdsm_proto::Level;
 use pimdsm_svc::SvcSpec;
 use pimdsm_workloads::{build, AppId, Scale, ALL_APPS};
@@ -54,14 +55,14 @@ pub struct Suite {
 impl Suite {
     /// Expands the suite into its simulation points.
     pub fn points(&self, ctx: &SuiteCtx) -> Vec<PointSpec> {
-        pimdsm_prof::phase!("suite.points");
+        pimdsm_prof::phase!(Phase::SuitePoints);
         (self.points)(ctx)
     }
 
     /// Renders the suite's text block from reports aligned with
     /// [`Suite::points`] order.
     pub fn render(&self, ctx: &SuiteCtx, reports: &[&RunReport]) -> String {
-        pimdsm_prof::phase!("suite.render");
+        pimdsm_prof::phase!(Phase::SuiteRender);
         (self.render)(ctx, reports)
     }
 

@@ -1,13 +1,17 @@
 //! `pimdsm-lint` — determinism & protocol-invariant static analysis.
 //!
 //! The simulator's evaluation rests on cycle-exact, reproducible runs,
-//! and two whole bug classes that threaten that are statically visible in
+//! and the bug class that threatens that most is statically visible in
 //! the source: *nondeterminism* (unordered collections and ambient
-//! time/randomness on the simulation path) and *invariant holes* (report
-//! fields dropped from the JSON round-trip, trace events no consumer
-//! knows about). Transaction walks need no rule: `pimdsm_proto::txn::walk`
-//! is the only way to open and finish one, so every walk is finished by
-//! construction and the compiler rejects one that is not. This crate
+//! time/randomness on the simulation path). The other invariants are
+//! types the compiler checks, so they need no rule:
+//! `pimdsm_proto::txn::walk` is the only way to open and finish a
+//! transaction walk; profiler phases and trace events are the closed
+//! enums `pimdsm_prof::Phase` and `pimdsm_obs::trace::Event`; and every
+//! report struct's `to_json` destructures `Self` without `..` while its
+//! `from_json` builds a full struct literal, so a field missing from
+//! either side of the JSON round-trip fails the build or CI's clippy
+//! `-D warnings`. This crate
 //! scans the workspace source directly — it is dependency-free by design
 //! (the build environment is offline), so instead of a `syn` AST it uses
 //! a masking lexer plus just enough structure extraction; see
@@ -21,9 +25,6 @@
 //! | D002 | no `Instant::now`/`SystemTime`/`thread_rng` outside tooling and tests |
 //! | D003 | no `BinaryHeap` in simulation crates; arena `slab`s expose `iter_deterministic()` |
 //! | D004 | no determinism taint reaching simulation crates through any call chain |
-//! | S001 | every pub stats field appears in both `to_json` and `from_json` |
-//! | O001 | emitted trace names/categories ⊆ obs registry, and vice versa |
-//! | P001 | entered `phase!(...)` names ⊆ prof phase registry, and vice versa |
 //! | L000 | `pimdsm-lint:` directives are well-formed and name a known rule |
 //!
 //! The per-function rules work straight off [`scan`]'s masked text; the
@@ -202,9 +203,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
         rules::d001(ws),
         rules::d002(ws),
         rules::d003(ws),
-        rules::s001(ws),
-        rules::o001(ws),
-        rules::p001(ws),
         rules::l000(ws),
         semantic::d004(ws, &graph),
     ]

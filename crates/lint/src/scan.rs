@@ -6,7 +6,7 @@
 //! so downstream rules can search for identifiers and match braces without
 //! tripping over `"HashMap"` inside a string or a `{` inside a comment.
 //! On top of the masked text it extracts just enough structure for the
-//! rules: function bodies, `impl` blocks, struct fields, `#[cfg(test)]`
+//! rules: function bodies, `impl` blocks, `#[cfg(test)]`
 //! regions, string-literal spans, and inline allow-directive comments.
 
 use std::collections::BTreeMap;
@@ -60,15 +60,6 @@ pub struct ImplSpan {
     pub body_start: usize,
     /// Byte offset of the closing `}`.
     pub body_end: usize,
-}
-
-/// A `pub struct` with named fields.
-#[derive(Debug, Clone)]
-pub struct StructSpan {
-    /// Struct name.
-    pub name: String,
-    /// `pub` field names in declaration order.
-    pub pub_fields: Vec<String>,
 }
 
 /// One scanned source file.
@@ -252,57 +243,6 @@ impl SourceFile {
         out
     }
 
-    /// Every `pub struct` with named fields, with its `pub` field names.
-    pub fn pub_structs(&self) -> Vec<StructSpan> {
-        let b = self.masked.as_bytes();
-        let mut out = Vec::new();
-        for start in find_keyword(&self.masked, "struct") {
-            // Must itself be `pub` (look back over whitespace for `pub`).
-            let before = self.masked[..start].trim_end();
-            if !before.ends_with("pub") {
-                continue;
-            }
-            let mut i = start + 6;
-            while i < b.len() && (b[i] as char).is_whitespace() {
-                i += 1;
-            }
-            let name_start = i;
-            while i < b.len() && is_ident_char(b[i]) {
-                i += 1;
-            }
-            let name = self.masked[name_start..i].to_string();
-            if name.is_empty() {
-                continue;
-            }
-            // Find `{` before any `;` or `(` (skip tuple/unit structs);
-            // tolerate a generics list.
-            let mut open = None;
-            let mut angle = 0i32;
-            while i < b.len() {
-                match b[i] {
-                    b'<' => angle += 1,
-                    b'>' => angle -= 1,
-                    b'(' | b';' if angle == 0 => break,
-                    b'{' if angle == 0 => {
-                        open = Some(i);
-                        break;
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            let Some(open) = open else { continue };
-            let Some(close) = match_brace(&self.masked, open) else {
-                continue;
-            };
-            out.push(StructSpan {
-                name,
-                pub_fields: struct_fields(&self.masked[open + 1..close]),
-            });
-        }
-        out
-    }
-
     /// Records the directives among the plain `//` line comments starting
     /// at `line_comments` (byte offsets from [`mask`]). Doc comments
     /// (`///`, `//!`) are prose that may quote the directive syntax, and
@@ -394,43 +334,6 @@ fn parse_allow(rest: &str) -> Option<(String, String)> {
     Some((rule.trim().to_string(), reason))
 }
 
-/// Field names of a struct body: `pub name: Type,` entries at depth 0.
-fn struct_fields(body: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let b = body.as_bytes();
-    let mut i = 0usize;
-    while i < b.len() {
-        match b[i] {
-            b'{' | b'(' | b'[' | b'<' => depth += 1,
-            b'}' | b')' | b']' | b'>' => depth -= 1,
-            b'p' if depth == 0 && is_keyword_at(body, i, "pub") => {
-                let mut j = i + 3;
-                while j < b.len() && (b[j] as char).is_whitespace() {
-                    j += 1;
-                }
-                let start = j;
-                while j < b.len() && is_ident_char(b[j]) {
-                    j += 1;
-                }
-                // A field is `pub name :` — `pub fn` etc. are not.
-                let mut k = j;
-                while k < b.len() && (b[k] as char).is_whitespace() {
-                    k += 1;
-                }
-                if j > start && k < b.len() && b[k] == b':' {
-                    out.push(body[start..j].to_string());
-                }
-                i = j;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Offsets of `word` appearing as a standalone keyword/identifier.
 pub fn find_keyword(text: &str, word: &str) -> Vec<usize> {
     let b = text.as_bytes();
@@ -491,42 +394,8 @@ pub fn match_paren(masked: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// Splits `args` (the text between a call's parentheses, masked) at
-/// top-level commas, returning `(offset_in_args, text)` per argument.
-pub fn split_args(args: &str) -> Vec<(usize, &str)> {
-    let b = args.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0usize;
-    for (i, &c) in b.iter().enumerate() {
-        match c {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b',' if depth == 0 => {
-                out.push((start, &args[start..i]));
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < args.len() {
-        out.push((start, &args[start..]));
-    }
-    out
-}
-
 pub fn is_ident_char(c: u8) -> bool {
     (c as char).is_alphanumeric() || c == b'_'
-}
-
-fn is_keyword_at(text: &str, at: usize, word: &str) -> bool {
-    let b = text.as_bytes();
-    if !text[at..].starts_with(word) {
-        return false;
-    }
-    let before_ok = at == 0 || !is_ident_char(b[at - 1]);
-    let after = at + word.len();
-    before_ok && (after >= b.len() || !is_ident_char(b[after]))
 }
 
 fn line_starts(text: &str) -> Vec<usize> {
@@ -776,14 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_extracted() {
-        let f = file("pub struct S { pub a: u64, b: u32, pub c_d: Vec<(u8, u8)>, }\nstruct Priv { pub x: u8 }");
-        let ss = f.pub_structs();
-        assert_eq!(ss.len(), 1);
-        assert_eq!(ss[0].pub_fields, vec!["a", "c_d"]);
-    }
-
-    #[test]
     fn cfg_test_regions_cover_mod_tests() {
         let f = file("fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let x = 1; }\n}\n");
         assert_eq!(f.test_regions.len(), 1);
@@ -827,14 +688,5 @@ mod tests {
         // A plain comment after the literal on the same line still counts.
         let g = file("let s = \"//\"; // pimdsm-lint: allow(D001, \"reason\")\n");
         assert!(g.is_allowed("D001", 1));
-    }
-
-    #[test]
-    fn split_args_respects_nesting() {
-        let args = "a, (b, c), [d, e], f(g, h)";
-        let parts = split_args(args);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts[1].1.trim(), "(b, c)");
-        assert_eq!(parts[3].1.trim(), "f(g, h)");
     }
 }

@@ -1,7 +1,7 @@
 //! Contended wormhole network built on per-link timelines.
 
 use pimdsm_engine::{Cycle, Timeline};
-use pimdsm_obs::{trace::track, Tracer};
+use pimdsm_obs::{Event, Tracer};
 
 use crate::mesh::Mesh;
 
@@ -129,10 +129,8 @@ impl Network {
     pub fn send(&mut self, from: usize, to: usize, bytes: u32, now: Cycle) -> Cycle {
         if from == to {
             self.tracer.instant(
-                track::NET,
+                Event::NetLocal,
                 self.links.len() as u32,
-                "local",
-                "net.local",
                 now,
                 &[("node", from as u64), ("bytes", bytes as u64)],
             );
@@ -147,10 +145,8 @@ impl Network {
             let start = self.links[link].acquire(head, ser);
             queueing += start - head;
             self.tracer.span(
-                track::NET,
+                Event::NetXfer,
                 link as u32,
-                "xfer",
-                "net.link",
                 start,
                 ser.max(1),
                 &[
@@ -165,10 +161,8 @@ impl Network {
         let delivered = head + ser + self.cfg.eject_latency;
         self.route_buf = route;
         self.tracer.instant(
-            track::NET,
+            Event::NetDeliver,
             self.links.len() as u32,
-            "deliver",
-            "net.msg",
             delivered,
             &[
                 ("from", from as u64),
@@ -244,11 +238,17 @@ impl NetStats {
 impl pimdsm_obs::ToJson for NetStats {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;
+        let NetStats {
+            messages,
+            bytes,
+            total_latency,
+            total_queueing,
+        } = *self;
         JsonValue::obj([
-            ("messages", JsonValue::u64(self.messages)),
-            ("bytes", JsonValue::u64(self.bytes)),
-            ("total_latency", JsonValue::u64(self.total_latency)),
-            ("total_queueing", JsonValue::u64(self.total_queueing)),
+            ("messages", JsonValue::u64(messages)),
+            ("bytes", JsonValue::u64(bytes)),
+            ("total_latency", JsonValue::u64(total_latency)),
+            ("total_queueing", JsonValue::u64(total_queueing)),
         ])
     }
 }

@@ -9,10 +9,10 @@
 //! (cycle counts, event counts) is far below 2^53, so the representation is
 //! exact for our purposes.
 
-#![cfg(feature = "json")]
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use pimdsm_engine::Histogram;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -215,6 +215,60 @@ impl ToJson for JsonValue {
     fn to_json(&self) -> JsonValue {
         self.clone()
     }
+}
+
+/// A recorded distribution as `{count, sum, max, buckets}`; read back by
+/// [`histogram_from_json`].
+impl ToJson for Histogram {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("count", JsonValue::u64(self.count())),
+            ("sum", JsonValue::u64(self.sum())),
+            ("max", JsonValue::u64(self.max())),
+            (
+                "buckets",
+                JsonValue::Arr(self.buckets().iter().map(|&n| JsonValue::u64(n)).collect()),
+            ),
+        ])
+    }
+}
+
+/// Reads the histogram at `v[key]` back from its [`ToJson`] form.
+///
+/// # Errors
+///
+/// Names the first missing or malformed field, and rejects buckets that
+/// do not sum to `count` (which [`Histogram::from_raw`] would panic on).
+pub fn histogram_from_json(v: &JsonValue, key: &str) -> Result<Histogram, String> {
+    let h = v.get(key).ok_or_else(|| format!("missing {key}"))?;
+    let field = |sub: &str| -> Result<u64, String> {
+        h.get(sub)
+            .and_then(|x| x.as_u64())
+            .ok_or_else(|| format!("missing {key}.{sub}"))
+    };
+    let arr = h
+        .get("buckets")
+        .and_then(|x| x.as_arr())
+        .ok_or_else(|| format!("missing {key}.buckets"))?;
+    if arr.len() != 64 {
+        return Err(format!("{key}.buckets has {} entries", arr.len()));
+    }
+    let mut buckets = [0u64; 64];
+    for (slot, x) in buckets.iter_mut().zip(arr) {
+        *slot = x
+            .as_u64()
+            .ok_or_else(|| format!("non-integer {key} bucket"))?;
+    }
+    let count = field("count")?;
+    if buckets.iter().try_fold(0u64, |a, &n| a.checked_add(n)) != Some(count) {
+        return Err(format!("{key}.buckets do not sum to {key}.count"));
+    }
+    Ok(Histogram::from_raw(
+        buckets,
+        count,
+        field("sum")?,
+        field("max")?,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -454,6 +508,30 @@ mod tests {
             took < std::time::Duration::from_secs(10),
             "parsing {} bytes took {took:?}",
             text.len()
+        );
+    }
+
+    #[test]
+    fn histograms_round_trip_and_inconsistent_counts_are_errors() {
+        let mut h = Histogram::new();
+        for v in [0u64, 3, 9, 9, 4096] {
+            h.record(v);
+        }
+        let doc = JsonValue::obj([("lat", h.to_json())]);
+        assert_eq!(histogram_from_json(&doc, "lat"), Ok(h));
+        let mut bad = doc.clone();
+        if let JsonValue::Obj(m) = &mut bad {
+            if let Some(JsonValue::Obj(lat)) = m.get_mut("lat") {
+                lat.insert("count".into(), JsonValue::u64(6));
+            }
+        }
+        assert_eq!(
+            histogram_from_json(&bad, "lat"),
+            Err("lat.buckets do not sum to lat.count".into())
+        );
+        assert_eq!(
+            histogram_from_json(&doc, "gone"),
+            Err("missing gone".into())
         );
     }
 }

@@ -90,7 +90,6 @@ impl EpochSeries {
     }
 }
 
-#[cfg(feature = "json")]
 impl crate::json::ToJson for EpochSeries {
     fn to_json(&self) -> crate::json::JsonValue {
         use crate::json::JsonValue;

@@ -6,94 +6,24 @@
 //! [`TraceEvent`]s). The buffer serializes to the Chrome trace-event array
 //! format understood by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev).
 //!
-//! Conventions used throughout the simulator:
+//! Every emission names an [`Event`], which fixes three fields:
 //!
+//! * `name` — the slice label (`read.remote`, `Read`, `xfer`, …).
+//! * `cat` — dot-separated category (`proto.handler`, `am.miss`,
+//!   `net.link`, …) used for filtering in the UI and in tests.
 //! * `pid` — subsystem track group (0 = protocol, 1 = network, 2 = machine).
+//!
+//! The emission site supplies the rest:
+//!
 //! * `tid` — node id within the group (or link id for the network group).
 //! * `ts`  — simulated cycle of the event start.
 //! * `dur` — `Some(cycles)` renders a complete span (`"ph":"X"`), `None`
 //!   renders an instant (`"ph":"i"`).
-//! * `cat` — dot-separated category (`proto.handler`, `am.miss`,
-//!   `net.link`, …) used for filtering in the UI and in tests.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use pimdsm_engine::Cycle;
-
-/// The canonical registry of trace vocabulary.
-///
-/// Every `cat` and `name` the simulator passes to [`Tracer::span`] /
-/// [`Tracer::instant`] must be listed here — this is where consumers
-/// (suite assertions, trace filters, Perfetto queries) look events up, so
-/// an unregistered string is an event nothing can find. The
-/// `pimdsm-lint` rule **O001** enforces the registry in both directions:
-/// an emitted literal missing from the registry and a registered entry no
-/// simulation crate emits are both violations.
-pub mod registry {
-    /// Every event category (`cat` field), sorted.
-    pub const CATEGORIES: &[&str] = &[
-        "am.hit",
-        "am.inject",
-        "am.miss",
-        "am.pageout",
-        "am.swap",
-        "machine.barrier",
-        "machine.fault",
-        "machine.reconfig",
-        "machine.recovery",
-        "net.link",
-        "net.local",
-        "net.msg",
-        "proto.disk",
-        "proto.handler",
-        "proto.read",
-        "proto.retry",
-        "proto.write",
-        "svc.offload",
-        "svc.request",
-    ];
-
-    /// Every event name (`name` field), sorted.
-    pub const EVENT_NAMES: &[&str] = &[
-        "Ack",
-        "Hint",
-        "Read",
-        "ReadEx",
-        "WriteBack",
-        "barrier",
-        "degrade",
-        "deliver",
-        "fault",
-        "hit",
-        "inject",
-        "kill",
-        "local",
-        "miss",
-        "offload",
-        "pageout",
-        "read.remote",
-        "reconfig",
-        "recovery",
-        "rejoin",
-        "request",
-        "retry",
-        "stall",
-        "swap",
-        "write.remote",
-        "xfer",
-    ];
-
-    /// Whether `cat` is a registered category.
-    pub fn is_known_category(cat: &str) -> bool {
-        CATEGORIES.binary_search(&cat).is_ok()
-    }
-
-    /// Whether `name` is a registered event name.
-    pub fn is_known_event_name(name: &str) -> bool {
-        EVENT_NAMES.binary_search(&name).is_ok()
-    }
-}
 
 /// Track-group ids (`pid` in the Chrome trace) per subsystem.
 pub mod track {
@@ -103,6 +33,131 @@ pub mod track {
     pub const NET: u32 = 1;
     /// Machine-level events: barriers, reconfiguration (tid = 0).
     pub const MACHINE: u32 = 2;
+}
+
+/// The closed trace vocabulary: one variant per `name`/`cat` pair the
+/// simulator emits. Each pair lives on exactly one [`track`] group, so
+/// the variant fixes the event's `pid` too, and a misspelled event is a
+/// compile error rather than an event no trace filter can find.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// `local`/`net.local`: a self-send resolved inside the node.
+    NetLocal,
+    /// `xfer`/`net.link`: a message serializing over one link.
+    NetXfer,
+    /// `deliver`/`net.msg`: a message's tail flit arriving.
+    NetDeliver,
+    /// `read.remote`/`proto.read`: a read walk that left the node.
+    ReadRemote,
+    /// `write.remote`/`proto.write`: a write walk that left the node.
+    WriteRemote,
+    /// `Read`/`proto.handler`: a read handler's occupancy.
+    HandlerRead,
+    /// `ReadEx`/`proto.handler`: a read-exclusive handler's occupancy.
+    HandlerReadEx,
+    /// `Ack`/`proto.handler`: an acknowledgment handler's occupancy.
+    HandlerAck,
+    /// `WriteBack`/`proto.handler`: a write-back handler's occupancy.
+    HandlerWriteBack,
+    /// `Hint`/`proto.handler`: a replacement hint's acknowledgment.
+    Hint,
+    /// `retry`/`proto.retry`: a walk waiting on a recovering page.
+    Retry,
+    /// `fault`/`proto.disk`: a line coming back from disk.
+    DiskFault,
+    /// `hit`/`am.hit`: an attraction-memory hit.
+    AmHit,
+    /// `miss`/`am.miss`: an attraction-memory miss.
+    AmMiss,
+    /// `swap`/`am.swap`: an attraction-memory insertion with a victim.
+    AmSwap,
+    /// `inject`/`am.inject`: a COMA master-line injection.
+    AmInject,
+    /// `pageout`/`am.pageout`: an AGG page-out.
+    PageOut,
+    /// `offload`/`svc.offload`: a computation offloaded to a D-node.
+    Offload,
+    /// `request`/`svc.request`: one service request, arrival to completion.
+    Request,
+    /// `barrier`/`machine.barrier`: a barrier release.
+    Barrier,
+    /// `reconfig`/`machine.reconfig`: a dynamic reconfiguration.
+    Reconfig,
+    /// `kill`/`machine.fault`: a node kill.
+    Kill,
+    /// `rejoin`/`machine.fault`: a node rejoin.
+    Rejoin,
+    /// `degrade`/`machine.fault`: an interconnect degradation window.
+    Degrade,
+    /// `stall`/`machine.fault`: a handler stall.
+    Stall,
+    /// `recovery`/`machine.recovery`: the recovery after a kill.
+    Recovery,
+}
+
+impl Event {
+    /// Every event, in declaration order.
+    pub const ALL: [Event; 26] = [
+        Event::NetLocal,
+        Event::NetXfer,
+        Event::NetDeliver,
+        Event::ReadRemote,
+        Event::WriteRemote,
+        Event::HandlerRead,
+        Event::HandlerReadEx,
+        Event::HandlerAck,
+        Event::HandlerWriteBack,
+        Event::Hint,
+        Event::Retry,
+        Event::DiskFault,
+        Event::AmHit,
+        Event::AmMiss,
+        Event::AmSwap,
+        Event::AmInject,
+        Event::PageOut,
+        Event::Offload,
+        Event::Request,
+        Event::Barrier,
+        Event::Reconfig,
+        Event::Kill,
+        Event::Rejoin,
+        Event::Degrade,
+        Event::Stall,
+        Event::Recovery,
+    ];
+
+    /// The event's `(name, cat, pid)` in the Chrome trace.
+    pub const fn parts(self) -> (&'static str, &'static str, u32) {
+        use track::{MACHINE, NET, PROTO};
+        match self {
+            Event::NetLocal => ("local", "net.local", NET),
+            Event::NetXfer => ("xfer", "net.link", NET),
+            Event::NetDeliver => ("deliver", "net.msg", NET),
+            Event::ReadRemote => ("read.remote", "proto.read", PROTO),
+            Event::WriteRemote => ("write.remote", "proto.write", PROTO),
+            Event::HandlerRead => ("Read", "proto.handler", PROTO),
+            Event::HandlerReadEx => ("ReadEx", "proto.handler", PROTO),
+            Event::HandlerAck => ("Ack", "proto.handler", PROTO),
+            Event::HandlerWriteBack => ("WriteBack", "proto.handler", PROTO),
+            Event::Hint => ("Hint", "proto.handler", PROTO),
+            Event::Retry => ("retry", "proto.retry", PROTO),
+            Event::DiskFault => ("fault", "proto.disk", PROTO),
+            Event::AmHit => ("hit", "am.hit", PROTO),
+            Event::AmMiss => ("miss", "am.miss", PROTO),
+            Event::AmSwap => ("swap", "am.swap", PROTO),
+            Event::AmInject => ("inject", "am.inject", PROTO),
+            Event::PageOut => ("pageout", "am.pageout", PROTO),
+            Event::Offload => ("offload", "svc.offload", PROTO),
+            Event::Request => ("request", "svc.request", MACHINE),
+            Event::Barrier => ("barrier", "machine.barrier", MACHINE),
+            Event::Reconfig => ("reconfig", "machine.reconfig", MACHINE),
+            Event::Kill => ("kill", "machine.fault", MACHINE),
+            Event::Rejoin => ("rejoin", "machine.fault", MACHINE),
+            Event::Degrade => ("degrade", "machine.fault", MACHINE),
+            Event::Stall => ("stall", "machine.fault", MACHINE),
+            Event::Recovery => ("recovery", "machine.recovery", MACHINE),
+        }
+    }
 }
 
 /// One trace event in the Chrome trace-event model.
@@ -161,53 +216,40 @@ impl Tracer {
         self.buf.is_some()
     }
 
-    /// Record a complete span (`ph:"X"`).
+    /// Record a complete span (`ph:"X"`) of `dur` cycles from `ts`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &self,
-        pid: u32,
-        tid: u32,
-        name: &'static str,
-        cat: &'static str,
-        ts: Cycle,
-        dur: Cycle,
-        args: &[(&'static str, u64)],
-    ) {
+    pub fn span(&self, ev: Event, tid: u32, ts: Cycle, dur: Cycle, args: &[(&'static str, u64)]) {
         if let Some(buf) = &self.buf {
-            buf.borrow_mut().events.push(TraceEvent {
-                name,
-                cat,
-                pid,
-                tid,
-                ts,
-                dur: Some(dur),
-                args: args.to_vec(),
-            });
+            record(buf, ev, tid, ts, Some(dur), args);
         }
     }
 
-    /// Record an instant event (`ph:"i"`).
+    /// Record an instant event (`ph:"i"`) at `ts`.
+    ///
+    /// ```
+    /// use pimdsm_obs::trace::{Event, Tracer};
+    ///
+    /// let t = Tracer::enabled();
+    /// t.instant(Event::Request, 0, 10, &[("class", 0)]);
+    /// assert_eq!(t.events_sorted()[0].cat, "svc.request");
+    /// ```
+    ///
+    /// An event name or category is not an [`Event`], so a typo does
+    /// not compile:
+    ///
+    /// ```compile_fail,E0308
+    /// # let t = pimdsm_obs::trace::Tracer::enabled();
+    /// t.instant("reqeust", 0, 10, &[]);
+    /// ```
+    ///
+    /// ```compile_fail,E0308
+    /// # let t = pimdsm_obs::trace::Tracer::enabled();
+    /// t.instant("proto.hanlder", 0, 10, &[]);
+    /// ```
     #[inline]
-    pub fn instant(
-        &self,
-        pid: u32,
-        tid: u32,
-        name: &'static str,
-        cat: &'static str,
-        ts: Cycle,
-        args: &[(&'static str, u64)],
-    ) {
+    pub fn instant(&self, ev: Event, tid: u32, ts: Cycle, args: &[(&'static str, u64)]) {
         if let Some(buf) = &self.buf {
-            buf.borrow_mut().events.push(TraceEvent {
-                name,
-                cat,
-                pid,
-                tid,
-                ts,
-                dur: None,
-                args: args.to_vec(),
-            });
+            record(buf, ev, tid, ts, None, args);
         }
     }
 
@@ -240,7 +282,6 @@ impl Tracer {
     /// a JSON array of objects with `name`, `cat`, `ph`, `ts`, `pid`,
     /// `tid`, optional `dur`, and an `args` object. Simulated cycles map
     /// 1:1 onto microseconds (the unit Chrome assumes for `ts`).
-    #[cfg(feature = "json")]
     pub fn to_chrome_json(&self) -> String {
         use crate::json::JsonValue;
 
@@ -290,12 +331,30 @@ impl Tracer {
         }
         JsonValue::Arr(arr).render()
     }
+}
 
-    /// Write the Chrome trace JSON to `path`.
-    #[cfg(feature = "json")]
-    pub fn write_chrome_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_chrome_json())
-    }
+/// Appends one event to an enabled tracer's buffer. Kept out of line so
+/// that [`Tracer::span`] and [`Tracer::instant`] inline to one branch,
+/// and a disabled tracer never builds the event's arguments.
+#[inline(never)]
+fn record(
+    buf: &RefCell<TraceBuf>,
+    ev: Event,
+    tid: u32,
+    ts: Cycle,
+    dur: Option<Cycle>,
+    args: &[(&'static str, u64)],
+) {
+    let (name, cat, pid) = ev.parts();
+    buf.borrow_mut().events.push(TraceEvent {
+        name,
+        cat,
+        pid,
+        tid,
+        ts,
+        dur,
+        args: args.to_vec(),
+    });
 }
 
 #[cfg(test)]
@@ -303,21 +362,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_is_sorted_and_lookup_works() {
-        for list in [registry::CATEGORIES, registry::EVENT_NAMES] {
-            assert!(list.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
+    fn event_names_are_unique_and_each_category_has_one_track() {
+        let parts: Vec<_> = Event::ALL.iter().map(|e| e.parts()).collect();
+        for (i, (name, _, _)) in parts.iter().enumerate() {
+            assert!(
+                parts[..i].iter().all(|(n, _, _)| n != name),
+                "event name {name} listed twice"
+            );
         }
-        assert!(registry::is_known_category("proto.handler"));
-        assert!(!registry::is_known_category("proto.hanlder"));
-        assert!(registry::is_known_event_name("read.remote"));
-        assert!(!registry::is_known_event_name("nonsense"));
+        for (_, cat, pid) in &parts {
+            assert!(
+                parts.iter().all(|(_, c, p)| c != cat || p == pid),
+                "category {cat} spans two tracks"
+            );
+        }
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::disabled();
-        t.span(0, 0, "x", "c", 0, 10, &[("a", 1)]);
-        t.instant(0, 0, "y", "c", 5, &[]);
+        t.span(Event::NetXfer, 0, 0, 10, &[("a", 1)]);
+        t.instant(Event::AmHit, 0, 5, &[]);
         assert_eq!(t.len(), 0);
         assert!(!t.is_enabled());
     }
@@ -326,9 +391,9 @@ mod tests {
     fn clones_share_a_buffer_and_sort_by_track_time() {
         let t = Tracer::enabled();
         let t2 = t.clone();
-        t.span(0, 1, "b", "c", 50, 5, &[]);
-        t2.span(0, 1, "a", "c", 10, 5, &[]);
-        t2.span(0, 0, "z", "c", 99, 1, &[]);
+        t.span(Event::HandlerRead, 1, 50, 5, &[]);
+        t2.span(Event::HandlerAck, 1, 10, 5, &[]);
+        t2.span(Event::Hint, 0, 99, 1, &[]);
         let ev = t.events_sorted();
         assert_eq!(ev.len(), 3);
         assert_eq!((ev[0].tid, ev[0].ts), (0, 99));
@@ -336,27 +401,18 @@ mod tests {
         assert_eq!((ev[2].tid, ev[2].ts), (1, 50));
     }
 
-    #[cfg(feature = "json")]
     #[test]
     fn chrome_json_is_a_valid_array() {
         let t = Tracer::enabled();
-        t.span(
-            track::PROTO,
-            3,
-            "read",
-            "proto.handler",
-            100,
-            40,
-            &[("page", 7)],
-        );
-        t.instant(track::PROTO, 3, "am.miss", "am.miss", 100, &[]);
+        t.span(Event::HandlerRead, 3, 100, 40, &[("page", 7)]);
+        t.instant(Event::AmMiss, 3, 100, &[]);
         let doc = crate::json::parse(&t.to_chrome_json()).unwrap();
         let arr = doc.as_arr().unwrap();
         // 3 metadata records + 2 events.
         assert_eq!(arr.len(), 5);
         let span = arr
             .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("read"))
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("Read"))
             .unwrap();
         assert_eq!(span.get("ph").unwrap().as_str(), Some("X"));
         assert_eq!(span.get("dur").unwrap().as_u64(), Some(40));

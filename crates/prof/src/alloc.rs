@@ -188,7 +188,7 @@ mod tests {
         let (a0, b0) = phase_allocs(0);
         let before = crate::phase::stats();
         {
-            crate::phase!("point.build");
+            crate::phase!(crate::Phase::PointBuild);
             std::hint::black_box(vec![0u8; 4096]);
         }
         let after = crate::phase::stats();

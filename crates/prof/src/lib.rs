@@ -32,11 +32,10 @@
 //! # Phases
 //!
 //! A *phase* is a named wall-clock scope entered with the [`phase!`]
-//! macro. Phase names are static: every name must be listed in
-//! [`phase::registry::PHASES`] (lint rule **P001** enforces the registry
-//! in both directions), which is what lets the `count-alloc` allocator
-//! attribute allocations to the active phase with a fixed-size atomic
-//! table and no allocation of its own.
+//! macro. Phases are the closed [`Phase`] enum, so a misspelled phase
+//! does not compile, and the `count-alloc` allocator can attribute
+//! allocations to the active phase with a fixed-size atomic table
+//! indexed by variant and no allocation of its own.
 
 pub mod alloc;
 pub mod counters;
@@ -44,28 +43,33 @@ pub mod phase;
 
 pub use alloc::AllocTotals;
 pub use counters::Snapshot;
-pub use phase::PhaseStats;
+pub use phase::{Phase, PhaseStats};
 
-/// Attributes the wrapped statements to a registered profiler phase.
+/// Attributes the rest of the enclosing block to a profiler [`Phase`].
 ///
 /// Expands to a scope guard: the phase is active until the end of the
 /// enclosing block, wall time and an enter count are recorded on drop,
 /// and (with the `count-alloc` feature) allocations made while the phase
-/// is active on this thread are attributed to it. The name must be a
-/// string literal present in [`phase::registry::PHASES`] — lint rule
-/// P001 checks every call site statically, and [`phase::enter`] panics
-/// on an unregistered name at run time.
+/// is active on this thread are attributed to it.
 ///
 /// ```
+/// use pimdsm_prof::Phase;
+///
 /// fn render() {
-///     pimdsm_prof::phase!("suite.render");
+///     pimdsm_prof::phase!(Phase::SuiteRender);
 ///     // ... work attributed to "suite.render" ...
 /// }
 /// ```
+///
+/// A phase name is not a phase, so a typo cannot reach run time:
+///
+/// ```compile_fail,E0308
+/// pimdsm_prof::phase!("point.rnu");
+/// ```
 #[macro_export]
 macro_rules! phase {
-    ($name:literal) => {
-        let _pimdsm_prof_phase_guard = $crate::phase::enter($name);
+    ($phase:expr) => {
+        let _pimdsm_prof_phase_guard = $crate::phase::enter($phase);
     };
 }
 

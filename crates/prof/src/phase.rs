@@ -1,56 +1,91 @@
 //! Hierarchical wall-clock phase timers.
 //!
-//! A phase is a named scope entered via [`crate::phase!`]. Scopes nest:
-//! entering a child remembers the parent and restores it on drop, and a
-//! phase's recorded wall time is *inclusive* of its children (the
+//! A phase is a [`Phase`] scope entered via [`crate::phase!`]. Scopes
+//! nest: entering a child remembers the parent and restores it on drop,
+//! and a phase's recorded wall time is *inclusive* of its children (the
 //! timer runs for the whole scope). Per phase, the crate accumulates an
 //! **enter count** (deterministic) and **wall nanoseconds**
 //! (non-deterministic, explicitly so-named); with the `count-alloc`
 //! feature, allocations made while a phase is active on a thread are
 //! attributed to it (see [`crate::alloc`]).
 //!
-//! Phase names are a closed vocabulary: [`registry::PHASES`]. The table
+//! Phases are a closed vocabulary: the [`Phase`] enum. Its variant index
 //! is what makes the allocator's attribution allocation-free (a
-//! fixed-size atomic array indexed by phase slot), what gives bench
-//! reports a stable schema, and what lint rule **P001** checks both
-//! ways — an unregistered `phase!` name and a registered phase nothing
-//! enters are both violations. To add a phase: add the name to
-//! `PHASES` (sorted), then use it from exactly one subsystem.
+//! fixed-size atomic array indexed by phase slot), its name order is
+//! what gives bench reports a stable schema, and a misspelled phase is a
+//! compile error. To add a phase: add a variant in name order, extend
+//! [`Phase::ALL`] and [`Phase::name`], then enter it from exactly one
+//! subsystem.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-/// The canonical registry of profiler phase names.
-pub mod registry {
-    /// Every phase name `phase!` may use, sorted.
-    pub const PHASES: &[&str] = &[
-        "bench.measure",
-        "cache.load",
-        "cache.store",
-        "point.build",
-        "point.run",
-        "suite.points",
-        "suite.render",
-        "svc.build",
+/// A profiler phase. Declared in name order, so slot order, bench
+/// documents and [`Phase::ALL`] all list the phases sorted by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// `pimdsm-lab bench`'s measured runs.
+    BenchMeasure,
+    /// Result-cache lookups.
+    CacheLoad,
+    /// Result-cache writes.
+    CacheStore,
+    /// Building one point's machine and workload.
+    PointBuild,
+    /// Running one point's machine.
+    PointRun,
+    /// A suite's point sweep.
+    SuitePoints,
+    /// A suite's text render.
+    SuiteRender,
+    /// Building a service workload.
+    SvcBuild,
+}
+
+impl Phase {
+    /// Every phase, in declaration (= name) order.
+    pub const ALL: [Phase; 8] = [
+        Phase::BenchMeasure,
+        Phase::CacheLoad,
+        Phase::CacheStore,
+        Phase::PointBuild,
+        Phase::PointRun,
+        Phase::SuitePoints,
+        Phase::SuiteRender,
+        Phase::SvcBuild,
     ];
 
-    /// Whether `name` is a registered phase.
-    pub fn is_known_phase(name: &str) -> bool {
-        PHASES.binary_search(&name).is_ok()
+    /// The phase's name in bench documents.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Phase::BenchMeasure => "bench.measure",
+            Phase::CacheLoad => "cache.load",
+            Phase::CacheStore => "cache.store",
+            Phase::PointBuild => "point.build",
+            Phase::PointRun => "point.run",
+            Phase::SuitePoints => "suite.points",
+            Phase::SuiteRender => "suite.render",
+            Phase::SvcBuild => "svc.build",
+        }
+    }
+
+    /// Attribution slot: the variant's index + 1 (slot 0 is unphased).
+    const fn slot(self) -> usize {
+        self as usize + 1
     }
 }
 
-/// Attribution slots: one per registered phase plus slot 0 for code
-/// running outside any phase.
-pub(crate) const SLOTS: usize = registry::PHASES.len() + 1;
+/// Attribution slots: one per phase plus slot 0 for code running outside
+/// any phase.
+pub(crate) const SLOTS: usize = Phase::ALL.len() + 1;
 
 /// Display name of an attribution slot.
 pub(crate) fn slot_name(slot: usize) -> &'static str {
     if slot == 0 {
         "(unphased)"
     } else {
-        registry::PHASES[slot - 1]
+        Phase::ALL[slot - 1].name()
     }
 }
 
@@ -83,17 +118,11 @@ pub struct PhaseGuard {
     start: Instant,
 }
 
-/// Enters a registered phase on the current thread. Prefer the
-/// [`crate::phase!`] macro, whose literal-only argument is what lint
-/// rule P001 can check statically.
-///
-/// # Panics
-///
-/// Panics if `name` is not in [`registry::PHASES`].
-pub fn enter(name: &str) -> PhaseGuard {
-    let slot = registry::PHASES.binary_search(&name).unwrap_or_else(|_| {
-        panic!("pimdsm-prof: phase {name:?} is not in phase::registry::PHASES (rule P001)")
-    }) + 1;
+/// Enters `phase` on the current thread until the guard drops. Prefer
+/// the [`crate::phase!`] macro, which holds the guard to the end of the
+/// enclosing block.
+pub fn enter(phase: Phase) -> PhaseGuard {
+    let slot = phase.slot();
     let prev = CURRENT.with(|c| c.replace(slot));
     PhaseGuard {
         slot,
@@ -114,7 +143,7 @@ impl Drop for PhaseGuard {
 /// Aggregate statistics of one phase (or of the `(unphased)` slot 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStats {
-    /// Registered phase name, or `"(unphased)"`.
+    /// [`Phase::name`], or `"(unphased)"`.
     pub name: &'static str,
     /// Times the phase was entered. **Deterministic.**
     pub enters: u64,
@@ -128,7 +157,7 @@ pub struct PhaseStats {
 }
 
 /// Snapshot of every slot's aggregates, `(unphased)` first, then the
-/// registered phases in registry order.
+/// phases in [`Phase::ALL`] order.
 pub fn stats() -> Vec<PhaseStats> {
     (0..SLOTS)
         .map(|slot| {
@@ -157,13 +186,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_is_sorted_and_lookup_works() {
+    fn phases_are_sorted_by_unique_name_and_slotted_by_index() {
         assert!(
-            registry::PHASES.windows(2).all(|w| w[0] < w[1]),
+            Phase::ALL.windows(2).all(|w| w[0].name() < w[1].name()),
             "sorted, no dups"
         );
-        assert!(registry::is_known_phase("point.run"));
-        assert!(!registry::is_known_phase("point.rnu"));
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p.slot(), i + 1);
+            assert_eq!(slot_name(p.slot()), p.name());
+        }
     }
 
     #[test]
@@ -172,11 +203,11 @@ mod tests {
         // this thread's CURRENT slot, which is test-local.
         assert_eq!(current_slot(), 0);
         {
-            crate::phase!("point.build");
+            crate::phase!(Phase::PointBuild);
             let outer = current_slot();
             assert_eq!(slot_name(outer), "point.build");
             {
-                crate::phase!("point.run");
+                crate::phase!(Phase::PointRun);
                 assert_eq!(slot_name(current_slot()), "point.run");
             }
             assert_eq!(current_slot(), outer, "child restores parent");
@@ -187,16 +218,10 @@ mod tests {
     #[test]
     fn stats_cover_every_slot_in_order() {
         let st = stats();
-        assert_eq!(st.len(), registry::PHASES.len() + 1);
+        assert_eq!(st.len(), Phase::ALL.len() + 1);
         assert_eq!(st[0].name, "(unphased)");
-        for (s, name) in st[1..].iter().zip(registry::PHASES) {
-            assert_eq!(&s.name, name);
+        for (s, p) in st[1..].iter().zip(Phase::ALL) {
+            assert_eq!(s.name, p.name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not in phase::registry::PHASES")]
-    fn unregistered_phase_panics() {
-        let _g = enter("no.such.phase");
     }
 }

@@ -26,7 +26,7 @@ use pimdsm_faults::{Durability, RecoveryStats};
 use pimdsm_mem::{line_of, CacheCfg, Line, Page};
 use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::{DRAM, HANDLER, NETWORK};
-use pimdsm_obs::{trace::track, EpochProbe};
+use pimdsm_obs::{EpochProbe, Event};
 
 use crate::common::{
     Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
@@ -364,10 +364,8 @@ impl AggSystem {
             t = dn.server.occupy(t, occ) + occ;
         }
         self.fab.tracer.span(
-            track::PROTO,
+            Event::PageOut,
             d as u32,
-            "pageout",
-            "am.pageout",
             at,
             (t - at).max(1),
             &[("pages", n_pages)],
@@ -754,10 +752,8 @@ impl AggSystem {
         let t_mem = self.dstore(d).bulk_data_access(start, mem_bytes);
         let done = (start + occupancy).max(t_mem);
         self.fab.tracer.span(
-            track::PROTO,
+            Event::Offload,
             d as u32,
-            "offload",
-            "svc.offload",
             start,
             (done - start).max(1),
             &[("from", p as u64), ("bytes", mem_bytes)],

@@ -627,6 +627,19 @@ impl ProtoStats {
 impl pimdsm_obs::ToJson for ProtoStats {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;
+        let ProtoStats {
+            reads_by_level,
+            read_latency_by_level,
+            read_breakdown_by_level,
+            remote_writes,
+            invalidations,
+            write_backs,
+            injections,
+            master_fetches,
+            page_outs,
+            disk_faults,
+            disk_spills,
+        } = self;
         let by_level = |values: &[u64; 5]| {
             JsonValue::Obj(
                 Level::ALL
@@ -639,7 +652,7 @@ impl pimdsm_obs::ToJson for ProtoStats {
             Level::ALL
                 .iter()
                 .map(|&l| {
-                    let row = &self.read_breakdown_by_level[l.index()];
+                    let row = &read_breakdown_by_level[l.index()];
                     (
                         l.label().to_string(),
                         JsonValue::Obj(
@@ -654,20 +667,17 @@ impl pimdsm_obs::ToJson for ProtoStats {
                 .collect(),
         );
         JsonValue::obj([
-            ("reads_by_level", by_level(&self.reads_by_level)),
-            (
-                "read_latency_by_level",
-                by_level(&self.read_latency_by_level),
-            ),
+            ("reads_by_level", by_level(reads_by_level)),
+            ("read_latency_by_level", by_level(read_latency_by_level)),
             ("read_breakdown_by_level", breakdown),
-            ("remote_writes", JsonValue::u64(self.remote_writes)),
-            ("invalidations", JsonValue::u64(self.invalidations)),
-            ("write_backs", JsonValue::u64(self.write_backs)),
-            ("injections", JsonValue::u64(self.injections)),
-            ("master_fetches", JsonValue::u64(self.master_fetches)),
-            ("page_outs", JsonValue::u64(self.page_outs)),
-            ("disk_faults", JsonValue::u64(self.disk_faults)),
-            ("disk_spills", JsonValue::u64(self.disk_spills)),
+            ("remote_writes", JsonValue::u64(*remote_writes)),
+            ("invalidations", JsonValue::u64(*invalidations)),
+            ("write_backs", JsonValue::u64(*write_backs)),
+            ("injections", JsonValue::u64(*injections)),
+            ("master_fetches", JsonValue::u64(*master_fetches)),
+            ("page_outs", JsonValue::u64(*page_outs)),
+            ("disk_faults", JsonValue::u64(*disk_faults)),
+            ("disk_spills", JsonValue::u64(*disk_spills)),
         ])
     }
 }
@@ -696,15 +706,23 @@ impl Census {
 impl pimdsm_obs::ToJson for Census {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;
+        let Census {
+            dirty_in_p,
+            shared_in_p,
+            d_node_only,
+            paged_out,
+            d_slots,
+            shared_with_home_copy,
+        } = *self;
         JsonValue::obj([
-            ("dirty_in_p", JsonValue::u64(self.dirty_in_p)),
-            ("shared_in_p", JsonValue::u64(self.shared_in_p)),
-            ("d_node_only", JsonValue::u64(self.d_node_only)),
-            ("paged_out", JsonValue::u64(self.paged_out)),
-            ("d_slots", JsonValue::u64(self.d_slots)),
+            ("dirty_in_p", JsonValue::u64(dirty_in_p)),
+            ("shared_in_p", JsonValue::u64(shared_in_p)),
+            ("d_node_only", JsonValue::u64(d_node_only)),
+            ("paged_out", JsonValue::u64(paged_out)),
+            ("d_slots", JsonValue::u64(d_slots)),
             (
                 "shared_with_home_copy",
-                JsonValue::u64(self.shared_with_home_copy),
+                JsonValue::u64(shared_with_home_copy),
             ),
             ("total_lines", JsonValue::u64(self.total_lines())),
         ])

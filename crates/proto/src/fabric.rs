@@ -20,17 +20,17 @@ use pimdsm_engine::{Cycle, Server, ServerGrant};
 use pimdsm_faults::RetryCfg;
 use pimdsm_mem::{Line, Page, PageTable};
 use pimdsm_net::Network;
-use pimdsm_obs::{trace::track, EpochProbe, Tracer};
+use pimdsm_obs::{EpochProbe, Event, Tracer};
 
 use crate::common::{HandlerCosts, HandlerKind, LatencyCfg, MsgSize, NodeId, NodeSet, ProtoStats};
 
-/// Display name for a handler span.
-fn handler_name(kind: HandlerKind) -> &'static str {
+/// The trace event of a handler occupancy span.
+fn handler_event(kind: HandlerKind) -> Event {
     match kind {
-        HandlerKind::Read => "Read",
-        HandlerKind::ReadExclusive => "ReadEx",
-        HandlerKind::Acknowledgment => "Ack",
-        HandlerKind::WriteBack => "WriteBack",
+        HandlerKind::Read => Event::HandlerRead,
+        HandlerKind::ReadExclusive => Event::HandlerReadEx,
+        HandlerKind::Acknowledgment => Event::HandlerAck,
+        HandlerKind::WriteBack => Event::HandlerWriteBack,
     }
 }
 
@@ -63,8 +63,6 @@ pub struct Fabric {
     /// cycle their recovery completes. Transactions that touch one pay a
     /// bounded retry wait (see [`Fabric::retry_wait`]).
     pub recovering: BTreeMap<Page, Cycle>,
-    /// Retry/backoff policy for transactions racing a recovery.
-    pub retry: RetryCfg,
     /// Retry probes issued so far (drained into `RecoveryStats`).
     pub retries: u64,
     /// Total cycles spent in retry waits (drained into `RecoveryStats`).
@@ -93,7 +91,6 @@ impl Fabric {
             tracer: Tracer::disabled(),
             dead: NodeSet::new(),
             recovering: BTreeMap::new(),
-            retry: RetryCfg::default(),
             retries: 0,
             retry_wait_cycles: 0,
         }
@@ -168,7 +165,7 @@ impl Fabric {
     }
 
     /// Retry wait a transaction from `node` pays at `now` if `page` is
-    /// still recovering: bounded timeout/backoff per the fabric's
+    /// still recovering: bounded timeout/backoff per the default
     /// [`RetryCfg`]. Returns 0 (and clears the marker) once the page's
     /// recovery has completed.
     pub fn retry_wait(&mut self, node: NodeId, page: Page, now: Cycle) -> Cycle {
@@ -179,14 +176,12 @@ impl Fabric {
             self.recovering.remove(&page);
             return 0;
         }
-        let (wait, probes) = self.retry.wait_for(now, recovered_at);
+        let (wait, probes) = RetryCfg::default().wait_for(now, recovered_at);
         self.retries += probes as u64;
         self.retry_wait_cycles += wait;
         self.tracer.instant(
-            track::PROTO,
+            Event::Retry,
             node as u32,
-            "retry",
-            "proto.retry",
             now,
             &[("page", page), ("wait", wait), ("probes", probes as u64)],
         );
@@ -213,10 +208,8 @@ impl Fabric {
         let (lat, occ) = self.handler.cost(kind, invals);
         let g = server.dispatch(at, lat, occ);
         self.tracer.span(
-            track::PROTO,
+            handler_event(kind),
             at_node as u32,
-            handler_name(kind),
-            "proto.handler",
             g.start,
             occ.max(1),
             &[("invals", invals as u64), ("queued", g.start - at)],
@@ -229,15 +222,8 @@ impl Fabric {
     pub fn hint_occupy(&mut self, server: &mut Server, at_node: NodeId, at: Cycle) -> Cycle {
         let (_, ack_occ) = self.handler.cost(HandlerKind::Acknowledgment, 0);
         let start = server.occupy(at, ack_occ);
-        self.tracer.span(
-            track::PROTO,
-            at_node as u32,
-            "Hint",
-            "proto.handler",
-            start,
-            ack_occ.max(1),
-            &[],
-        );
+        self.tracer
+            .span(Event::Hint, at_node as u32, start, ack_occ.max(1), &[]);
         start
     }
 
@@ -271,35 +257,21 @@ impl Fabric {
 
     /// Traces an attraction-memory hit at `node`.
     pub fn am_hit(&mut self, node: NodeId, line: Line, at: Cycle) {
-        self.tracer.instant(
-            track::PROTO,
-            node as u32,
-            "hit",
-            "am.hit",
-            at,
-            &[("line", line)],
-        );
+        self.tracer
+            .instant(Event::AmHit, node as u32, at, &[("line", line)]);
     }
 
     /// Traces an attraction-memory miss at `node`.
     pub fn am_miss(&mut self, node: NodeId, line: Line, at: Cycle) {
-        self.tracer.instant(
-            track::PROTO,
-            node as u32,
-            "miss",
-            "am.miss",
-            at,
-            &[("line", line)],
-        );
+        self.tracer
+            .instant(Event::AmMiss, node as u32, at, &[("line", line)]);
     }
 
     /// Traces an attraction-memory insertion that displaced `victim`.
     pub fn am_swap(&mut self, node: NodeId, new_line: Line, victim: Line, at: Cycle) {
         self.tracer.instant(
-            track::PROTO,
+            Event::AmSwap,
             node as u32,
-            "swap",
-            "am.swap",
             at,
             &[("line", new_line), ("victim", victim)],
         );
@@ -308,26 +280,14 @@ impl Fabric {
     /// Traces a disk fault at `home` (a paged-out or spilled line coming
     /// back from disk).
     pub fn disk_fault(&mut self, home: NodeId, line: Line, at: Cycle) {
-        self.tracer.instant(
-            track::PROTO,
-            home as u32,
-            "fault",
-            "proto.disk",
-            at,
-            &[("line", line)],
-        );
+        self.tracer
+            .instant(Event::DiskFault, home as u32, at, &[("line", line)]);
     }
 
     /// Traces a COMA master-line injection into `target`.
     pub fn am_inject(&mut self, target: NodeId, line: Line, at: Cycle) {
-        self.tracer.instant(
-            track::PROTO,
-            target as u32,
-            "inject",
-            "am.inject",
-            at,
-            &[("line", line)],
-        );
+        self.tracer
+            .instant(Event::AmInject, target as u32, at, &[("line", line)]);
     }
 
     /// Snapshot of cumulative counters for epoch sampling, given the

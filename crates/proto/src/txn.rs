@@ -23,7 +23,7 @@
 use pimdsm_engine::{Cycle, ServerGrant};
 use pimdsm_mem::Line;
 use pimdsm_obs::breakdown::{CACHE, DRAM, HANDLER, NETWORK, QUEUE};
-use pimdsm_obs::trace::track;
+use pimdsm_obs::Event;
 
 use crate::common::{Access, Level, NodeId};
 use crate::fabric::Fabric;
@@ -154,15 +154,13 @@ impl Txn {
             "breakdown must sum to the walk's total latency"
         );
         if span {
-            let (name, cat) = match kind {
-                TxnKind::Read => ("read.remote", "proto.read"),
-                TxnKind::Write => ("write.remote", "proto.write"),
+            let ev = match kind {
+                TxnKind::Read => Event::ReadRemote,
+                TxnKind::Write => Event::WriteRemote,
             };
             fab.tracer.span(
-                track::PROTO,
+                ev,
                 self.node as u32,
-                name,
-                cat,
                 self.start,
                 total.max(1),
                 &[("line", self.line), ("level", level.index() as u64)],

@@ -111,7 +111,7 @@ impl SvcSpec {
     /// `size_div`, request/iteration counts by `iter_div`, with floors so
     /// tiny CI scales still exercise every path).
     pub fn build(&self, scale: Scale) -> Box<dyn Workload> {
-        pimdsm_prof::phase!("svc.build");
+        pimdsm_prof::phase!(pimdsm_prof::Phase::SvcBuild);
         let size = scale.size_div.max(1);
         let iters = scale.iter_div.max(1);
         match *self {

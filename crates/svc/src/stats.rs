@@ -1,6 +1,7 @@
 //! Per-request latency and throughput accounting.
 
 use pimdsm_engine::Histogram;
+use pimdsm_obs::json::histogram_from_json;
 use pimdsm_obs::{JsonValue, ToJson};
 
 /// Request classes a [`crate::SvcSpec`] workload can open.
@@ -104,66 +105,36 @@ impl SvcStats {
             puts: field("puts")?,
             other: field("other")?,
             queued_cycles: field("queued_cycles")?,
-            latency: hist_from_json(v, "latency")?,
-            get_latency: hist_from_json(v, "get_latency")?,
-            put_latency: hist_from_json(v, "put_latency")?,
+            latency: histogram_from_json(v, "latency")?,
+            get_latency: histogram_from_json(v, "get_latency")?,
+            put_latency: histogram_from_json(v, "put_latency")?,
         })
     }
 }
 
 impl ToJson for SvcStats {
     fn to_json(&self) -> JsonValue {
+        let SvcStats {
+            requests,
+            gets,
+            puts,
+            other,
+            queued_cycles,
+            latency,
+            get_latency,
+            put_latency,
+        } = self;
         JsonValue::obj([
-            ("requests", JsonValue::u64(self.requests)),
-            ("gets", JsonValue::u64(self.gets)),
-            ("puts", JsonValue::u64(self.puts)),
-            ("other", JsonValue::u64(self.other)),
-            ("queued_cycles", JsonValue::u64(self.queued_cycles)),
-            ("latency", hist_to_json(&self.latency)),
-            ("get_latency", hist_to_json(&self.get_latency)),
-            ("put_latency", hist_to_json(&self.put_latency)),
+            ("requests", JsonValue::u64(*requests)),
+            ("gets", JsonValue::u64(*gets)),
+            ("puts", JsonValue::u64(*puts)),
+            ("other", JsonValue::u64(*other)),
+            ("queued_cycles", JsonValue::u64(*queued_cycles)),
+            ("latency", latency.to_json()),
+            ("get_latency", get_latency.to_json()),
+            ("put_latency", put_latency.to_json()),
         ])
     }
-}
-
-fn hist_to_json(h: &Histogram) -> JsonValue {
-    JsonValue::obj([
-        ("count", JsonValue::u64(h.count())),
-        ("sum", JsonValue::u64(h.sum())),
-        ("max", JsonValue::u64(h.max())),
-        (
-            "buckets",
-            JsonValue::Arr(h.buckets().iter().map(|&n| JsonValue::u64(n)).collect()),
-        ),
-    ])
-}
-
-fn hist_from_json(v: &JsonValue, key: &str) -> Result<Histogram, String> {
-    let h = v.get(key).ok_or_else(|| format!("missing {key}"))?;
-    let hfield = |sub: &str| -> Result<u64, String> {
-        h.get(sub)
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| format!("missing {key}.{sub}"))
-    };
-    let arr = h
-        .get("buckets")
-        .and_then(|x| x.as_arr())
-        .ok_or_else(|| format!("missing {key}.buckets"))?;
-    if arr.len() != 64 {
-        return Err(format!("{key}.buckets has {} entries", arr.len()));
-    }
-    let mut buckets = [0u64; 64];
-    for (slot, x) in buckets.iter_mut().zip(arr) {
-        *slot = x
-            .as_u64()
-            .ok_or_else(|| format!("non-integer {key} bucket"))?;
-    }
-    Ok(Histogram::from_raw(
-        buckets,
-        hfield("count")?,
-        hfield("sum")?,
-        hfield("max")?,
-    ))
 }
 
 #[cfg(test)]

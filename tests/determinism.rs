@@ -163,7 +163,7 @@ fn assert_profiling_does_not_perturb(suite: &str, label_substr: &str) {
 
     let (ra, ea) = run();
     let ((rb, eb), delta) = pimdsm_prof::counters::scoped(|| {
-        pimdsm_prof::phase!("point.run");
+        pimdsm_prof::phase!(pimdsm_prof::Phase::PointRun);
         run()
     });
     let what = point.key();
