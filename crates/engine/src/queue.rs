@@ -80,7 +80,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Total events popped over the queue's lifetime. Deterministic; the
-    /// driver feeds this to `pimdsm_prof` as the event-throughput count.
+    /// driver adds it to `pimdsm_prof::counters::ENGINE_EVENTS`.
     pub fn total_pops(&self) -> u64 {
         self.pops
     }

@@ -1,4 +1,8 @@
 //! Property-based tests for the simulation kernel.
+#![expect(
+    clippy::disallowed_types,
+    reason = "BinaryHeap and HashMap are reference models to test against, never simulation state"
+)]
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,5 +1,9 @@
 //! Property-based tests for the memory substrates, checking them against
 //! simple reference models.
+#![expect(
+    clippy::disallowed_types,
+    reason = "HashMap and HashSet are reference models to test against, never simulation state"
+)]
 
 use std::collections::{HashMap, HashSet, VecDeque};
 

@@ -489,6 +489,11 @@ mod tests {
     /// thousand events is megabytes of mostly string bytes, and a parser
     /// that re-scans the rest of the input per character takes minutes.
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "bounds host parse time; no simulated value depends on it"
+    )]
     fn parses_a_multi_megabyte_string_document_quickly() {
         let name = "proto.handler \"ReadExclusive\" → D-node \\ ".repeat(3);
         let doc = JsonValue::arr((0..32_000u64).map(|i| {

@@ -16,6 +16,11 @@
 //! compile error. To add a phase: add a variant in name order, extend
 //! [`Phase::ALL`] and [`Phase::name`], then enter it from exactly one
 //! subsystem.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the phase timer reads the wall clock into WALL_NS, which only stats() reads back; sim crates name only phase! and Phase::SvcBuild here"
+)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

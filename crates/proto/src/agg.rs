@@ -399,7 +399,7 @@ impl AggSystem {
         let Role::D(dn) = &mut self.roles[home] else {
             panic!("home {home} is a P-node, expected D")
         };
-        self.fab.hint_occupy(&mut dn.server, home, t1);
+        self.fab.ack_occupy(Event::Hint, &mut dn.server, home, t1);
         dn.replacement_hint(line, p);
     }
 

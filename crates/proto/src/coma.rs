@@ -21,6 +21,7 @@ use pimdsm_faults::{Durability, RecoveryStats};
 use pimdsm_mem::{line_of, CacheCfg, Line, PagedMap};
 use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::NETWORK;
+use pimdsm_obs::Event;
 
 use crate::common::{
     Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
@@ -345,7 +346,8 @@ impl ComaSystem {
         if home != node {
             let ctrl = self.fab.msg_ctrl();
             let t = self.fab.net.send(node, home, ctrl, now);
-            self.fab.hint_occupy(&mut self.ctrls[home], home, t);
+            self.fab
+                .ack_occupy(Event::Hint, &mut self.ctrls[home], home, t);
         }
     }
 

@@ -217,21 +217,28 @@ impl Fabric {
         g
     }
 
-    /// Books acknowledgment occupancy for a replacement hint on `server`
-    /// and traces it; returns the occupancy start.
-    pub fn hint_occupy(&mut self, server: &mut Server, at_node: NodeId, at: Cycle) -> Cycle {
+    /// Books acknowledgment occupancy on `server` at node `at_node` and
+    /// traces it as `ev` (a replacement hint or an invalidation ack);
+    /// returns the occupancy start.
+    pub fn ack_occupy(
+        &mut self,
+        ev: Event,
+        server: &mut Server,
+        at_node: NodeId,
+        at: Cycle,
+    ) -> Cycle {
         let (_, ack_occ) = self.handler.cost(HandlerKind::Acknowledgment, 0);
         let start = server.occupy(at, ack_occ);
         self.tracer
-            .span(Event::Hint, at_node as u32, start, ack_occ.max(1), &[]);
+            .span(ev, at_node as u32, start, ack_occ.max(1), &[]);
         start
     }
 
     /// Invalidates a set of remote copies (NUMA/COMA shape): for each
     /// target, a control message from `from`, acknowledgment occupancy on
-    /// the target's controller, the protocol-state effect via
-    /// `invalidate`, and an ack back to `collector`. Returns the cycle at
-    /// which the last ack arrives.
+    /// the target's controller (traced on its track), the protocol-state
+    /// effect via `invalidate`, and an ack back to `collector`. Returns
+    /// the cycle at which the last ack arrives.
     pub fn invalidate_fanout(
         &mut self,
         ctrls: &mut [Server],
@@ -243,12 +250,12 @@ impl Fabric {
     ) -> Cycle {
         let mut done = at;
         let ctrl_bytes = self.msg_ctrl();
-        let (ack_lat, ack_occ) = self.handler.cost(HandlerKind::Acknowledgment, 0);
+        let (ack_lat, _) = self.handler.cost(HandlerKind::Acknowledgment, 0);
         for &k in targets {
             self.stats.invalidations += 1;
             let t1 = self.net.send(from, k, ctrl_bytes, at);
             invalidate(k);
-            let start = ctrls[k].occupy(t1, ack_occ);
+            let start = self.ack_occupy(Event::HandlerAck, &mut ctrls[k], k, t1);
             let t2 = self.net.send(k, collector, ctrl_bytes, start + ack_lat);
             done = done.max(t2);
         }

@@ -2,6 +2,7 @@
 //! `coma.rs` unit tests; same scenarios, driven through the public API).
 
 use pimdsm_mem::CacheCfg;
+use pimdsm_obs::Tracer;
 use pimdsm_proto::{AmState, ComaCfg, ComaSystem, CompactNode, Level, MemSystem};
 
 fn sys(am_lines: u64) -> ComaSystem {
@@ -47,9 +48,23 @@ fn write_invalidates_other_copies() {
     let mut s = sys(4096);
     s.read(0, 0x1000, 0);
     s.read(1, 0x1000, 1000);
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
     s.write(2, 0x1000, 10_000);
     assert_eq!(s.am_state(0, 64), None);
     assert_eq!(s.am_state(1, 64), None);
+    let mut acks: Vec<u32> = tracer
+        .events_sorted()
+        .iter()
+        .filter(|e| (e.name, e.cat) == ("Ack", "proto.handler"))
+        .map(|e| e.tid)
+        .collect();
+    acks.sort_unstable();
+    assert_eq!(
+        acks,
+        [0, 1],
+        "one Ack span per fan-out target, on its track"
+    );
     assert_eq!(s.am_state(2, 64), Some(AmState::Dirty));
     assert_eq!(
         s.dir_entry(64).expect("entry").owner.map(CompactNode::get),

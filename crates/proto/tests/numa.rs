@@ -1,6 +1,7 @@
 //! Protocol-level tests of the CC-NUMA system (relocated from the old
 //! `numa.rs` unit tests; same scenarios, driven through the public API).
 
+use pimdsm_obs::Tracer;
 use pimdsm_proto::{Level, MemSystem, NumaCfg, NumaSystem};
 
 fn sys() -> NumaSystem {
@@ -69,8 +70,22 @@ fn upgrade_invalidates_sharers() {
     s.read(1, 0x1000, 1000);
     s.read(2, 0x1000, 2000);
     let before = s.stats().invalidations;
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
     s.write(1, 0x1000, 10_000);
     assert!(s.stats().invalidations >= before + 2, "0 and 2 invalidated");
+    let mut acks: Vec<u32> = tracer
+        .events_sorted()
+        .iter()
+        .filter(|e| (e.name, e.cat) == ("Ack", "proto.handler"))
+        .map(|e| e.tid)
+        .collect();
+    acks.sort_unstable();
+    assert_eq!(
+        acks,
+        [0, 2],
+        "one Ack span per fan-out target, on its track"
+    );
     // Node 2's cached copy is gone: reading again is remote.
     let a = s.read(2, 0x1000, 100_000);
     assert_ne!(a.level, Level::L1);

@@ -1,5 +1,9 @@
 //! Property-based tests: random access streams never violate the
 //! protocols' structural invariants.
+#![expect(
+    clippy::disallowed_types,
+    reason = "HashSet is the reference model NodeSet is tested against, never simulation state"
+)]
 
 use proptest::prelude::*;
 

@@ -1,5 +1,9 @@
 //! Property-based tests: every generated workload is well-formed — the
 //! machine driver relies on these invariants to avoid deadlock.
+#![expect(
+    clippy::disallowed_types,
+    reason = "HashMap tallies arrivals as a reference model, never simulation state"
+)]
 
 use std::collections::HashMap;
 
