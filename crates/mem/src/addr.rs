@@ -12,6 +12,51 @@ pub type Line = u64;
 /// A page number (byte address >> page shift).
 pub type Page = u64;
 
+/// A line number stored in four bytes, for the per-line tag entries and
+/// line-keyed queues.
+///
+/// Tag entries and queue slots exist once per line of simulated memory,
+/// so their key width sets the per-line host cost. Every simulated line
+/// is far below 2^32 (the largest lab footprint, 441 MB at full scale,
+/// ends below line 2^23), so four bytes hold it. [`CompactLine::new`] is
+/// the only way to make one and [`CompactLine::get`] the only way back to
+/// a [`Line`], so a line is never silently truncated.
+///
+/// # Examples
+///
+/// ```
+/// use pimdsm_mem::CompactLine;
+///
+/// let l = CompactLine::new(0x4_0000);
+/// assert_eq!(l.get(), 0x4_0000);
+/// assert_eq!(std::mem::size_of::<CompactLine>(), 4);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CompactLine(u32);
+
+impl CompactLine {
+    /// Narrows `line` to four bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line >= 2^32`, in release builds too: a truncated key
+    /// would match a different resident line with the same low 32 bits.
+    #[inline]
+    pub fn new(line: Line) -> Self {
+        assert!(
+            line <= Line::from(u32::MAX),
+            "line {line:#x} does not fit in a 32-bit line key"
+        );
+        CompactLine(line as u32)
+    }
+
+    /// The line number.
+    #[inline]
+    pub fn get(self) -> Line {
+        Line::from(self.0)
+    }
+}
+
 /// Line number of a byte address for a line of size `1 << line_shift`.
 ///
 /// # Examples
@@ -62,6 +107,19 @@ mod tests {
         let line = line_of(addr, 6);
         let page = page_of(addr, 12);
         assert_eq!(page_of_line(line, 6, 12), page);
+    }
+
+    #[test]
+    fn compact_line_round_trips_its_range_ends() {
+        for line in [0, Line::from(u32::MAX)] {
+            assert_eq!(CompactLine::new(line).get(), line);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit line key")]
+    fn compact_line_rejects_lines_past_32_bits() {
+        CompactLine::new(1 << 32);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! caller charges the corresponding latency (the paper's 37 vs 57-cycle
 //! local round trips).
 
-use crate::addr::Line;
+use crate::addr::{CompactLine, Line};
 use crate::cache::{CacheCfg, Evicted, SetAssocCache};
 use crate::keyed_queue::KeyedQueue;
 
@@ -55,7 +55,7 @@ pub struct AmInsert<S> {
 #[derive(Debug, Clone)]
 pub struct AttractionMemory<S> {
     cache: SetAssocCache<S>,
-    onchip: KeyedQueue<Line>,
+    onchip: KeyedQueue<CompactLine>,
     onchip_cap: usize,
     swaps: u64,
 }
@@ -96,23 +96,24 @@ impl<S> AttractionMemory<S> {
     /// promotes it on chip (swapping with the LRU on-chip line if needed).
     pub fn touch(&mut self, line: Line) -> Option<Residency> {
         self.cache.get(line)?;
-        if self.onchip.move_to_back(&line) {
+        let key = CompactLine::new(line);
+        if self.onchip.move_to_back(&key) {
             Some(Residency::OnChip)
         } else {
-            self.promote(line);
+            self.promote(key);
             self.swaps += 1;
             Some(Residency::OffChip)
         }
     }
 
-    fn promote(&mut self, line: Line) {
+    fn promote(&mut self, key: CompactLine) {
         if self.onchip_cap == 0 {
             return;
         }
         if self.onchip.len() >= self.onchip_cap {
             self.onchip.pop_front();
         }
-        self.onchip.push_back(line);
+        self.onchip.push_back(key);
     }
 
     /// Payload access without promotion or LRU update.
@@ -139,7 +140,7 @@ impl<S> AttractionMemory<S> {
     pub fn residency(&self, line: Line) -> Option<Residency> {
         if !self.cache.contains(line) {
             None
-        } else if self.onchip.contains(&line) {
+        } else if self.onchip.contains(&CompactLine::new(line)) {
             Some(Residency::OnChip)
         } else {
             Some(Residency::OffChip)
@@ -162,10 +163,11 @@ impl<S> AttractionMemory<S> {
     ) -> AmInsert<S> {
         let victim = self.cache.insert(line, state, victim_class);
         if let Some(ev) = &victim {
-            self.onchip.remove(&ev.line);
+            self.onchip.remove(&CompactLine::new(ev.line));
         }
-        if !self.onchip.contains(&line) {
-            self.promote(line);
+        let key = CompactLine::new(line);
+        if !self.onchip.contains(&key) {
+            self.promote(key);
         }
         AmInsert { victim }
     }
@@ -174,7 +176,7 @@ impl<S> AttractionMemory<S> {
     pub fn remove(&mut self, line: Line) -> Option<S> {
         let s = self.cache.remove(line);
         if s.is_some() {
-            self.onchip.remove(&line);
+            self.onchip.remove(&CompactLine::new(line));
         }
         s
     }
@@ -289,8 +291,8 @@ mod tests {
     #[test]
     fn drain_all_empties_memory() {
         let mut m = am(8, 4, 2);
-        for i in 0..6 {
-            m.insert(i, i as u32, |_| 0);
+        for i in 0..6u32 {
+            m.insert(i.into(), i, |_| 0);
         }
         let drained: Vec<_> = m.drain_all().collect();
         assert_eq!(drained.len(), 6);
@@ -301,8 +303,8 @@ mod tests {
     #[test]
     fn drain_all_yields_lines_in_place_and_in_arena_order() {
         let mut m = am(8, 4, 2);
-        for i in 0..6 {
-            m.insert(i, (i * 10) as u32, |_| 0);
+        for i in 0..6u32 {
+            m.insert(i.into(), i * 10, |_| 0);
         }
         // Expected order is the tag arena's deterministic iteration order
         // — the same order the old Vec-materializing drain produced.
@@ -315,8 +317,8 @@ mod tests {
     #[test]
     fn abandoned_drain_still_empties_memory() {
         let mut m = am(8, 4, 2);
-        for i in 0..6 {
-            m.insert(i, i as u32, |_| 0);
+        for i in 0..6u32 {
+            m.insert(i.into(), i, |_| 0);
         }
         {
             let mut d = m.drain_all();

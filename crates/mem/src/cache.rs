@@ -11,13 +11,14 @@
 //! are bit-identical to the previous representation.
 //!
 //! Recency is a `u8` rank inside the set (0 = most recently used; the `n`
-//! filled ways hold ranks `0..n`, so the order is total), which keeps a
-//! tag entry with a one-byte payload at 16 bytes.
+//! filled ways hold ranks `0..n`, so the order is total), and the tag is
+//! a four-byte [`CompactLine`], which keeps a tag entry with a one-byte
+//! payload at 8 bytes.
 
 use std::fmt;
 use std::ops::Range;
 
-use crate::addr::Line;
+use crate::addr::{CompactLine, Line};
 
 /// Geometry of a set-associative cache.
 ///
@@ -108,7 +109,7 @@ impl CacheCfg {
 
 #[derive(Debug, Clone)]
 struct Entry<S> {
-    line: Line,
+    line: CompactLine,
     state: S,
     /// Recency within the set: 0 is the most recently used way.
     rank: u8,
@@ -150,6 +151,8 @@ pub struct Evicted<S> {
 pub struct SetAssocCache<S> {
     cfg: CacheCfg,
     ways: usize,
+    /// `cfg.num_sets()`, kept so indexing does not divide to recompute it.
+    sets: u64,
     /// Flat arena of tag slots; set `i` owns `[i*ways, (i+1)*ways)`, filled
     /// ways first.
     slab: Vec<Option<Entry<S>>>,
@@ -166,7 +169,7 @@ impl<S: fmt::Debug> fmt::Debug for SetAssocCache<S> {
 }
 
 /// The way of `set` holding `line`, scanning only the filled ways.
-fn way_of<S>(set: &[Option<Entry<S>>], line: Line) -> Option<usize> {
+fn way_of<S>(set: &[Option<Entry<S>>], line: CompactLine) -> Option<usize> {
     set.iter()
         .map_while(Option::as_ref)
         .position(|e| e.line == line)
@@ -220,11 +223,13 @@ impl<S> SetAssocCache<S> {
             ways <= 256,
             "a set of {ways} ways exceeds the 256 that u8 recency ranks can order"
         );
+        let sets = cfg.num_sets();
         let mut slab = Vec::new();
-        slab.resize_with(cfg.num_sets() as usize * ways, || None);
+        slab.resize_with(sets as usize * ways, || None);
         SetAssocCache {
             cfg,
             ways,
+            sets,
             slab,
             len: 0,
         }
@@ -245,13 +250,14 @@ impl<S> SetAssocCache<S> {
         self.len == 0
     }
 
+    /// The set `line` maps to, from the full line number.
     fn set_index(&self, line: Line) -> usize {
-        let n = self.cfg.num_sets();
-        if self.cfg.hashed_index() {
-            (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) as usize % n as usize
+        let key = if self.cfg.hashed_index() {
+            line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24
         } else {
-            (line % n) as usize
-        }
+            line
+        };
+        (key % self.sets) as usize
     }
 
     /// The slot range of the set `line` maps to.
@@ -262,28 +268,31 @@ impl<S> SetAssocCache<S> {
 
     /// Looks up a line, updating LRU. Returns the payload if present.
     pub fn get(&mut self, line: Line) -> Option<&mut S> {
+        let key = CompactLine::new(line);
         let range = self.set_range(line);
         let set = &mut self.slab[range];
-        let way = way_of(set, line)?;
+        let way = way_of(set, key)?;
         Some(&mut touch(set, way).state)
     }
 
     /// Looks up a line without touching LRU.
     pub fn peek(&self, line: Line) -> Option<&S> {
+        let key = CompactLine::new(line);
         self.slab[self.set_range(line)]
             .iter()
             .map_while(Option::as_ref)
-            .find(|e| e.line == line)
+            .find(|e| e.line == key)
             .map(|e| &e.state)
     }
 
     /// Mutable lookup without touching LRU.
     pub fn peek_mut(&mut self, line: Line) -> Option<&mut S> {
+        let key = CompactLine::new(line);
         let range = self.set_range(line);
         self.slab[range]
             .iter_mut()
             .map_while(Option::as_mut)
-            .find(|e| e.line == line)
+            .find(|e| e.line == key)
             .map(|e| &mut e.state)
     }
 
@@ -304,9 +313,10 @@ impl<S> SetAssocCache<S> {
         state: S,
         victim_class: impl Fn(&S) -> u32,
     ) -> Option<Evicted<S>> {
+        let key = CompactLine::new(line);
         let range = self.set_range(line);
         let set = &mut self.slab[range];
-        if let Some(way) = way_of(set, line) {
+        if let Some(way) = way_of(set, key) {
             touch(set, way).state = state;
             return None;
         }
@@ -322,7 +332,7 @@ impl<S> SetAssocCache<S> {
             set.swap(vi, n - 1);
             self.len -= 1;
             let evicted = Evicted {
-                line: victim.line,
+                line: victim.line.get(),
                 state: victim.state,
             };
             (n - 1, victim.rank, Some(evicted))
@@ -331,7 +341,7 @@ impl<S> SetAssocCache<S> {
         };
         age(set, rank);
         set[at] = Some(Entry {
-            line,
+            line: key,
             state,
             rank: 0,
         });
@@ -343,19 +353,21 @@ impl<S> SetAssocCache<S> {
     /// now, without changing any state. `None` means the insertion would
     /// be eviction-free (free way, or the line is already resident).
     pub fn peek_victim(&self, line: Line, victim_class: impl Fn(&S) -> u32) -> Option<(Line, &S)> {
+        let key = CompactLine::new(line);
         let set = &self.slab[self.set_range(line)];
-        if set[self.ways - 1].is_none() || way_of(set, line).is_some() {
+        if set[self.ways - 1].is_none() || way_of(set, key).is_some() {
             return None;
         }
         let e = set[victim_way(set, victim_class)].as_ref()?;
-        Some((e.line, &e.state))
+        Some((e.line.get(), &e.state))
     }
 
     /// Removes a line, returning its payload if it was resident.
     pub fn remove(&mut self, line: Line) -> Option<S> {
+        let key = CompactLine::new(line);
         let range = self.set_range(line);
         let set = &mut self.slab[range];
-        let way = way_of(set, line)?;
+        let way = way_of(set, key)?;
         // `Vec::swap_remove`: the last filled way backfills the hole.
         let last = filled(set) - 1;
         let removed = set[way].take().expect("way is filled");
@@ -384,7 +396,7 @@ impl<S> SetAssocCache<S> {
         self.slab
             .chunks(self.ways)
             .flat_map(|set| set.iter().map_while(Option::as_ref))
-            .map(|e| (e.line, &e.state))
+            .map(|e| (e.line.get(), &e.state))
     }
 
     /// Iterates over all resident `(line, payload)` pairs (alias of
@@ -422,7 +434,7 @@ impl<S> Iterator for DrainAll<'_, S> {
             match self.cache.slab[self.slot].take() {
                 Some(e) => {
                     self.slot += 1;
-                    return Some((e.line, e.state));
+                    return Some((e.line.get(), e.state));
                 }
                 // Filled ways are a prefix: the rest of this set is empty.
                 None => self.slot = (self.slot / ways + 1) * ways,
@@ -518,8 +530,8 @@ mod tests {
     #[test]
     fn iter_and_drain() {
         let mut c = SetAssocCache::new(CacheCfg::new(1024, 4, 6));
-        for i in 0..10u64 {
-            c.insert(i, i as u32, any);
+        for i in 0..10u32 {
+            c.insert(i.into(), i, any);
         }
         assert_eq!(c.iter().count(), 10);
         let mut drained: Vec<_> = c.drain_all().collect();
@@ -538,8 +550,8 @@ mod tests {
     fn iteration_preserves_vec_swap_remove_order() {
         // One set, four ways: all of 0,4,8,12,16 collide.
         let mut c = SetAssocCache::new(CacheCfg::new(1024, 4, 6));
-        for line in [0u64, 4, 8, 12] {
-            c.insert(line, line as u32, any);
+        for line in [0u32, 4, 8, 12] {
+            c.insert(line.into(), line, any);
         }
         let order = |c: &SetAssocCache<u32>| c.iter().map(|(l, _)| l).collect::<Vec<_>>();
         assert_eq!(order(&c), vec![0, 4, 8, 12], "insertion appends");
@@ -569,8 +581,8 @@ mod tests {
     #[test]
     fn dropping_a_partial_drain_empties_the_cache() {
         let mut c = SetAssocCache::new(CacheCfg::new(1024, 4, 6));
-        for i in 0..10u64 {
-            c.insert(i, i as u32, any);
+        for i in 0..10u32 {
+            c.insert(i.into(), i, any);
         }
         {
             let mut d = c.drain_all();
@@ -585,10 +597,20 @@ mod tests {
     }
 
     #[test]
-    fn a_tag_entry_with_an_enum_payload_is_sixteen_bytes() {
+    fn a_tag_entry_with_an_enum_payload_is_eight_bytes() {
         // A one-byte enum like the coherence states: its niche marks the
         // empty way, so `Option` costs nothing.
-        assert_eq!(std::mem::size_of::<Option<Entry<std::cmp::Ordering>>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Entry<std::cmp::Ordering>>>(), 8);
+    }
+
+    /// A line past 32 bits must not alias the resident line that shares
+    /// its low 32 bits (and its set): the lookup panics instead.
+    #[test]
+    #[should_panic(expected = "32-bit line key")]
+    fn a_line_past_32_bits_does_not_alias_a_resident_line() {
+        let mut c = SetAssocCache::new(CacheCfg::new(256, 2, 6));
+        c.insert(5, 'a', |_| 0);
+        c.peek(5 + (1 << 32));
     }
 
     #[test]

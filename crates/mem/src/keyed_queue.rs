@@ -7,6 +7,8 @@
 //! the tail, reclamation from the head, unlink when a line changes state;
 //! Section 2.2.2 of the paper).
 
+use crate::addr::CompactLine;
+
 /// Link value for "no neighbour": the list's ends.
 const NIL: u32 = u32::MAX;
 /// `prev` value of a vacant table slot. Slot positions stay below it.
@@ -15,9 +17,9 @@ const VACANT: u32 = u32::MAX - 1;
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Key types a [`KeyedQueue`] can index: totally ordered, copyable, and
-/// reducible to a `u64` slot number. All simulator keys (lines, pages,
-/// cycles) are `u64` line/page numbers already. The default value fills
-/// vacant slots; it is never compared against a queued key.
+/// reducible to a `u64` slot number: `u64` page numbers, and lines as
+/// [`CompactLine`]s. The default value fills vacant slots; it is never
+/// compared against a queued key.
 pub trait QueueKey: Ord + Copy + Default {
     /// The key as a 64-bit slot number.
     fn as_u64(self) -> u64;
@@ -29,9 +31,15 @@ impl QueueKey for u64 {
     }
 }
 
+impl QueueKey for CompactLine {
+    fn as_u64(self) -> u64 {
+        self.get()
+    }
+}
+
 /// One table slot: a queued key with the slot positions of its list
 /// neighbours, or a vacant slot (`prev == VACANT`). 16 bytes for a `u64`
-/// key.
+/// key, 12 for a [`CompactLine`].
 #[derive(Debug, Clone, Copy)]
 struct Slot<K> {
     key: K,
@@ -58,12 +66,12 @@ impl<K: Default> Slot<K> {
 /// The whole queue is one power-of-two open-addressing table (fibonacci
 /// hash, linear probing, backward-shift deletion): each occupied slot holds
 /// a key and the `u32` positions of its list neighbours, so the key index
-/// and the list share one 16-byte entry. Moving a slot during deletion
-/// re-points its neighbours' links, and growth re-inserts the keys in list
-/// order. This stays inside determinism contract D001 because the table is
-/// **never iterated in slot order**: every visible ordering — iteration,
-/// pop order, victim choice — follows the list links, so nothing in the
-/// simulation can observe slot positions.
+/// and the list share one entry (12 bytes for a line key). Moving a slot
+/// during deletion re-points its neighbours' links, and growth re-inserts
+/// the keys in list order. This stays inside determinism contract D001
+/// because the table is **never iterated in slot order**: every visible
+/// ordering — iteration, pop order, victim choice — follows the list
+/// links, so nothing in the simulation can observe slot positions.
 ///
 /// # Examples
 ///
@@ -432,6 +440,11 @@ mod tests {
     #[test]
     fn a_slot_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Slot<u64>>(), 16);
+    }
+
+    #[test]
+    fn a_line_key_slot_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Slot<CompactLine>>(), 12);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   memory's on-chip LRU and by the AGG D-node's FreeList/SharedList.
 //!
 //! Addresses are plain `u64` byte addresses; [`line_of`] and [`page_of`]
-//! convert them to line/page numbers.
+//! convert them to line/page numbers. Storage kept once per line (tag
+//! entries, line-keyed queues) holds a four-byte [`CompactLine`].
 
 pub mod addr;
 pub mod attraction;
@@ -32,7 +33,7 @@ pub mod keyed_queue;
 pub mod paged_map;
 pub mod pages;
 
-pub use addr::{line_of, page_of, Line, Page};
+pub use addr::{line_of, page_of, CompactLine, Line, Page};
 pub use attraction::{AmInsert, AttractionMemory, Residency};
 pub use cache::{CacheCfg, DrainAll, Evicted, SetAssocCache};
 pub use chunked_index::ChunkedIndex;

@@ -24,7 +24,7 @@
 //! [`crate::agg`].
 
 use pimdsm_engine::{Cycle, Server};
-use pimdsm_mem::{Dram, KeyedQueue, Line, Page, PagedMap, Residency};
+use pimdsm_mem::{CompactLine, Dram, KeyedQueue, Line, Page, PagedMap, Residency};
 
 use crate::common::{CompactNode, NodeId, NodeList, NodeSet};
 use crate::pnode::OnChipLru;
@@ -125,7 +125,7 @@ pub struct DNode {
     // time, so that order must stay run-to-run deterministic.
     dir: PagedMap<DirEntry>,
     free_slots: u64,
-    shared_list: KeyedQueue<Line>,
+    shared_list: KeyedQueue<CompactLine>,
     mapped_pages: KeyedQueue<Page>,
     cold_pages: KeyedQueue<Page>,
     /// Protocol processor (software handlers run here).
@@ -288,7 +288,7 @@ impl DNode {
             return Ok(None);
         }
         if self.cfg.reuse_shared_list {
-            if let Some(victim) = self.shared_list.pop_front() {
+            if let Some(victim) = self.shared_list.pop_front().map(CompactLine::get) {
                 let ve = self
                     .dir
                     .get_mut(victim)
@@ -303,7 +303,7 @@ impl DNode {
     }
 
     fn release_slot(&mut self, line: Line) {
-        self.shared_list.remove(&line);
+        self.shared_list.remove(&CompactLine::new(line));
         self.free_slots += 1;
         debug_assert!(self.free_slots <= self.cfg.data_lines);
     }
@@ -321,7 +321,7 @@ impl DNode {
         e.master = Master::Node(CompactNode::new(reader));
         e.sharers = NodeSet::singleton(reader);
         e.owner = None;
-        self.shared_list.push_back(line);
+        self.shared_list.push_back(CompactLine::new(line));
     }
 
     /// A read of a line whose master copy sits at the home (either a
@@ -333,8 +333,8 @@ impl DNode {
         debug_assert!(e.in_mem && e.master == Master::Home && e.owner.is_none());
         e.master = Master::Node(CompactNode::new(reader));
         e.sharers.insert(reader);
-        debug_assert!(!self.shared_list.contains(&line));
-        self.shared_list.push_back(line);
+        debug_assert!(!self.shared_list.contains(&CompactLine::new(line)));
+        self.shared_list.push_back(CompactLine::new(line));
     }
 
     /// A subsequent read of a shared line by `reader`.
@@ -416,7 +416,7 @@ impl DNode {
         debug_assert!(e.in_mem, "caller must allocate a slot before write_back");
         // Master at home: not reclaimable, so it must not sit on the
         // SharedList.
-        self.shared_list.remove(&line);
+        self.shared_list.remove(&CompactLine::new(line));
     }
 
     /// Marks that a slot was allocated for an incoming write-back (pairs
@@ -530,7 +530,7 @@ impl DNode {
     pub fn evict_entry(&mut self, line: Line) -> Option<DirEntry> {
         let e = self.dir.remove(line)?;
         if e.in_mem {
-            self.shared_list.remove(&line);
+            self.shared_list.remove(&CompactLine::new(line));
             self.free_slots += 1;
         }
         Some(e)
@@ -549,7 +549,7 @@ impl DNode {
             // Re-thread list membership: reclaimable iff master is outside.
             if let Master::Node(_) = entry.master {
                 if entry.owner.is_none() {
-                    self.shared_list.push_back(line);
+                    self.shared_list.push_back(CompactLine::new(line));
                 }
             }
         } else if let Master::Node(_) = entry.master {
@@ -576,7 +576,7 @@ impl DNode {
             "slot accounting broken"
         );
         for (line, e) in self.iter_deterministic() {
-            if self.shared_list.contains(&line) {
+            if self.shared_list.contains(&CompactLine::new(line)) {
                 assert!(e.in_mem, "SharedList member {line:#x} not in memory");
                 assert!(
                     matches!(e.master, Master::Node(_)) && e.owner.is_none(),

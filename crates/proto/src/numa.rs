@@ -338,7 +338,8 @@ impl NumaSystem {
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Shared);
         self.handle_victim(node, victim, tx.at());
-        (level, true)
+        // A clean read at the local home sends no message: no span.
+        (level, level != Level::LocalMem)
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
@@ -462,7 +463,9 @@ impl NumaSystem {
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Dirty);
         self.handle_victim(node, victim, tx.at());
-        (level, true)
+        // Served by the local home's memory: no `write.remote` span, as for
+        // a read (invalidations show as their own `Ack` spans).
+        (level, level != Level::LocalMem)
     }
 }
 

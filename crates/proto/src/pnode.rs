@@ -2,7 +2,9 @@
 //! L1/L2 caches and, for AGG and COMA P-nodes, the attraction memory.
 
 use pimdsm_engine::Cycle;
-use pimdsm_mem::{AttractionMemory, CacheCfg, Dram, KeyedQueue, Line, Residency, SetAssocCache};
+use pimdsm_mem::{
+    AttractionMemory, CacheCfg, CompactLine, Dram, KeyedQueue, Line, Residency, SetAssocCache,
+};
 
 use crate::common::{AmState, CState, LatencyCfg, Level};
 
@@ -206,7 +208,7 @@ impl PrivCaches {
 /// local line is always backed off-chip).
 #[derive(Debug, Clone)]
 pub struct OnChipLru {
-    queue: KeyedQueue<Line>,
+    queue: KeyedQueue<CompactLine>,
     cap: usize,
 }
 
@@ -224,13 +226,14 @@ impl OnChipLru {
         if self.cap == 0 {
             return Residency::OffChip;
         }
-        if self.queue.move_to_back(&line) {
+        let key = CompactLine::new(line);
+        if self.queue.move_to_back(&key) {
             Residency::OnChip
         } else {
             if self.queue.len() >= self.cap {
                 self.queue.pop_front();
             }
-            self.queue.push_back(line);
+            self.queue.push_back(key);
             Residency::OffChip
         }
     }

@@ -8,13 +8,29 @@ fn sys() -> NumaSystem {
     NumaSystem::new(NumaCfg::paper(4, 8, 32, 4096))
 }
 
+/// Number of `name` spans (`read.remote`, `write.remote`) `tracer` holds.
+fn spans(tracer: &Tracer, name: &str) -> usize {
+    tracer
+        .events_sorted()
+        .iter()
+        .filter(|e| e.name == name)
+        .count()
+}
+
 #[test]
 fn first_read_is_local_after_first_touch() {
     let mut s = sys();
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
     let a = s.read(0, 0x1000, 0);
     assert_eq!(a.level, Level::LocalMem);
     // Round trip within a few cycles of Table 1 (37) plus probe/fill.
     assert!(a.done_at < 70, "local read took {}", a.done_at);
+    assert_eq!(
+        spans(&tracer, "read.remote"),
+        0,
+        "a local read sends nothing"
+    );
 }
 
 #[test]
@@ -30,9 +46,12 @@ fn cache_hits_after_fill() {
 fn remote_read_is_two_hops() {
     let mut s = sys();
     s.read(0, 0x1000, 0); // node 0 first-touches the page
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
     let a = s.read(1, 0x1000, 1000);
     assert_eq!(a.level, Level::Hop2);
     assert!(a.done_at - 1000 > 100, "remote read too fast");
+    assert_eq!(spans(&tracer, "read.remote"), 1);
 }
 
 #[test]
@@ -95,8 +114,14 @@ fn upgrade_invalidates_sharers() {
 #[test]
 fn local_write_to_uncached_line() {
     let mut s = sys();
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
     let a = s.write(0, 0x2000, 0);
     assert_eq!(a.level, Level::LocalMem);
+    assert_eq!(spans(&tracer, "write.remote"), 0, "no owner, no sharers");
+    // Node 1's write goes to home 0: one span.
+    s.write(1, 0x2000, 1000);
+    assert_eq!(spans(&tracer, "write.remote"), 1);
 }
 
 #[test]

@@ -25,12 +25,14 @@ use pimdsm_workloads::{AppId, Scale};
 /// hundred times over).
 const AGG_ALLOC_CEILING: u64 = 10_000;
 
-/// Ceiling on allocated bytes for the same point (measured 772,759 B).
+/// Ceiling on allocated bytes for the same point (measured 653,943 B).
 /// Dominated by the machine's fixed arenas (slab caches, page-table and
 /// directory chunks), so it scales with configuration, not with
-/// simulated work. With 48-byte D-node directory slots (`usize` node
-/// ids) the same point allocated 1,018,519 B and fails this ceiling.
-const AGG_BYTE_CEILING: u64 = 7 << 17;
+/// simulated work. With 16-byte tag entries and 16-byte line-queue
+/// slots (64-bit line keys) the same point allocated 772,759 B, and
+/// with 48-byte D-node directory slots (`usize` node ids) as well
+/// 1,018,519 B; both fail this ceiling.
+const AGG_BYTE_CEILING: u64 = 704 << 10;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 COMA
 /// point (Swim:COMA75, measured 821). COMA has no backing store, so
@@ -40,14 +42,15 @@ const AGG_BYTE_CEILING: u64 = 7 << 17;
 /// this ceiling (25,691 allocations at the same point).
 const COMA_ALLOC_CEILING: u64 = 5_000;
 
-/// Ceiling on allocated bytes for the COMA point (measured 2,835,008 B).
+/// Ceiling on allocated bytes for the COMA point (measured 2,226,208 B).
 /// Building the machine allocates every node's attraction-memory tags
 /// and on-chip LRU, and preloading fills the home directory, so the
-/// bytes follow the per-line entry sizes: with 48-byte directory slots
-/// the same point allocated 3,625,536 B, and with 24-byte tags and
-/// 24-byte queue nodes plus index slots as well ~5.1 MB; both fail this
-/// ceiling.
-const COMA_BYTE_CEILING: u64 = 3 << 20;
+/// bytes follow the per-line entry sizes: with 16-byte tags and 16-byte
+/// queue slots (64-bit line keys) the same point allocated 2,835,008 B,
+/// with 48-byte directory slots as well 3,625,536 B, and with 24-byte
+/// tags and 24-byte queue nodes plus index slots as well ~5.1 MB; all
+/// fail this ceiling.
+const COMA_BYTE_CEILING: u64 = 5 << 19;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 NUMA
 /// point (Swim:NUMA, measured 425). The home directory allocates one
@@ -56,13 +59,15 @@ const COMA_BYTE_CEILING: u64 = 3 << 20;
 /// this ceiling.
 const NUMA_ALLOC_CEILING: u64 = 1_000;
 
-/// Ceiling on allocated bytes for the NUMA point (measured 1,045,436 B;
-/// 1,110,972 B with 24-byte directory slots).
-const NUMA_BYTE_CEILING: u64 = 8 << 20;
+/// Ceiling on allocated bytes for the NUMA point (measured 898,076 B).
+/// With 16-byte L1/L2 tag entries and on-chip LRU slots (64-bit line
+/// keys) the same point allocated 1,045,436 B, and with 24-byte
+/// directory slots as well 1,110,972 B; both fail this ceiling.
+const NUMA_BYTE_CEILING: u64 = 960 << 10;
 
 /// Committed ceiling on live-heap growth inside `Machine::run` for the
 /// fig-svc point `1/1AGG75 kv-0.6` (CI scale, 4 threads; measured
-/// 1.3 MiB over 166.8M simulated cycles, most of them spent waiting on
+/// 1.0 MiB over 166.8M simulated cycles, most of them spent waiting on
 /// 2M-cycle disk faults). Resource timelines free their windows behind
 /// the engine's pop time; when every window lived until the end of the
 /// run, the heap grew 11.8 MiB here, in proportion to simulated time.
