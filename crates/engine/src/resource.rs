@@ -17,12 +17,22 @@ const BUCKET_SHIFT: u32 = 8;
 /// Cycles of service capacity per window.
 const BUCKET_CYCLES: Cycle = 1 << BUCKET_SHIFT;
 /// Windows per storage chunk, as a power of two. One chunk covers
-/// `BUCKET_CYCLES << CHUNK_SHIFT` = 64K cycles in 2 KiB — small enough
+/// `BUCKET_CYCLES << CHUNK_SHIFT` = 64K cycles in 1 KiB — small enough
 /// that a machine full of mostly-idle resources doesn't pay megabytes of
 /// zeroed storage, large enough that a busy resource touches few chunks.
 const CHUNK_SHIFT: u32 = 8;
 /// Windows per storage chunk.
 const CHUNK: usize = 1 << CHUNK_SHIFT;
+
+/// One window's booked service: the offset from the window's start at
+/// which its last booking ends (0 when untouched). A booking starts less
+/// than [`BUCKET_CYCLES`] into its window and lasts under [`MAX_DUR`]
+/// cycles, so the offset fits in four bytes.
+type Window = u32;
+
+/// Bound on a single booking's duration: every `acquire` asserts
+/// `dur < MAX_DUR`, so a start offset plus the duration fits a [`Window`].
+const MAX_DUR: Cycle = (1 << Window::BITS) - BUCKET_CYCLES;
 
 /// A single-server queued resource with time-bucketed capacity.
 ///
@@ -35,10 +45,11 @@ const CHUNK: usize = 1 << CHUNK_SHIFT;
 /// must not delay traffic at earlier times, nor may a burst at one
 /// instant inflate waits at unrelated times.
 ///
-/// Windows live in 64K-cycle chunks ([`Timeline::CHUNK_CYCLES`]),
-/// allocated on first touch. Once no booking can arrive before some
-/// cycle, [`Timeline::retire_before`] frees every chunk wholly before
-/// the one holding it; reading a retired window is a bug and panics.
+/// Windows live in 64K-cycle chunks ([`Timeline::CHUNK_CYCLES`]) of
+/// four-byte entries, allocated on first touch. Once no booking can
+/// arrive before some cycle, [`Timeline::retire_before`] frees every
+/// chunk wholly before the one holding it; booking behind it is a bug
+/// and panics.
 ///
 /// # Examples
 ///
@@ -56,7 +67,7 @@ pub struct Timeline {
     /// holds chunk `base + i`. A missing chunk means every window in it
     /// is untouched, so a flat array beats a search tree on both lookup
     /// and allocation churn.
-    used: Vec<Option<Box<[Cycle; CHUNK]>>>,
+    used: Vec<Option<Box<[Window; CHUNK]>>>,
     /// First live chunk; every chunk before it has been retired.
     base: usize,
     busy: Cycle,
@@ -72,69 +83,75 @@ impl Timeline {
         Timeline::default()
     }
 
-    /// Booked service in window `b` (0 when never touched). A retired
-    /// window's bookings are gone, so reading one is a caller bug.
+    /// Books the resource for `dur` cycles for a request arriving at `at`.
+    ///
+    /// Returns the cycle at which service starts (`>= at`): behind
+    /// whatever the first window at or after `at` with spare capacity
+    /// already booked. A duration may overflow past the window boundary
+    /// by at most one request's worth, which is far below the window size
+    /// in practice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dur` is `2^32 - 256` cycles or more, or if `at` lies in
+    /// a chunk freed by [`retire_before`](Timeline::retire_before).
     #[inline]
-    fn window(&self, b: Cycle) -> Cycle {
+    pub fn acquire(&mut self, at: Cycle, dur: Cycle) -> Cycle {
+        assert!(
+            dur < MAX_DUR,
+            "timeline booking of {dur} cycles overflows a window"
+        );
+        // Fast path: the arrival window's chunk is live and the window
+        // has room. A chunk behind the horizon wraps `i` past the end.
+        let b = at >> BUCKET_SHIFT;
+        let i = ((b >> CHUNK_SHIFT) as usize).wrapping_sub(self.base);
+        if let Some(Some(chunk)) = self.used.get_mut(i) {
+            let w = &mut chunk[b as usize & (CHUNK - 1)];
+            let pos = Cycle::from(*w).max(at & (BUCKET_CYCLES - 1));
+            if pos < BUCKET_CYCLES {
+                *w = (pos + dur) as Window;
+                self.busy += dur;
+                return (b << BUCKET_SHIFT) + pos;
+            }
+        }
+        self.acquire_slow(at, dur)
+    }
+
+    /// The rest of [`Timeline::acquire`]: checks the arrival window
+    /// against the retired horizon, scans forward past full windows and
+    /// allocates the booked window's chunk on first touch. A missing
+    /// chunk's windows are all empty, so the scan books the first one it
+    /// reaches and allocates no chunk it does not book.
+    #[inline(never)]
+    fn acquire_slow(&mut self, at: Cycle, dur: Cycle) -> Cycle {
+        let mut b = at >> BUCKET_SHIFT;
         let ci = (b >> CHUNK_SHIFT) as usize;
         assert!(
             ci >= self.base,
             "timeline window {b} read behind the retired horizon (chunk {})",
             self.base
         );
-        match self.used.get(ci - self.base) {
-            Some(Some(chunk)) => chunk[b as usize & (CHUNK - 1)],
-            _ => 0,
-        }
-    }
-
-    /// Mutable booked-service slot for window `b`, allocating its chunk
-    /// on first touch. Callers read `b` through [`Timeline::window`]
-    /// first, which checks it against the retired horizon.
-    #[inline]
-    fn window_mut(&mut self, b: Cycle) -> &mut Cycle {
-        let i = (b >> CHUNK_SHIFT) as usize - self.base;
-        if i >= self.used.len() {
-            self.used.resize_with(i + 1, || None);
-        }
-        let chunk = self.used[i].get_or_insert_with(|| Box::new([0; CHUNK]));
-        &mut chunk[b as usize & (CHUNK - 1)]
-    }
-
-    /// Finds the first window at or after `at` with spare capacity;
-    /// service starts behind whatever that window already booked. A
-    /// duration may overflow past the window boundary by at most one
-    /// request's worth, which is far below the window size in practice.
-    #[inline]
-    fn place(&self, at: Cycle) -> (Cycle, Cycle) {
-        let mut b = at >> BUCKET_SHIFT;
+        // Service starts no earlier than the arrival, which only bounds
+        // the arrival window; later windows start after it.
+        let mut earliest = at & (BUCKET_CYCLES - 1);
+        let mut i = ci - self.base;
         loop {
-            let bstart = b << BUCKET_SHIFT;
-            let used = self.window(b);
-            let pos = used.max(at.saturating_sub(bstart));
-            if pos >= BUCKET_CYCLES {
-                b += 1;
-                continue;
+            if i >= self.used.len() {
+                self.used.resize_with(i + 1, || None);
             }
-            return (b, bstart + pos);
+            let chunk = self.used[i].get_or_insert_with(|| Box::new([0; CHUNK]));
+            for w in &mut chunk[b as usize & (CHUNK - 1)..] {
+                let pos = Cycle::from(*w).max(earliest);
+                if pos < BUCKET_CYCLES {
+                    *w = (pos + dur) as Window;
+                    self.busy += dur;
+                    return (b << BUCKET_SHIFT) + pos;
+                }
+                b += 1;
+                earliest = 0;
+            }
+            i += 1;
         }
-    }
-
-    /// Books the resource for `dur` cycles for a request arriving at `at`.
-    ///
-    /// Returns the cycle at which service starts (`>= at`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` lies in a chunk freed by
-    /// [`retire_before`](Timeline::retire_before).
-    #[inline]
-    pub fn acquire(&mut self, at: Cycle, dur: Cycle) -> Cycle {
-        let (bucket, start) = self.place(at);
-        let bstart = bucket << BUCKET_SHIFT;
-        *self.window_mut(bucket) = (start - bstart) + dur;
-        self.busy += dur;
-        start
     }
 
     /// Frees every chunk that lies wholly before the chunk holding
@@ -312,6 +329,28 @@ mod tests {
         assert!(t.used.is_empty());
         assert_eq!(t.acquire(5 * c, 4), 5 * c);
         assert_eq!(t.busy_cycles(), 34);
+    }
+
+    #[test]
+    fn a_chunk_is_one_kib() {
+        assert_eq!(std::mem::size_of::<[Window; CHUNK]>(), 1024);
+    }
+
+    #[test]
+    fn the_longest_booking_fills_its_window_without_wrapping() {
+        let mut t = Timeline::new();
+        assert_eq!(t.acquire(255, MAX_DUR - 1), 255);
+        assert_eq!(t.clone().acquire(255, 1), 256, "window 0 is full");
+        assert_eq!(t.acquire(256, 1), 256);
+        assert_eq!(t.busy_cycles(), MAX_DUR);
+    }
+
+    /// A duration that would overflow a four-byte window panics instead
+    /// of wrapping into a short booking (release builds too).
+    #[test]
+    #[should_panic(expected = "overflows a window")]
+    fn a_booking_past_the_window_width_panics() {
+        Timeline::new().acquire(0, u32::MAX as Cycle);
     }
 
     #[test]

@@ -46,6 +46,108 @@ impl HeapModel {
     }
 }
 
+/// The specification `Timeline` is tested against: the two-lookup
+/// timeline with eight-byte windows it replaced. Every window read goes
+/// through `window`, which checks the retired horizon; `place` scans
+/// forward from the arrival window; `acquire` then looks the booked
+/// window up a second time to write it.
+#[derive(Default)]
+struct TimelineModel {
+    used: Vec<Option<Box<[u64; 256]>>>,
+    base: usize,
+    busy: u64,
+}
+
+impl TimelineModel {
+    fn window(&self, b: u64) -> u64 {
+        let ci = (b >> 8) as usize;
+        assert!(ci >= self.base, "window {b} behind the retired horizon");
+        match self.used.get(ci - self.base) {
+            Some(Some(chunk)) => chunk[b as usize & 255],
+            _ => 0,
+        }
+    }
+
+    fn window_mut(&mut self, b: u64) -> &mut u64 {
+        let i = (b >> 8) as usize - self.base;
+        if i >= self.used.len() {
+            self.used.resize_with(i + 1, || None);
+        }
+        let chunk = self.used[i].get_or_insert_with(|| Box::new([0; 256]));
+        &mut chunk[b as usize & 255]
+    }
+
+    fn place(&self, at: u64) -> (u64, u64) {
+        let mut b = at >> 8;
+        loop {
+            let bstart = b << 8;
+            let pos = self.window(b).max(at.saturating_sub(bstart));
+            if pos >= 256 {
+                b += 1;
+                continue;
+            }
+            return (b, bstart + pos);
+        }
+    }
+
+    fn acquire(&mut self, at: u64, dur: u64) -> u64 {
+        let (bucket, start) = self.place(at);
+        *self.window_mut(bucket) = (start - (bucket << 8)) + dur;
+        self.busy += dur;
+        start
+    }
+
+    fn retire_before(&mut self, floor: u64) {
+        let keep_from = (floor / Timeline::CHUNK_CYCLES) as usize;
+        if keep_from > self.base {
+            let dead = (keep_from - self.base).min(self.used.len());
+            self.used.drain(..dead);
+            self.base = keep_from;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Timeline` books exactly what the eight-byte two-lookup reference
+    /// books: the same start for every booking and the same busy cycles.
+    /// Bookings arrive out of order behind a nondecreasing floor that
+    /// both sides retire behind, jump 2M cycles ahead (disk faults), last
+    /// up to 10^5 cycles, and pile up on one arrival just before a chunk
+    /// boundary, so later repeats scan many full windows and cross into
+    /// the next chunk.
+    #[test]
+    fn timeline_matches_the_two_lookup_reference(
+        ops in proptest::collection::vec((0u64..6, 0u64..100_000, 1u64..=100_000), 1..300)
+    ) {
+        let mut t = Timeline::new();
+        let mut model = TimelineModel::default();
+        let chunk = Timeline::CHUNK_CYCLES;
+        let mut floor = 0u64;
+        for (kind, x, long) in ops {
+            // A third of the bookings are long, the rest one to 300 cycles.
+            let dur = if x % 3 == 0 { long } else { long % 300 + 1 };
+            let (at, repeats) = match kind {
+                0 | 1 => {
+                    floor += if kind == 0 { x } else { 2_000_000 + x };
+                    t.retire_before(floor);
+                    model.retire_before(floor);
+                    continue;
+                }
+                2 => (floor + x % 64, 1),
+                3 => (floor + x, 1),
+                4 => (((floor / chunk + 1) * chunk - 1 - x % 512).max(floor), x % 40 + 1),
+                _ => (floor + 2_000_000 + x, 1),
+            };
+            for _ in 0..repeats {
+                prop_assert_eq!(t.acquire(at, dur), model.acquire(at, dur), "at {}", at);
+            }
+        }
+        prop_assert_eq!(t.busy_cycles(), model.busy);
+    }
+}
+
 proptest! {
     /// Service never starts before the request arrives, and the capacity
     /// handed out inside any 256-cycle window never exceeds the window

@@ -350,6 +350,10 @@ fn run_suites(names: &[String], opts: &Options) -> ExitCode {
         threads: opts.threads,
         scale: opts.scale,
     };
+    if let Err(e) = validate_points(&suites, &ctx) {
+        eprintln!("[lab] {e}");
+        return ExitCode::FAILURE;
+    }
     let cache = (!opts.no_cache).then(|| ResultCache::new(&opts.cache_dir));
     let inst = Instrumentation {
         trace: opts.trace_path.is_some(),
@@ -549,11 +553,20 @@ fn run_bench(names: &[String], opts: &Options) -> ExitCode {
         threads: opts.threads,
         scale: opts.scale,
     };
+    let mut suites = Vec::new();
     for name in names {
         let Some(suite) = find(name) else {
             eprintln!("[bench] no suite named {name:?} (try `pimdsm-lab list`)");
             return ExitCode::FAILURE;
         };
+        suites.push(suite);
+    }
+    if let Err(e) = validate_points(&suites, &ctx) {
+        eprintln!("[bench] {e}");
+        return ExitCode::FAILURE;
+    }
+    for suite in suites {
+        let name = suite.name;
         let result = match bench::measure_suite(suite, &ctx, b.runs, opts.jobs, !opts.quiet) {
             Ok(r) => r,
             Err(e) => {
@@ -607,6 +620,18 @@ fn run_bench(names: &[String], opts: &Options) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Checks every point of `suites` at `ctx` before any of them runs.
+fn validate_points(suites: &[&Suite], ctx: &SuiteCtx) -> Result<(), String> {
+    for suite in suites {
+        for point in suite.points(ctx) {
+            point
+                .validate()
+                .map_err(|e| format!("{}: {e}", suite.name))?;
+        }
+    }
+    Ok(())
 }
 
 fn write_trace(path: &Path, result: &SweepResult) {

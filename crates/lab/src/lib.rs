@@ -31,5 +31,5 @@ pub mod suites;
 pub use bench::{compare, measure_suite, validate_doc, BenchResult, Compared, BENCH_SCHEMA};
 pub use cache::{workspace_fingerprint, ResultCache};
 pub use exec::{run_sweep, Instrumentation, PointOutcome, SweepResult};
-pub use spec::{Config, FaultSpec, MachineSpec, PointSpec, Tweak, WorkloadSpec};
+pub use spec::{Config, FaultSpec, MachineSpec, PointSpec, SpecError, Tweak, WorkloadSpec};
 pub use suites::{find, Suite, SuiteCtx, ALL_SUITES};

@@ -13,6 +13,7 @@
 use pimdsm::{ArchSpec, Machine, ReconfigPlan};
 use pimdsm_faults::{Durability, FaultPlan};
 use pimdsm_mem::CacheCfg;
+use pimdsm_proto::NodeSet;
 use pimdsm_svc::SvcSpec;
 use pimdsm_workloads::{build, build_dbase, AppId, Scale};
 
@@ -313,6 +314,33 @@ impl FaultSpec {
     }
 }
 
+/// Why a [`PointSpec`] cannot be built, found before any point runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The machine has more nodes than a directory node set can name.
+    TooManyNodes {
+        /// The point's [`PointSpec::key`].
+        point: String,
+        /// Its P-nodes plus D-nodes.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::TooManyNodes { point, nodes } => write!(
+                f,
+                "point {point} needs {nodes} nodes (P-nodes plus D-nodes), \
+                 past the {}-node limit",
+                NodeSet::MAX_NODES
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
 /// One fully-specified simulation point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointSpec {
@@ -357,6 +385,44 @@ impl PointSpec {
         c
     }
 
+    /// Threads that get a P-node when the machine starts: the Dbase
+    /// join-only threads begin life as D-nodes.
+    fn start_threads(&self) -> usize {
+        match self.workload {
+            WorkloadSpec::App { threads, .. } => threads,
+            WorkloadSpec::Dbase { hash_threads, .. } => hash_threads,
+            WorkloadSpec::Svc(s) => s.threads(),
+        }
+    }
+
+    /// D-nodes the machine starts with (none on NUMA and COMA).
+    fn d_nodes(&self) -> usize {
+        match self.machine {
+            MachineSpec::Arch(Config::Numa | Config::Coma { .. }) => 0,
+            MachineSpec::Arch(Config::Agg { ratio, .. }) => (self.start_threads() / ratio).max(1),
+            MachineSpec::AggExplicit { n_d, .. } | MachineSpec::CustomAgg { n_d, .. } => n_d,
+        }
+    }
+
+    /// The machine's node count: P-nodes plus D-nodes.
+    fn nodes(&self) -> usize {
+        self.start_threads() + self.d_nodes()
+    }
+
+    /// Checks that the point's machine can be built, so a bad shape is
+    /// rejected before any point runs instead of by a protocol
+    /// constructor's `assert!` in the middle of a sweep.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let nodes = self.nodes();
+        if nodes > NodeSet::MAX_NODES {
+            return Err(SpecError::TooManyNodes {
+                point: self.key(),
+                nodes,
+            });
+        }
+        Ok(())
+    }
+
     /// Builds the (not yet run) machine this point describes.
     ///
     /// # Panics
@@ -376,16 +442,11 @@ impl PointSpec {
         };
         let machine = match self.machine {
             MachineSpec::Arch(config) => {
-                let threads = match self.workload {
-                    WorkloadSpec::App { threads, .. } => threads,
-                    WorkloadSpec::Dbase { hash_threads, .. } => hash_threads,
-                    WorkloadSpec::Svc(s) => s.threads(),
-                };
                 let spec = match config {
                     Config::Numa => ArchSpec::Numa,
                     Config::Coma { .. } => ArchSpec::Coma,
-                    Config::Agg { ratio, .. } => ArchSpec::Agg {
-                        n_d: (threads / ratio).max(1),
+                    Config::Agg { .. } => ArchSpec::Agg {
+                        n_d: self.d_nodes(),
                     },
                 };
                 Machine::build(spec, workload, config.pressure())
@@ -602,6 +663,50 @@ mod tests {
         assert_eq!(r.arch, "AGG");
         assert_eq!(r.label, "1/2AGG75");
         assert!(r.total_cycles > 0);
+    }
+
+    /// Every suite point at `threads` threads (CI scale).
+    fn suite_points(threads: usize) -> Vec<PointSpec> {
+        let ctx = crate::SuiteCtx {
+            threads,
+            scale: Scale::ci(),
+        };
+        crate::ALL_SUITES
+            .iter()
+            .flat_map(|s| s.points(&ctx))
+            .collect()
+    }
+
+    #[test]
+    fn machines_past_64_nodes_are_rejected_by_name() {
+        let agg = suite_points(33)
+            .into_iter()
+            .find(|p| p.key() == "FFT:1/1AGG75")
+            .expect("fig6 has FFT:1/1AGG75");
+        assert_eq!(
+            agg.validate(),
+            Err(SpecError::TooManyNodes {
+                point: "FFT:1/1AGG75".into(),
+                nodes: 66,
+            })
+        );
+        let numa = suite_points(65)
+            .into_iter()
+            .find(|p| p.key() == "FFT:NUMA")
+            .expect("fig6 has FFT:NUMA");
+        let err = numa.validate().expect_err("65 P-nodes");
+        assert_eq!(
+            err.to_string(),
+            "point FFT:NUMA needs 65 nodes (P-nodes plus D-nodes), past the 64-node limit"
+        );
+    }
+
+    #[test]
+    fn every_suite_point_fits_at_the_default_32_threads() {
+        let points = suite_points(32);
+        assert!(points.iter().all(|p| p.validate().is_ok()));
+        let widest = points.iter().map(PointSpec::nodes).max();
+        assert_eq!(widest, Some(64), "1/1AGG: 32 P-nodes + 32 D-nodes");
     }
 
     #[test]

@@ -9,26 +9,6 @@ pub struct Coord {
     pub y: usize,
 }
 
-/// Directions of the four outgoing links of a router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Dir {
-    East,
-    West,
-    North,
-    South,
-}
-
-impl Dir {
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Dir::East => 0,
-            Dir::West => 1,
-            Dir::North => 2,
-            Dir::South => 3,
-        }
-    }
-}
-
 /// A `cols` × `rows` 2D mesh.
 ///
 /// Nodes are numbered row-major: node `i` sits at
@@ -126,32 +106,29 @@ impl Mesh {
         total as f64 / (n - 1) as f64
     }
 
-    /// The XY route from `from` to `to` as a list of directed link ids
-    /// (see [`Mesh::link_id`]), X first then Y, appended to `out`.
-    pub(crate) fn route_into(&self, from: usize, to: usize, out: &mut Vec<usize>) {
-        out.clear();
-        let mut cur = self.coord(from);
-        let dst = self.coord(to);
-        while cur.x != dst.x {
-            let dir = if dst.x > cur.x { Dir::East } else { Dir::West };
-            out.push(self.link_id(cur, dir));
-            cur.x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-        }
-        while cur.y != dst.y {
-            let dir = if dst.y > cur.y {
-                Dir::South
-            } else {
-                Dir::North
-            };
-            out.push(self.link_id(cur, dir));
-            cur.y = if dst.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-        }
-    }
-
-    /// Directed link id for the link leaving the router at `c` in
-    /// direction `dir`. Ids are dense in `[0, 4 * num_nodes)`.
-    pub(crate) fn link_id(&self, c: Coord, dir: Dir) -> usize {
-        self.node_at(c) * 4 + dir.index()
+    /// The XY route from `from` to `to`: the directed links it crosses,
+    /// X hops first, then Y hops, as two runs of ids a fixed step apart.
+    /// The link leaving node `n` east, west, north or south has id `4n`,
+    /// `4n + 1`, `4n + 2` or `4n + 3`.
+    #[inline]
+    pub(crate) fn route(&self, from: usize, to: usize) -> impl Iterator<Item = usize> {
+        let (a, b) = (self.coord(from), self.coord(to));
+        let turn = self.node_at(Coord { x: b.x, y: a.y });
+        let row = 4 * self.cols as isize;
+        let x = if b.x >= a.x {
+            (4 * from, 4)
+        } else {
+            (4 * from + 1, -4)
+        };
+        let y = if b.y >= a.y {
+            (4 * turn + 3, row)
+        } else {
+            (4 * turn + 2, -row)
+        };
+        let leg = |(first, step): (usize, isize), hops: usize| {
+            (0..hops as isize).map(move |k| first.wrapping_add_signed(k * step))
+        };
+        leg(x, a.x.abs_diff(b.x)).chain(leg(y, a.y.abs_diff(b.y)))
     }
 
     /// Total number of directed link slots (including nonexistent edge
@@ -198,30 +175,23 @@ mod tests {
     #[test]
     fn route_goes_x_then_y() {
         let m = Mesh::new(4, 4);
-        let mut route = Vec::new();
-        m.route_into(0, 10, &mut route); // (0,0) -> (2,2)
-        assert_eq!(route.len(), 4);
-        // First two links leave (0,0) east then (1,0) east.
-        assert_eq!(route[0], m.link_id(Coord { x: 0, y: 0 }, Dir::East));
-        assert_eq!(route[1], m.link_id(Coord { x: 1, y: 0 }, Dir::East));
-        assert_eq!(route[2], m.link_id(Coord { x: 2, y: 0 }, Dir::South));
-        assert_eq!(route[3], m.link_id(Coord { x: 2, y: 1 }, Dir::South));
+        // (0,0) -> (2,2): east from nodes 0 and 1, then south from 2 and 6.
+        let route: Vec<usize> = m.route(0, 10).collect();
+        assert_eq!(route, [0, 4, 4 * 2 + 3, 4 * 6 + 3]);
     }
 
     #[test]
     fn route_handles_west_and_north() {
         let m = Mesh::new(4, 4);
-        let mut route = Vec::new();
-        m.route_into(15, 0, &mut route); // (3,3) -> (0,0)
-        assert_eq!(route.len(), 6);
+        // (3,3) -> (0,0): west from 15, 14, 13, then north from 12, 8, 4.
+        let route: Vec<usize> = m.route(15, 0).collect();
+        assert_eq!(route, [61, 57, 53, 50, 34, 18]);
     }
 
     #[test]
     fn self_route_is_empty() {
         let m = Mesh::new(4, 4);
-        let mut route = vec![1, 2, 3];
-        m.route_into(5, 5, &mut route);
-        assert!(route.is_empty());
+        assert_eq!(m.route(5, 5).next(), None);
     }
 
     #[test]

@@ -72,7 +72,6 @@ pub struct Network {
     cfg: NetCfg,
     links: Vec<Timeline>,
     stats: NetStats,
-    route_buf: Vec<usize>,
     tracer: Tracer,
 }
 
@@ -89,7 +88,6 @@ impl Network {
             cfg,
             links: vec![Timeline::new(); mesh.num_link_slots()],
             stats: NetStats::default(),
-            route_buf: Vec::with_capacity(32),
             tracer: Tracer::disabled(),
         }
     }
@@ -137,29 +135,29 @@ impl Network {
             return now;
         }
         let ser = (bytes as u64).div_ceil(self.cfg.bytes_per_cycle);
-        let mut route = std::mem::take(&mut self.route_buf);
-        self.mesh.route_into(from, to, &mut route);
+        let tracing = self.tracer.is_enabled();
         let mut head = now + self.cfg.inject_latency;
         let mut queueing = 0;
-        for &link in &route {
+        for link in self.mesh.route(from, to) {
             let start = self.links[link].acquire(head, ser);
             queueing += start - head;
-            self.tracer.span(
-                Event::NetXfer,
-                link as u32,
-                start,
-                ser.max(1),
-                &[
-                    ("from", from as u64),
-                    ("to", to as u64),
-                    ("bytes", bytes as u64),
-                ],
-            );
+            if tracing {
+                self.tracer.span(
+                    Event::NetXfer,
+                    link as u32,
+                    start,
+                    ser.max(1),
+                    &[
+                        ("from", from as u64),
+                        ("to", to as u64),
+                        ("bytes", bytes as u64),
+                    ],
+                );
+            }
             head = start + self.cfg.hop_latency;
         }
         // The tail flit arrives one serialization time after the head.
         let delivered = head + ser + self.cfg.eject_latency;
-        self.route_buf = route;
         self.tracer.instant(
             Event::NetDeliver,
             self.links.len() as u32,
@@ -256,6 +254,7 @@ impl pimdsm_obs::ToJson for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::Coord;
 
     fn net() -> Network {
         Network::new(Mesh::new(4, 4), NetCfg::default())
@@ -340,6 +339,119 @@ mod tests {
         assert_eq!(events[0].ts, 42);
         assert_eq!(n.stats(), NetStats::default(), "self-sends are free");
         assert_eq!(n.total_link_busy(), 0);
+    }
+
+    /// The XY route of the router before one-pass booking, kept as the
+    /// reference: walk X to the destination column, then Y to its row,
+    /// and name each link by the router it leaves (`4 * node`) plus its
+    /// direction (east 0, west 1, north 2, south 3).
+    fn reference_route(m: &Mesh, from: usize, to: usize) -> Vec<usize> {
+        #[derive(Clone, Copy)]
+        enum Dir {
+            East,
+            West,
+            North,
+            South,
+        }
+        let link_id = |c: Coord, dir: Dir| m.node_at(c) * 4 + dir as usize;
+        let mut out = Vec::new();
+        let mut cur = m.coord(from);
+        let dst = m.coord(to);
+        while cur.x != dst.x {
+            let dir = if dst.x > cur.x { Dir::East } else { Dir::West };
+            out.push(link_id(cur, dir));
+            cur.x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
+        }
+        while cur.y != dst.y {
+            let dir = if dst.y > cur.y {
+                Dir::South
+            } else {
+                Dir::North
+            };
+            out.push(link_id(cur, dir));
+            cur.y = if dst.y > cur.y { cur.y + 1 } else { cur.y - 1 };
+        }
+        out
+    }
+
+    const MESHES: [(usize, usize); 5] = [(1, 1), (3, 2), (4, 4), (8, 4), (8, 8)];
+
+    #[test]
+    fn one_pass_booking_crosses_the_reference_xy_route() {
+        for (cols, rows) in MESHES {
+            let mesh = Mesh::new(cols, rows);
+            for from in 0..mesh.num_nodes() {
+                for to in 0..mesh.num_nodes() {
+                    let mut n = Network::new(mesh, NetCfg::default());
+                    let t = Tracer::enabled();
+                    n.attach_tracer(t.clone());
+                    let ideal = n.ideal_latency(from, to, 72);
+                    assert_eq!(n.send(from, to, 72, 500), 500 + ideal, "{from}->{to}");
+                    let mut xfers: Vec<(Cycle, u32)> = t
+                        .events_sorted()
+                        .iter()
+                        .filter(|e| e.cat == "net.link")
+                        .map(|e| (e.ts, e.tid))
+                        .collect();
+                    xfers.sort_unstable();
+                    let links: Vec<usize> = xfers.iter().map(|&(_, l)| l as usize).collect();
+                    assert_eq!(
+                        links,
+                        reference_route(&mesh, from, to),
+                        "{cols}x{rows} mesh, {from}->{to}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A contended stream of messages, some arriving behind later ones,
+    /// delivers at the same cycles and leaves the same statistics as
+    /// per-link timelines booked hop by hop along the reference route.
+    #[test]
+    fn contended_sends_match_hop_by_hop_reference_booking() {
+        for (cols, rows) in MESHES {
+            let mesh = Mesh::new(cols, rows);
+            let cfg = NetCfg::default();
+            let mut n = Network::new(mesh, cfg);
+            let mut links = vec![Timeline::new(); mesh.num_link_slots()];
+            let mut want = NetStats::default();
+            let mut rng = pimdsm_engine::SimRng::new((cols * 16 + rows) as u64);
+            let mut clock = 0;
+            for _ in 0..2_000 {
+                let from = rng.range(0, mesh.num_nodes() as u64) as usize;
+                let to = rng.range(0, mesh.num_nodes() as u64) as usize;
+                let bytes = [8, 16, 72, 136][rng.range(0, 4) as usize];
+                clock += rng.range(0, 40);
+                let now = clock.saturating_sub(rng.range(0, 600));
+                let got = n.send(from, to, bytes, now);
+                if from == to {
+                    assert_eq!(got, now);
+                    continue;
+                }
+                let ser = (bytes as u64).div_ceil(cfg.bytes_per_cycle);
+                let mut head = now + cfg.inject_latency;
+                let mut queueing = 0;
+                for link in reference_route(&mesh, from, to) {
+                    let start = links[link].acquire(head, ser);
+                    queueing += start - head;
+                    head = start + cfg.hop_latency;
+                }
+                let delivered = head + ser + cfg.eject_latency;
+                assert_eq!(got, delivered, "{cols}x{rows} mesh, {from}->{to} at {now}");
+                want.messages += 1;
+                want.bytes += bytes as u64;
+                want.total_latency += delivered - now;
+                want.total_queueing += queueing;
+            }
+            assert_eq!(n.stats(), want, "{cols}x{rows} mesh");
+            assert!(
+                mesh.num_nodes() == 1 || want.total_queueing > 0,
+                "the stream contends"
+            );
+            let busy: Cycle = links.iter().map(Timeline::busy_cycles).sum();
+            assert_eq!(n.total_link_busy(), busy);
+        }
     }
 
     #[test]

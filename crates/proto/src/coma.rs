@@ -635,7 +635,9 @@ impl ComaSystem {
         tx.fill(&self.fab);
         self.am_fill(node, line, new_state, provider, tx.at());
         self.fill_caches(node, line, CState::Shared);
-        (level, true)
+        // Served at the local home (a disk fault or a cold first touch
+        // there) sends no request: no span.
+        (level, level != Level::LocalMem)
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
@@ -671,7 +673,9 @@ impl ComaSystem {
         }
         self.nodes[node].caches.mark_dirty(line);
         tx.fill(&self.fab);
-        (level, true)
+        // An upgrade at the local home sends no request: no span (its
+        // invalidations show as their own `Ack` spans).
+        (level, level != Level::LocalMem)
     }
 
     /// The steps of a write that missed the private caches.
@@ -695,7 +699,7 @@ impl ComaSystem {
             }
             tx.fill(&self.fab);
             self.fill_caches(node, line, CState::Dirty);
-            return (level, true);
+            return (level, level != Level::LocalMem);
         }
 
         // Full read-exclusive: fetch data and invalidate everyone.
@@ -759,7 +763,7 @@ impl ComaSystem {
         tx.fill(&self.fab);
         self.am_fill(node, line, AmState::Dirty, provider, tx.at());
         self.fill_caches(node, line, CState::Dirty);
-        (level, true)
+        (level, level != Level::LocalMem)
     }
 }
 

@@ -384,7 +384,9 @@ impl NumaSystem {
         };
         self.nodes[node].caches.mark_dirty(line);
         tx.fill(&self.fab);
-        (level, true)
+        // An upgrade at the local home sends no request: no span (its
+        // invalidations show as their own `Ack` spans).
+        (level, level != Level::LocalMem)
     }
 
     /// Read-exclusive: fetch the line with ownership.

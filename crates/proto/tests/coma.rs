@@ -87,6 +87,35 @@ fn upgrade_of_am_dirty_is_local() {
     );
 }
 
+/// Number of `name` spans `tracer` holds.
+fn spans(tracer: &Tracer, name: &str) -> usize {
+    tracer
+        .events_sorted()
+        .iter()
+        .filter(|e| e.name == name)
+        .count()
+}
+
+#[test]
+fn local_home_upgrade_emits_no_remote_span() {
+    let mut s = sys(4096);
+    s.read(0, 0x1000, 0); // master and home at node 0
+    s.read(1, 0x1000, 1000);
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
+    let a = s.write(0, 0x1000, 10_000); // upgrade at its own home
+    assert_eq!(a.level, Level::LocalMem);
+    assert_eq!(
+        spans(&tracer, "write.remote"),
+        0,
+        "no request leaves node 0"
+    );
+    assert_eq!(spans(&tracer, "Ack"), 1, "node 1's invalidation is traced");
+    // Node 1's write goes to home 0: one span.
+    s.write(1, 0x1000, 20_000);
+    assert_eq!(spans(&tracer, "write.remote"), 1);
+}
+
 #[test]
 fn replacement_prefers_shared_over_master() {
     let mut cfg = ComaCfg::paper(2, 8, 32, 4);

@@ -125,6 +125,27 @@ fn local_write_to_uncached_line() {
 }
 
 #[test]
+fn local_home_upgrade_emits_no_remote_span() {
+    let mut s = sys();
+    s.read(0, 0x1000, 0); // home = node 0
+    s.read(1, 0x1000, 1000);
+    let tracer = Tracer::enabled();
+    s.attach_tracer(tracer.clone());
+    let a = s.write(0, 0x1000, 10_000); // upgrade at its own home
+    assert_eq!(a.level, Level::LocalMem);
+    assert_eq!(
+        spans(&tracer, "write.remote"),
+        0,
+        "no request leaves node 0"
+    );
+    assert_eq!(spans(&tracer, "Ack"), 1, "node 1's invalidation is traced");
+    // Node 1's upgrade goes to home 0: one span.
+    s.read(1, 0x1000, 20_000);
+    s.write(1, 0x1000, 30_000);
+    assert_eq!(spans(&tracer, "write.remote"), 1);
+}
+
+#[test]
 fn census_counts_states() {
     let mut s = sys();
     s.read(0, 0x0, 0); // shared

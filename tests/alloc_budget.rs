@@ -19,51 +19,55 @@ use pimdsm_lab::{find, PointSpec, SuiteCtx, WorkloadSpec};
 use pimdsm_workloads::{AppId, Scale};
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 AGG point
-/// (FFT:1/2AGG75, measured 404; the slack covers small legitimate drift,
+/// (FFT:1/2AGG75, measured 403; the slack covers small legitimate drift,
 /// not a per-event regression — this point runs hundreds of thousands
 /// of events, so even one allocation per event blows the budget a
 /// hundred times over).
 const AGG_ALLOC_CEILING: u64 = 10_000;
 
-/// Ceiling on allocated bytes for the same point (measured 653,943 B).
+/// Ceiling on allocated bytes for the same point (measured 554,359 B).
 /// Dominated by the machine's fixed arenas (slab caches, page-table and
-/// directory chunks), so it scales with configuration, not with
-/// simulated work. With 16-byte tag entries and 16-byte line-queue
-/// slots (64-bit line keys) the same point allocated 772,759 B, and
-/// with 48-byte D-node directory slots (`usize` node ids) as well
-/// 1,018,519 B; both fail this ceiling.
-const AGG_BYTE_CEILING: u64 = 704 << 10;
+/// directory chunks, resource-timeline chunks), so it scales with
+/// configuration, not with simulated work. With 2 KiB timeline chunks
+/// (eight-byte windows) and a route buffer per network the same point
+/// allocated 653,943 B, with 16-byte tag entries and 16-byte line-queue
+/// slots (64-bit line keys) as well 772,759 B, and with 48-byte D-node
+/// directory slots (`usize` node ids) as well 1,018,519 B; all fail
+/// this ceiling.
+const AGG_BYTE_CEILING: u64 = 600 << 10;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 COMA
-/// point (Swim:COMA75, measured 821). COMA has no backing store, so
+/// point (Swim:COMA75, measured 820). COMA has no backing store, so
 /// building the machine preloads every initialised line into some
 /// attraction memory; placing a line must not allocate. The sort-based
 /// placement this replaced allocated once per preloaded line and fails
 /// this ceiling (25,691 allocations at the same point).
 const COMA_ALLOC_CEILING: u64 = 5_000;
 
-/// Ceiling on allocated bytes for the COMA point (measured 2,226,208 B).
+/// Ceiling on allocated bytes for the COMA point (measured 1,918,752 B).
 /// Building the machine allocates every node's attraction-memory tags
 /// and on-chip LRU, and preloading fills the home directory, so the
-/// bytes follow the per-line entry sizes: with 16-byte tags and 16-byte
-/// queue slots (64-bit line keys) the same point allocated 2,835,008 B,
-/// with 48-byte directory slots as well 3,625,536 B, and with 24-byte
-/// tags and 24-byte queue nodes plus index slots as well ~5.1 MB; all
-/// fail this ceiling.
-const COMA_BYTE_CEILING: u64 = 5 << 19;
+/// bytes follow the per-line entry sizes; the run adds resource-timeline
+/// chunks. With 2 KiB timeline chunks the same point allocated
+/// 2,226,208 B, with 16-byte tags and 16-byte queue slots (64-bit line
+/// keys) as well 2,835,008 B, with 48-byte directory slots as well
+/// 3,625,536 B, and with 24-byte tags and 24-byte queue nodes plus
+/// index slots as well ~5.1 MB; all fail this ceiling.
+const COMA_BYTE_CEILING: u64 = 2 << 20;
 
 /// Committed ceiling on allocation calls for one CI-scale fig6 NUMA
-/// point (Swim:NUMA, measured 425). The home directory allocates one
+/// point (Swim:NUMA, measured 424). The home directory allocates one
 /// entry chunk per page it tracks; the per-line `BTreeMap` directory
 /// this replaced made 1,742 allocations at the same point and fails
 /// this ceiling.
 const NUMA_ALLOC_CEILING: u64 = 1_000;
 
-/// Ceiling on allocated bytes for the NUMA point (measured 898,076 B).
-/// With 16-byte L1/L2 tag entries and on-chip LRU slots (64-bit line
-/// keys) the same point allocated 1,045,436 B, and with 24-byte
-/// directory slots as well 1,110,972 B; both fail this ceiling.
-const NUMA_BYTE_CEILING: u64 = 960 << 10;
+/// Ceiling on allocated bytes for the NUMA point (measured 684,828 B).
+/// With 2 KiB timeline chunks the same point allocated 898,076 B, with
+/// 16-byte L1/L2 tag entries and on-chip LRU slots (64-bit line keys) as
+/// well 1,045,436 B, and with 24-byte directory slots as well
+/// 1,110,972 B; all fail this ceiling.
+const NUMA_BYTE_CEILING: u64 = 768 << 10;
 
 /// Committed ceiling on live-heap growth inside `Machine::run` for the
 /// fig-svc point `1/1AGG75 kv-0.6` (CI scale, 4 threads; measured
