@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use pimdsm_engine::{Cycle, EventQueue, Timeline};
 use pimdsm_faults::{FaultKind, FaultPlan, FaultSchedule, RecoveryStats};
 use pimdsm_obs::{EpochSampler, Event, Tracer};
-use pimdsm_proto::{Access, AggSystem, ComaSystem, Level, MemSystem, NodeId, NumaSystem};
+use pimdsm_proto::{Access, AggSystem, ComaSystem, MemSystem, NodeId, NumaSystem};
 use pimdsm_svc::SvcStats;
 use pimdsm_workloads::{Op, ThreadGen, Workload};
 
@@ -576,7 +576,7 @@ impl Machine {
         let Some(f) = &mut self.faults else {
             return acc.done_at;
         };
-        if acc.done_at < f.degrade_until && matches!(acc.level, Level::Hop2 | Level::Hop3) {
+        if acc.done_at < f.degrade_until && acc.level.is_remote() {
             f.stats.degraded_cycles += f.degrade_extra;
             acc.done_at + f.degrade_extra
         } else {

@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pimdsm::RunReport;
-use pimdsm_obs::{JsonValue, ToJson, Tracer};
+use pimdsm_obs::{JsonValue, ToJson};
 use pimdsm_workloads::Scale;
 
 use crate::bench;
@@ -350,16 +350,16 @@ fn run_suites(names: &[String], opts: &Options) -> ExitCode {
         threads: opts.threads,
         scale: opts.scale,
     };
-    if let Err(e) = validate_points(&suites, &ctx) {
-        eprintln!("[lab] {e}");
-        return ExitCode::FAILURE;
-    }
-    let cache = (!opts.no_cache).then(|| ResultCache::new(&opts.cache_dir));
     let inst = Instrumentation {
         trace: opts.trace_path.is_some(),
         trace_only: opts.trace_only.clone(),
         epoch: opts.metrics_path.is_some().then_some(opts.epoch),
     };
+    if let Err(e) = validate_points(&suites, &ctx, &inst) {
+        eprintln!("[lab] {e}");
+        return ExitCode::FAILURE;
+    }
+    let cache = (!opts.no_cache).then(|| ResultCache::new(&opts.cache_dir));
 
     let mut failed = false;
     let (mut hits, mut misses) = (0usize, 0usize);
@@ -561,7 +561,7 @@ fn run_bench(names: &[String], opts: &Options) -> ExitCode {
         };
         suites.push(suite);
     }
-    if let Err(e) = validate_points(&suites, &ctx) {
+    if let Err(e) = validate_points(&suites, &ctx, &Instrumentation::default()) {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
@@ -622,26 +622,39 @@ fn run_bench(names: &[String], opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Checks every point of `suites` at `ctx` before any of them runs.
-fn validate_points(suites: &[&Suite], ctx: &SuiteCtx) -> Result<(), String> {
+/// Checks every point of `suites` at `ctx` before any of them runs, and
+/// that a trace request of `inst` selects one of them.
+fn validate_points(
+    suites: &[&Suite],
+    ctx: &SuiteCtx,
+    inst: &Instrumentation,
+) -> Result<(), String> {
     for suite in suites {
-        for point in suite.points(ctx) {
+        let points = suite.points(ctx);
+        for point in &points {
             point
                 .validate()
                 .map_err(|e| format!("{}: {e}", suite.name))?;
+        }
+        if inst.trace && inst.traced_index(&points).is_none() {
+            let name = suite.name;
+            return Err(match &inst.trace_only {
+                Some(f) => format!("{name}: --trace-only {f:?} matches no point"),
+                None => format!("{name}: --trace has no point to capture"),
+            });
         }
     }
     Ok(())
 }
 
+/// Writes the traced point's Chrome trace; a traced point that failed
+/// leaves none to write.
 fn write_trace(path: &Path, result: &SweepResult) {
-    // When tracing was requested but no run matched the filter, an empty
-    // (but valid) trace is still written.
-    let json = result
-        .trace_json
-        .clone()
-        .unwrap_or_else(|| Tracer::enabled().to_chrome_json());
-    match std::fs::write(path, &json) {
+    let Some(json) = &result.trace_json else {
+        eprintln!("[lab] no trace written: the traced point failed");
+        return;
+    };
+    match std::fs::write(path, json) {
         Ok(()) => eprintln!("[lab] wrote trace to {}", path.display()),
         Err(e) => eprintln!("[lab] failed to write {}: {e}", path.display()),
     }
@@ -795,5 +808,46 @@ mod tests {
         assert_eq!(o.metrics_path.as_deref(), Some(Path::new("m.json")));
         assert_eq!(o.epoch, 5000);
         assert_eq!(o.report_path.as_deref(), Some(Path::new("r.json")));
+    }
+
+    #[test]
+    fn a_trace_that_selects_no_point_fails_before_any_point_runs() {
+        let ctx = SuiteCtx {
+            threads: 4,
+            scale: Scale::ci(),
+        };
+        let traced = |filter: Option<&str>| Instrumentation {
+            trace: true,
+            trace_only: filter.map(str::to_string),
+            epoch: None,
+        };
+        let smoke = [find("smoke").unwrap()];
+        let table1 = [find("table1").unwrap()];
+        assert_eq!(
+            validate_points(&smoke, &ctx, &traced(Some("NOPE"))),
+            Err("smoke: --trace-only \"NOPE\" matches no point".into())
+        );
+        assert_eq!(
+            validate_points(&table1, &ctx, &traced(None)),
+            Err("table1: --trace has no point to capture".into())
+        );
+        assert_eq!(validate_points(&smoke, &ctx, &traced(Some("FFT"))), Ok(()));
+        let untraced = Instrumentation::default();
+        assert_eq!(validate_points(&table1, &ctx, &untraced), Ok(()));
+
+        // `run` exits 1 on either request and writes no trace.
+        let dir = std::env::temp_dir().join(format!("pimdsm-lab-notrace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.json");
+        for flags in ["run smoke --trace-only NOPE", "run table1"] {
+            let mut o = parse_lab_args(args(flags)).unwrap();
+            o.trace_path = Some(trace.clone());
+            let Command::Run(names) = &o.command else {
+                panic!("not a run")
+            };
+            assert_eq!(run_suites(names, &o), ExitCode::FAILURE, "{flags}");
+            assert!(!trace.exists(), "{flags}: no trace may be written");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

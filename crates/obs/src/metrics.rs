@@ -30,8 +30,6 @@ pub struct EpochProbe {
     pub free_slots: u64,
     /// Cumulative reads by satisfaction level (FLC, SLC, Memory, 2Hop, 3Hop).
     pub reads_by_level: [u64; 5],
-    /// Cumulative attraction-memory / node-cache misses (3rd level onward).
-    pub remote_writes: u64,
     /// Cumulative protocol messages on the network.
     pub net_messages: u64,
 }
@@ -232,7 +230,6 @@ mod tests {
             shared_list_depth: 3,
             free_slots: 10,
             reads_by_level: [reads, 0, 0, 0, 0],
-            remote_writes: 0,
             net_messages: reads / 2,
         }
     }

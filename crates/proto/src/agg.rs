@@ -323,7 +323,6 @@ impl AggSystem {
         let mut t = at;
         for page in victims {
             let first = page * lpp;
-            let mut recalled = 0;
             for line in first..first + lpp {
                 let Some(e) = self.dstore_ref(d).entry(line).copied() else {
                     continue;
@@ -350,7 +349,6 @@ impl AggSystem {
                         .net
                         .send(k, d, data, t1 + self.fab.lat.am_tag_check);
                     t = t.max(t2);
-                    recalled += 1;
                 }
                 let e = self.dstore(d).entry_mut(line);
                 e.owner = None;
@@ -359,7 +357,6 @@ impl AggSystem {
             }
             let occ = self.cfg.pageout_page_occupancy;
             let dn = self.dstore(d);
-            dn.note_recalled(recalled);
             dn.apply_pageout(page);
             t = dn.server.occupy(t, occ) + occ;
         }
@@ -484,7 +481,7 @@ impl AggSystem {
     }
 
     /// The steps of a read that missed the private caches.
-    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         if self.pstore(node).am.contains(line) {
             self.fab.am_hit(node, line, tx.at());
@@ -492,7 +489,7 @@ impl AggSystem {
             tx.dram(m);
             tx.fill(&self.fab);
             self.pstore(node).fill_caches(line, CState::Shared);
-            return (Level::LocalMem, false);
+            return Level::LocalMem;
         }
         self.fab.am_miss(node, line, tx.at());
 
@@ -505,7 +502,6 @@ impl AggSystem {
 
         let (level, new_state) = match entry {
             Some(e) if e.paged_out => {
-                self.fab.stats.disk_faults += 1;
                 self.fab.disk_fault(home, line, t1);
                 let g = self.dispatch(home, HandlerKind::Read, 0, t1);
                 tx.handler_start(g);
@@ -599,7 +595,7 @@ impl AggSystem {
         tx.fill(&self.fab);
         self.am_fill(node, line, new_state, tx.at());
         self.pstore(node).fill_caches(line, CState::Shared);
-        (level, true)
+        level
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
@@ -616,7 +612,7 @@ impl AggSystem {
 
     /// The steps of a write that the private caches could not complete:
     /// a miss, or a shared copy that needs ownership.
-    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         let am_state = self.pstore(node).am.peek(line).copied();
 
@@ -626,7 +622,7 @@ impl AggSystem {
             tx.dram(m);
             tx.fill(&self.fab);
             self.pstore(node).fill_caches(line, CState::Dirty);
-            return (Level::LocalMem, false);
+            return Level::LocalMem;
         }
 
         let home = self.home_of(line, node);
@@ -640,7 +636,6 @@ impl AggSystem {
         // Handle a paged-out line first: bring the page back.
         if let Some(e) = entry {
             if e.paged_out {
-                self.fab.stats.disk_faults += 1;
                 self.fab.disk_fault(home, line, t1);
                 let g = self.dispatch(home, HandlerKind::ReadExclusive, 0, t1);
                 tx.handler(g);
@@ -652,7 +647,7 @@ impl AggSystem {
                 tx.fill(&self.fab);
                 self.am_fill(node, line, AmState::Dirty, tx.at());
                 self.pstore(node).fill_caches(line, CState::Dirty);
-                return (Level::Hop2, true);
+                return Level::Hop2;
             }
         }
 
@@ -728,7 +723,7 @@ impl AggSystem {
             self.am_fill(node, line, AmState::Dirty, tx.at());
         }
         self.pstore(node).fill_caches(line, CState::Dirty);
-        (level, true)
+        level
     }
 
     /// Generic computation-in-memory offload (Section 2.4): P-node `p`
@@ -894,14 +889,6 @@ impl AggSystem {
         for &d in &self.d_list {
             self.dstore_ref(d).check_invariants();
         }
-    }
-
-    /// Total page-out events across D-nodes.
-    pub fn total_page_outs(&self) -> u64 {
-        self.d_list
-            .iter()
-            .map(|&d| self.dstore_ref(d).stats().page_outs)
-            .sum()
     }
 
     /// Bulk line-transfer cycles during recovery sweeps (same four-link

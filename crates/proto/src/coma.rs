@@ -172,11 +172,6 @@ impl ComaSystem {
         &self.cfg
     }
 
-    /// Total injections performed so far (exposed for tests/benches).
-    pub fn injections(&self) -> u64 {
-        self.fab.stats.injections
-    }
-
     /// Attraction-memory state of a line at `node`, without LRU effects.
     pub fn am_state(&self, node: NodeId, line: Line) -> Option<AmState> {
         self.nodes[node].am.peek(line).copied()
@@ -397,7 +392,6 @@ impl ComaSystem {
             t_chain = self.fab.net.send(prev, hop, data, t_chain);
             prev = hop;
         }
-        self.fab.stats.injections += 1;
         let t = self.fab.net.send(prev, c, data, t_chain);
         let g = self.dispatch(c, HandlerKind::WriteBack, 0, t);
         self.fab.am_inject(c, line, g.start);
@@ -557,7 +551,7 @@ impl ComaSystem {
     }
 
     /// The steps of a read that missed the private caches.
-    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         // Attraction-memory hit: the whole point of the organization.
         if self.nodes[node].am.contains(line) {
@@ -566,7 +560,7 @@ impl ComaSystem {
             tx.dram(m);
             tx.fill(&self.fab);
             self.fill_caches(node, line, CState::Shared);
-            return (Level::LocalMem, false);
+            return Level::LocalMem;
         }
         self.fab.am_miss(node, line, tx.at());
 
@@ -577,7 +571,6 @@ impl ComaSystem {
         let data = self.fab.msg_data();
 
         let (provider, level, new_state) = if e.on_disk {
-            self.fab.stats.disk_faults += 1;
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             self.fab.disk_fault(home, line, t1);
             let g = self.dispatch(home, HandlerKind::Read, 0, t1);
@@ -635,9 +628,7 @@ impl ComaSystem {
         tx.fill(&self.fab);
         self.am_fill(node, line, new_state, provider, tx.at());
         self.fill_caches(node, line, CState::Shared);
-        // Served at the local home (a disk fault or a cold first touch
-        // there) sends no request: no span.
-        (level, level != Level::LocalMem)
+        level
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
@@ -654,7 +645,7 @@ impl ComaSystem {
     }
 
     /// The steps of a write to a line the private caches hold shared.
-    fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2);
         let am_state = self.nodes[node]
             .am
@@ -665,7 +656,7 @@ impl ComaSystem {
             // Already exclusive at the memory level.
             tx.probe(self.fab.lat.am_tag_check);
             self.nodes[node].caches.mark_dirty(line);
-            return (Level::L2, false);
+            return Level::L2;
         }
         let level = self.upgrade_round(tx, node, line);
         if let Some(s) = self.nodes[node].am.peek_mut(line) {
@@ -673,13 +664,11 @@ impl ComaSystem {
         }
         self.nodes[node].caches.mark_dirty(line);
         tx.fill(&self.fab);
-        // An upgrade at the local home sends no request: no span (its
-        // invalidations show as their own `Ack` spans).
-        (level, level != Level::LocalMem)
+        level
     }
 
     /// The steps of a write that missed the private caches.
-    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
         // AM hit under a full cache miss.
         if let Some(&st) = self.nodes[node].am.peek(line) {
@@ -688,7 +677,7 @@ impl ComaSystem {
                 tx.dram(m);
                 tx.fill(&self.fab);
                 self.fill_caches(node, line, CState::Dirty);
-                return (Level::LocalMem, false);
+                return Level::LocalMem;
             }
             // Shared in our memory: upgrade through the home; the local
             // data access overlaps with the invalidation round.
@@ -699,7 +688,7 @@ impl ComaSystem {
             }
             tx.fill(&self.fab);
             self.fill_caches(node, line, CState::Dirty);
-            return (level, level != Level::LocalMem);
+            return level;
         }
 
         // Full read-exclusive: fetch data and invalidate everyone.
@@ -713,7 +702,6 @@ impl ComaSystem {
         let n_inv = targets.len() as u32;
 
         let (provider, level) = if e.on_disk {
-            self.fab.stats.disk_faults += 1;
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             self.fab.disk_fault(home, line, t1);
             let g = self.dispatch(home, HandlerKind::ReadExclusive, 0, t1);
@@ -763,7 +751,7 @@ impl ComaSystem {
         tx.fill(&self.fab);
         self.am_fill(node, line, AmState::Dirty, provider, tx.at());
         self.fill_caches(node, line, CState::Dirty);
-        (level, level != Level::LocalMem)
+        level
     }
 }
 

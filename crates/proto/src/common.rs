@@ -262,6 +262,12 @@ impl Level {
         }
     }
 
+    /// Whether the walk left the requesting node (2Hop or 3Hop): the
+    /// levels whose walks emit a `read.remote`/`write.remote` span.
+    pub fn is_remote(self) -> bool {
+        matches!(self, Level::Hop2 | Level::Hop3)
+    }
+
     /// Display name matching the paper's figure labels.
     pub fn label(self) -> &'static str {
         match self {

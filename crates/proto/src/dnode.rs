@@ -99,19 +99,6 @@ pub struct DNodeCfg {
     pub line_bytes: u64,
 }
 
-/// Event counters for one D-node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DNodeStats {
-    /// SharedList head reclamations (home copy dropped for space).
-    pub shared_reclaims: u64,
-    /// Page-out events.
-    pub page_outs: u64,
-    /// Lines recalled from P-nodes during page-outs.
-    pub lines_recalled: u64,
-    /// Page-ins from disk.
-    pub page_ins: u64,
-}
-
 /// Storage half of an AGG directory node.
 ///
 /// All mutating operations keep the FreeList/SharedList/`in_mem`
@@ -133,7 +120,6 @@ pub struct DNode {
     mem_on: Dram,
     mem_off: Dram,
     onchip: OnChipLru,
-    stats: DNodeStats,
 }
 
 impl DNode {
@@ -159,18 +145,12 @@ impl DNode {
             ),
             onchip: OnChipLru::new(cfg.onchip_lines as usize),
             cfg,
-            stats: DNodeStats::default(),
         }
     }
 
     /// Configuration.
     pub fn cfg(&self) -> &DNodeCfg {
         &self.cfg
-    }
-
-    /// Event counters.
-    pub fn stats(&self) -> DNodeStats {
-        self.stats
     }
 
     /// Frees the protocol processor's and both DRAM devices' schedules
@@ -295,7 +275,6 @@ impl DNode {
                     .expect("SharedList member must have a directory entry");
                 debug_assert!(ve.in_mem);
                 ve.in_mem = false;
-                self.stats.shared_reclaims += 1;
                 return Ok(Some(victim));
             }
         }
@@ -497,16 +476,10 @@ impl DNode {
             }
         }
         self.unmap_page(page);
-        self.stats.page_outs += 1;
         freed
     }
 
-    /// Records lines recalled during a page-out.
-    pub fn note_recalled(&mut self, n: u64) {
-        self.stats.lines_recalled += n;
-    }
-
-    /// Records a page-in (disk fault) for `line`'s page; clears the
+    /// Applies a page-in (disk fault) for `line`'s page: clears the
     /// paged-out marker for all lines of the page and re-maps it.
     pub fn apply_pagein(&mut self, line: Line) {
         let page = line / self.cfg.lines_per_page;
@@ -517,7 +490,6 @@ impl DNode {
             }
         }
         self.map_page(page);
-        self.stats.page_ins += 1;
     }
 
     /// Whether `page` is still initialization-cold (never served).
@@ -747,7 +719,6 @@ mod tests {
         assert_eq!(dropped, Some(10));
         d.grant_first_read(30, 2);
         assert!(!d.entry(10).unwrap().in_mem);
-        assert_eq!(d.stats().shared_reclaims, 1);
         d.check_invariants();
     }
 
@@ -811,7 +782,6 @@ mod tests {
         d.apply_pagein(1);
         assert!(!d.entry(1).unwrap().paged_out);
         assert_eq!(d.mapped_page_count(), 1);
-        assert_eq!(d.stats().page_ins, 1);
     }
 
     #[test]

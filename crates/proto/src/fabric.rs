@@ -284,15 +284,17 @@ impl Fabric {
         );
     }
 
-    /// Traces a disk fault at `home` (a paged-out or spilled line coming
-    /// back from disk).
+    /// Counts and traces a disk fault at `home` (a paged-out or spilled
+    /// line coming back from disk).
     pub fn disk_fault(&mut self, home: NodeId, line: Line, at: Cycle) {
+        self.stats.disk_faults += 1;
         self.tracer
             .instant(Event::DiskFault, home as u32, at, &[("line", line)]);
     }
 
-    /// Traces a COMA master-line injection into `target`.
+    /// Counts and traces a COMA master-line injection into `target`.
     pub fn am_inject(&mut self, target: NodeId, line: Line, at: Cycle) {
+        self.stats.injections += 1;
         self.tracer
             .instant(Event::AmInject, target as u32, at, &[("line", line)]);
     }
@@ -307,7 +309,6 @@ impl Fabric {
             link_busy: self.net.total_link_busy(),
             link_count: self.net.num_links(),
             reads_by_level: self.stats.reads_by_level,
-            remote_writes: self.stats.remote_writes,
             net_messages: n.messages,
             ..EpochProbe::default()
         }

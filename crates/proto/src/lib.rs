@@ -22,7 +22,8 @@
 //!    mesh links, first-touch page table, handler cost table, message
 //!    sizes, central [`ProtoStats`], tracer. It also hosts the shared
 //!    *mechanisms* (handler dispatch, invalidation fan-out, first-touch
-//!    placement) so the systems only encode protocol *policy*.
+//!    placement, the disk-fault and injection events that count
+//!    themselves) so the systems only encode protocol *policy*.
 //! 2. [`txn`] — the transaction-walk builder. [`txn::walk`] runs one memory
 //!    transaction through the machine: it lends the protocol's body a
 //!    [`txn::Txn`] whose typed steps (probe, send, handler, DRAM access,
@@ -31,8 +32,10 @@
 //!    and attribute the elapsed cycles to exactly one latency component,
 //!    so the cache/network/handler/DRAM/queueing breakdown sums to the
 //!    transaction's total latency (the paper's Figure 7 decomposition,
-//!    machine-checked). `walk` then finishes the `Txn` exactly once,
-//!    recording its statistics and span; nothing else can open or finish
+//!    machine-checked). The body returns only the satisfaction [`Level`];
+//!    `walk` then finishes the `Txn` exactly once, recording its
+//!    statistics and deriving its `read.remote`/`write.remote` span from
+//!    that level ([`Level::is_remote`]). Nothing else can open or finish
 //!    one, so every walk is accounted by construction.
 //! 3. [`check`] — the coherence oracle: full-sweep directory-vs-cache
 //!    assertions behind [`MemSystem::check_coherence`], and per-line

@@ -255,7 +255,7 @@ impl NumaSystem {
     }
 
     /// The steps of a read that missed the private caches.
-    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2); // L1+L2 probe time before going out
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
@@ -338,8 +338,7 @@ impl NumaSystem {
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Shared);
         self.handle_victim(node, victim, tx.at());
-        // A clean read at the local home sends no message: no span.
-        (level, level != Level::LocalMem)
+        level
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
@@ -356,7 +355,7 @@ impl NumaSystem {
     }
 
     /// The steps of a write to a line the private caches hold shared.
-    fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2);
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
@@ -384,13 +383,11 @@ impl NumaSystem {
         };
         self.nodes[node].caches.mark_dirty(line);
         tx.fill(&self.fab);
-        // An upgrade at the local home sends no request: no span (its
-        // invalidations show as their own `Ack` spans).
-        (level, level != Level::LocalMem)
+        level
     }
 
     /// Read-exclusive: fetch the line with ownership.
-    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> (Level, bool) {
+    fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
         tx.probe(self.fab.lat.l2);
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
@@ -465,9 +462,7 @@ impl NumaSystem {
         tx.fill(&self.fab);
         let victim = self.nodes[node].caches.fill(line, CState::Dirty);
         self.handle_victim(node, victim, tx.at());
-        // Served by the local home's memory: no `write.remote` span, as for
-        // a read (invalidations show as their own `Ack` spans).
-        (level, level != Level::LocalMem)
+        level
     }
 }
 

@@ -9,11 +9,13 @@
 //! *by construction*.
 //!
 //! [`walk`] is the only way to run one: it opens the `Txn`, lends it to
-//! the protocol's body and then finishes it, which emits the walk's trace
-//! span and records [`ProtoStats`](crate::ProtoStats) in one place for all
-//! three protocols. `Txn` has no public constructor and is not `Clone`, so
-//! a walk that is dropped, stored, duplicated or never finished does not
-//! compile.
+//! the protocol's body and then finishes it with the [`Level`] the body
+//! returns. That level is the one source of what the walk reports: it
+//! records [`ProtoStats`](crate::ProtoStats) in one place for all three
+//! protocols, and the walk's `read.remote`/`write.remote` span is emitted
+//! exactly when the level is remote ([`Level::is_remote`]). `Txn` has no
+//! public constructor and is not `Clone`, so a walk that is dropped,
+//! stored, duplicated or never finished does not compile.
 //!
 //! The contended resources themselves (links, controllers, DRAM ports)
 //! are booked by the steps' underlying [`Fabric`] and store calls in
@@ -140,9 +142,10 @@ impl Txn {
         self.to(CACHE, t)
     }
 
-    /// Closes the walk: optionally emits the read/write span, records read
-    /// statistics and the component breakdown, and returns the [`Access`].
-    fn finish(self, fab: &mut Fabric, level: Level, kind: TxnKind, span: bool) -> Access {
+    /// Closes the walk: emits the read/write span when `level` is remote,
+    /// records read statistics and the component breakdown, and returns
+    /// the [`Access`].
+    fn finish(self, fab: &mut Fabric, level: Level, kind: TxnKind) -> Access {
         // Host-side profiler: one thread-local bump per walk, amortized
         // over the walk's many booked steps. Pure observation.
         pimdsm_prof::counters::add(pimdsm_prof::counters::TXN_WALKS, 1);
@@ -153,7 +156,7 @@ impl Txn {
             total,
             "breakdown must sum to the walk's total latency"
         );
-        if span {
+        if level.is_remote() {
             let ev = match kind {
                 TxnKind::Read => Event::ReadRemote,
                 TxnKind::Write => Event::WriteRemote,
@@ -181,21 +184,21 @@ impl Txn {
 /// Runs one transaction walk for `node` on `line`, issued at `now`.
 ///
 /// Opens the [`Txn`], lends it to `body` together with the system, and
-/// finishes it with the satisfaction [`Level`] and span flag `body`
-/// returns (`true` emits the walk's `read.remote`/`write.remote` span).
-/// Finishing records the read statistics and the breakdown, so every walk
-/// is accounted exactly once.
+/// finishes it with the satisfaction [`Level`] `body` returns. Finishing
+/// emits the walk's `read.remote`/`write.remote` span when that level is
+/// remote and records the read statistics and the breakdown, so every
+/// walk is accounted exactly once.
 pub fn walk<S: MemSystem>(
     sys: &mut S,
     node: NodeId,
     line: Line,
     now: Cycle,
     kind: TxnKind,
-    body: impl FnOnce(&mut S, &mut Txn) -> (Level, bool),
+    body: impl FnOnce(&mut S, &mut Txn) -> Level,
 ) -> Access {
     let mut tx = Txn::start(node, line, now);
-    let (level, span) = body(sys, &mut tx);
-    tx.finish(sys.fabric_mut(), level, kind, span)
+    let level = body(sys, &mut tx);
+    tx.finish(sys.fabric_mut(), level, kind)
 }
 
 /// The private-cache fast path: a hit at `level` costing that level's

@@ -129,7 +129,7 @@ fn replacement_prefers_shared_over_master() {
     assert!(s.am_state(0, 0).is_some(), "dirty master kept");
     assert!(s.am_state(0, 2).is_some(), "incoming line resident");
     assert!(s.am_state(0, 1).is_none(), "shared copy was the victim");
-    assert_eq!(s.injections(), 0, "shared victims drop silently");
+    assert_eq!(s.stats().injections, 0, "shared victims drop silently");
 }
 
 #[test]
@@ -141,7 +141,7 @@ fn master_replacement_injects() {
     let mut s = ComaSystem::new(cfg);
     s.write(0, 0, 0); // line 0 dirty at node 0
     s.write(0, 64, 1000); // displaces line 0 -> inject
-    assert_eq!(s.injections(), 1);
+    assert_eq!(s.stats().injections, 1);
     let holder = s
         .dir_entry(0)
         .expect("entry")

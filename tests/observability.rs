@@ -1,9 +1,10 @@
 //! Observability integration tests: the machine-readable outputs are
-//! schema-valid, round-trip through the JSON layer, and tracing does not
-//! perturb the simulation.
+//! schema-valid, round-trip through the JSON layer, tracing does not
+//! perturb the simulation, and trace events agree with the counters that
+//! describe them.
 
 use pimdsm::{ArchSpec, Machine};
-use pimdsm_obs::{json, EpochSeries, ToJson, Tracer};
+use pimdsm_obs::{json, EpochSeries, Event, ToJson, Tracer};
 use pimdsm_workloads::{build, AppId, Scale};
 
 fn agg_machine() -> Machine {
@@ -143,4 +144,95 @@ fn epoch_series_cover_the_run() {
     // The run performs reads, so the reads series must not be all zero.
     let reads = epochs.series_named("reads").unwrap();
     assert!(reads.points.iter().sum::<f64>() > 0.0);
+}
+
+/// A walk's span follows from the same `Level` that records its read
+/// statistics, and the fabric's fault and injection instants are emitted
+/// where their counters are bumped, so a trace and the protocol
+/// statistics of the same run agree. The fig-fault kill points
+/// fire every counter checked here: COMA disk faults and injections, AGG
+/// disk faults and page-outs, and remote traffic on all three machines.
+#[test]
+fn spans_agree_with_protocol_counters() {
+    use pimdsm_lab::{find, SuiteCtx};
+    use pimdsm_proto::Level;
+
+    let ctx = SuiteCtx {
+        threads: 4,
+        scale: Scale::ci(),
+    };
+    let points = find("fig-fault").expect("fault suite exists").points(&ctx);
+    let mut fired = [
+        ("remote reads", 0),
+        ("remote writes", 0),
+        ("disk faults", 0),
+        ("injections", 0),
+        ("page-outs", 0),
+        ("invalidations", 0),
+    ];
+    for arch in ["NUMA", "COMA75", "1/1AGG75"] {
+        for tag in ["kill", "kill+repl"] {
+            let label = format!("{arch} {tag}");
+            let point = points
+                .iter()
+                .find(|p| p.label == label)
+                .unwrap_or_else(|| panic!("fig-fault has a point labelled {label:?}"));
+            let mut m = point.build_machine();
+            let tracer = Tracer::enabled();
+            m.attach_tracer(tracer.clone());
+            let p = m.run().proto;
+            let events = tracer.events_sorted();
+            let count = |ev: Event| {
+                let name = ev.parts().0;
+                events.iter().filter(|e| e.name == name).count() as u64
+            };
+
+            let remote_reads =
+                p.reads_by_level[Level::Hop2.index()] + p.reads_by_level[Level::Hop3.index()];
+            assert_eq!(
+                count(Event::ReadRemote),
+                remote_reads,
+                "{label}: read.remote"
+            );
+            assert_eq!(count(Event::DiskFault), p.disk_faults, "{label}: fault");
+            assert_eq!(count(Event::AmInject), p.injections, "{label}: inject");
+            assert_eq!(count(Event::PageOut), p.page_outs, "{label}: pageout");
+            // An owner's self-invalidation rides on its own handler span,
+            // so it is counted without an `Ack` span.
+            assert!(
+                count(Event::HandlerAck) <= p.invalidations,
+                "{label}: {} Ack spans, {} invalidations",
+                count(Event::HandlerAck),
+                p.invalidations
+            );
+            let write_spans = count(Event::WriteRemote);
+            if arch.contains("AGG") {
+                assert_eq!(write_spans, p.remote_writes, "{label}: write.remote");
+            } else {
+                // COMA and NUMA undercount `remote_writes`: read-exclusive
+                // misses served by an owner, by sharers or from disk are
+                // not counted (the open FOUND entry on `write_txn` in
+                // CHANGES.md). The spans are the true count; the gap is
+                // left visible here, not hidden.
+                assert!(
+                    write_spans >= p.remote_writes,
+                    "{label}: {write_spans} write.remote spans, {} remote_writes",
+                    p.remote_writes
+                );
+            }
+            for ((_, n), add) in fired.iter_mut().zip([
+                remote_reads,
+                p.remote_writes,
+                p.disk_faults,
+                p.injections,
+                p.page_outs,
+                p.invalidations,
+            ]) {
+                *n += add;
+            }
+        }
+    }
+    for (what, n) in fired {
+        assert!(n > 0, "no {what} in the fig-fault kill points");
+    }
 }
