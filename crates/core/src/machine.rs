@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use pimdsm_engine::{Cycle, EventQueue, Timeline};
 use pimdsm_faults::{FaultKind, FaultPlan, FaultSchedule, RecoveryStats};
 use pimdsm_obs::{EpochSampler, Event, Tracer};
-use pimdsm_proto::{Access, AggSystem, ComaSystem, MemSystem, NodeId, NumaSystem};
+use pimdsm_proto::{AggSystem, ComaSystem, MemSystem, NodeId, NumaSystem};
 use pimdsm_svc::SvcStats;
 use pimdsm_workloads::{Op, ThreadGen, Workload};
 
@@ -88,18 +88,14 @@ impl std::fmt::Display for ReconfigError {
 impl std::error::Error for ReconfigError {}
 
 /// Live state of an attached [`FaultPlan`]: the pending schedule, the
-/// run's durability policy, the accounting sink, and the transient
-/// effects (stalled threads, an open link-degradation window).
+/// run's durability policy, the accounting sink, and the threads frozen
+/// by a kill.
 struct FaultRuntime {
     schedule: FaultSchedule,
     durability: pimdsm_faults::Durability,
     stats: RecoveryStats,
     /// Threads frozen until their node's recovery completes.
     thread_stall: BTreeMap<usize, Cycle>,
-    /// End of the current link-degradation window (0 = none).
-    degrade_until: Cycle,
-    /// Extra cycles per remote access inside the window.
-    degrade_extra: Cycle,
 }
 
 enum SystemBox {
@@ -360,17 +356,15 @@ impl Machine {
     }
 
     /// Attaches a declarative fault schedule (see [`pimdsm_faults`]): the
-    /// run loop replays its cycle- and barrier-triggered events against
-    /// the simulated clock, and the finished [`RunReport`] carries the
-    /// recovery accounting in [`RunReport::faults`].
+    /// run loop replays its kills and rejoins against the simulated
+    /// clock, and the finished [`RunReport`] carries the recovery
+    /// accounting in [`RunReport::faults`].
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultRuntime {
             schedule: FaultSchedule::new(&plan),
             durability: plan.durability,
             stats: RecoveryStats::default(),
             thread_stall: BTreeMap::new(),
-            degrade_until: 0,
-            degrade_extra: 0,
         });
     }
 
@@ -478,8 +472,8 @@ impl Machine {
     }
 
     /// Applies one fault at `now`: the protocol-level effect, the trace
-    /// event, and the driver-level consequences (thread re-binding,
-    /// stalls, degradation windows).
+    /// event, and the driver-level consequences (thread re-binding and
+    /// stalls).
     fn apply_fault(&mut self, kind: FaultKind, now: Cycle) {
         match kind {
             FaultKind::Kill { node } => self.apply_kill_fault(node, now),
@@ -488,28 +482,6 @@ impl Machine {
                     .instant(Event::Rejoin, 0, now, &[("node", node as u64)]);
                 self.system.sys().apply_rejoin(node, now);
                 self.faults.as_mut().expect("fault runtime").stats.rejoins += 1;
-            }
-            FaultKind::DegradeLink { extra, for_cycles } => {
-                self.tracer.instant(
-                    Event::Degrade,
-                    0,
-                    now,
-                    &[("extra", extra), ("for_cycles", for_cycles)],
-                );
-                let f = self.faults.as_mut().expect("fault runtime");
-                f.degrade_until = now + for_cycles;
-                f.degrade_extra = extra;
-            }
-            FaultKind::HandlerStall { node, extra } => {
-                self.tracer.instant(
-                    Event::Stall,
-                    0,
-                    now,
-                    &[("node", node as u64), ("extra", extra)],
-                );
-                self.system.sys().stall_controller(node, now, extra);
-                let f = self.faults.as_mut().expect("fault runtime");
-                f.stats.stall_cycles += extra;
             }
         }
     }
@@ -570,20 +542,6 @@ impl Machine {
         }
     }
 
-    /// Applies the open link-degradation window to a finished access:
-    /// remote completions inside the window pay the extra latency.
-    fn degraded(&mut self, acc: &Access) -> Cycle {
-        let Some(f) = &mut self.faults else {
-            return acc.done_at;
-        };
-        if acc.done_at < f.degrade_until && acc.level.is_remote() {
-            f.stats.degraded_cycles += f.degrade_extra;
-            acc.done_at + f.degrade_extra
-        } else {
-            acc.done_at
-        }
-    }
-
     /// Runs the full-sweep coherence oracle over the memory system's
     /// current state (see `pimdsm_proto::check`).
     ///
@@ -634,8 +592,7 @@ impl Machine {
             }
             Op::Load(a) => {
                 let node = self.threads[tid].node;
-                let acc = self.system.sys().read(node, a, now);
-                let done = self.degraded(&acc);
+                let done = self.system.sys().read(node, a, now).done_at;
                 self.charge_load(tid, now, done);
                 self.queue.push(done, tid);
             }
@@ -780,8 +737,7 @@ impl Machine {
             } else {
                 now + i
             };
-            let acc = self.system.sys().read(node, addr_of(i), issue);
-            let done = self.degraded(&acc);
+            let done = self.system.sys().read(node, addr_of(i), issue).done_at;
             if filled == LOAD_WINDOW {
                 window[head] = done;
                 head = (head + 1) % LOAD_WINDOW;
@@ -821,8 +777,7 @@ impl Machine {
             }
         }
         let node = self.threads[tid].node;
-        let acc = self.system.sys().write(node, addr, t);
-        let done = self.degraded(&acc);
+        let done = self.system.sys().write(node, addr, t).done_at;
         self.threads[tid].wb.push_back(done);
         self.threads[tid].acct.compute += 1;
         t
@@ -846,17 +801,6 @@ impl Machine {
                 release_at = self.do_reconfig(plan, now);
                 self.reconfig_cycles += release_at - now;
             }
-        }
-        // Barrier-triggered faults fire as the barrier releases; their
-        // consequences (stalls, recovery waits) apply to the released
-        // threads through the normal step-time checks.
-        let due = self
-            .faults
-            .as_mut()
-            .map(|f| f.schedule.due_at_barrier(id))
-            .unwrap_or_default();
-        for kind in due {
-            self.apply_fault(kind, release_at);
         }
         self.tracer.instant(
             Event::Barrier,
@@ -1218,23 +1162,6 @@ mod tests {
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.proto.reads_by_level, b.proto.reads_by_level);
-    }
-
-    #[test]
-    fn degrade_and_stall_faults_are_accounted() {
-        use pimdsm_faults::FaultPlan;
-        let w = build(AppId::Radix, 4, Scale::ci());
-        let mut m = Machine::build(ArchSpec::Numa, w, 0.75);
-        m.set_faults(
-            FaultPlan::new()
-                .degrade_at(1_000, 50, 50_000)
-                .stall_at(0, 2_000, 10_000),
-        );
-        let r = m.run();
-        let rs = r.faults.as_ref().expect("fault accounting present");
-        assert!(rs.degraded_cycles > 0, "remote ops inside the window pay");
-        assert_eq!(rs.stall_cycles, 10_000);
-        assert_eq!(rs.kills, 0);
     }
 
     #[test]

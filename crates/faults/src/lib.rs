@@ -1,18 +1,17 @@
 //! # pimdsm-faults — deterministic fault injection
 //!
 //! Declarative fault schedules for the PIM-DSM simulator. A [`FaultPlan`]
-//! is plain data — *kill node 3 at cycle 20 000, rejoin it at barrier 2,
-//! degrade the interconnect for 50 000 cycles* — that the machine driver
-//! replays against the simulated cycle clock and barrier sequence. Because
-//! triggers are expressed in simulated time only, a plan is bit-deterministic
-//! by construction: the same plan over the same workload produces the same
-//! event sequence, reports and traces, byte for byte.
+//! is plain data — *kill node 1 at cycle 20 000, rejoin it at cycle
+//! 40 000* — that the machine driver replays against the simulated cycle
+//! clock. Because triggers are expressed in simulated time only, a plan is
+//! bit-deterministic by construction: the same plan over the same workload
+//! produces the same event sequence, reports and traces, byte for byte.
 //!
 //! The crate deliberately knows nothing about the protocols. It supplies:
 //!
-//! * the fault vocabulary ([`FaultKind`], [`FaultTrigger`], [`FaultEvent`]),
-//! * the policies: the per-run [`Durability`] and the [`RetryCfg`]
-//!   backoff every transaction racing a recovery pays,
+//! * the fault vocabulary ([`FaultKind`], [`FaultEvent`]),
+//! * the policies: the per-run [`Durability`] and the bounded
+//!   [`retry_wait`] every transaction racing a recovery pays,
 //! * the runtime queue the driver pops ([`FaultSchedule`]), and
 //! * the accounting sink every recovery path feeds ([`RecoveryStats`]),
 //!   including a recovery-latency [`Histogram`] for p50/p99 reporting.
@@ -31,16 +30,6 @@ use pimdsm_obs::{JsonValue, ToJson};
 /// Node identifier, matching the protocol crates' convention.
 pub type NodeId = usize;
 
-/// When a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// Fire at the first event-loop step at or after this simulated cycle.
-    AtCycle(Cycle),
-    /// Fire when the machine releases this global barrier (0-indexed in
-    /// arrival order, matching `ReconfigPlan`'s barrier numbering).
-    AtBarrier(u32),
-}
-
 /// What happens when a fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -58,30 +47,14 @@ pub enum FaultKind {
         /// The returning node.
         node: NodeId,
     },
-    /// Uniform interconnect degradation: every remote memory operation
-    /// completing inside the window pays `extra` additional cycles.
-    DegradeLink {
-        /// Extra cycles per remote operation while degraded.
-        extra: Cycle,
-        /// Window length in cycles, starting at the trigger.
-        for_cycles: Cycle,
-    },
-    /// The protocol handler (directory controller) at `node` stalls,
-    /// booking `extra` cycles of occupancy before serving further
-    /// transactions.
-    HandlerStall {
-        /// The stalled controller's node.
-        node: NodeId,
-        /// Cycles of controller occupancy to book.
-        extra: Cycle,
-    },
 }
 
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// When the fault fires.
-    pub at: FaultTrigger,
+    /// Cycle at (or after) which the fault fires: the first event-loop
+    /// step at or after it applies the fault.
+    pub at: Cycle,
     /// What fires.
     pub kind: FaultKind,
 }
@@ -120,69 +93,45 @@ impl Durability {
             Durability::Replication => 0,
         }
     }
-
-    /// Stable label used in canonical point strings and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Durability::None => "none",
-            Durability::Checkpoint { .. } => "ckpt",
-            Durability::Replication => "repl",
-        }
-    }
 }
 
-/// Bounded timeout/backoff policy for transactions that hit a page whose
-/// home is still being reconstructed after a kill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryCfg {
-    /// Upper bound on the total wait a single transaction will spend
-    /// retrying, in cycles.
-    pub timeout: Cycle,
-    /// Initial backoff between retry probes; doubles each attempt.
-    pub backoff: Cycle,
-    /// Maximum retry probes per transaction.
-    pub max_attempts: u32,
-}
+/// Upper bound on the total wait a transaction spends retrying a page
+/// whose home is still being reconstructed after a kill, in cycles.
+pub const RETRY_TIMEOUT: Cycle = 5_000;
 
-impl Default for RetryCfg {
-    fn default() -> Self {
-        RetryCfg {
-            timeout: 5_000,
-            backoff: 200,
-            max_attempts: 8,
-        }
-    }
-}
+/// Initial backoff between retry probes, in cycles; doubles each attempt.
+pub const RETRY_BACKOFF: Cycle = 200;
 
-impl RetryCfg {
-    /// Wait this transaction spends at `now` for a resource that recovers
-    /// at `recovered_at`, together with the number of retry probes issued.
-    ///
-    /// Probes back off exponentially from [`backoff`](RetryCfg::backoff);
-    /// the wait is capped by both the recovery completion and
-    /// [`timeout`](RetryCfg::timeout). Purely arithmetic — deterministic.
-    pub fn wait_for(&self, now: Cycle, recovered_at: Cycle) -> (Cycle, u32) {
-        if recovered_at <= now {
-            return (0, 0);
-        }
-        let wait = (recovered_at - now).min(self.timeout);
-        let mut probes = 0u32;
-        let mut t = 0;
-        let mut step = self.backoff.max(1);
-        while t < wait && probes < self.max_attempts {
-            probes += 1;
-            t += step;
-            step = step.saturating_mul(2);
-        }
-        (wait, probes)
+/// Maximum retry probes per transaction.
+pub const RETRY_MAX_ATTEMPTS: u32 = 8;
+
+/// Wait a transaction spends at `now` for a page that recovers at
+/// `recovered_at`, together with the number of retry probes issued.
+///
+/// Probes back off exponentially from [`RETRY_BACKOFF`]; the wait is
+/// capped by both the recovery completion and [`RETRY_TIMEOUT`], the
+/// probes by [`RETRY_MAX_ATTEMPTS`]. Purely arithmetic — deterministic.
+pub fn retry_wait(now: Cycle, recovered_at: Cycle) -> (Cycle, u32) {
+    if recovered_at <= now {
+        return (0, 0);
     }
+    let wait = (recovered_at - now).min(RETRY_TIMEOUT);
+    let mut probes = 0u32;
+    let mut t = 0;
+    let mut step = RETRY_BACKOFF;
+    while t < wait && probes < RETRY_MAX_ATTEMPTS {
+        probes += 1;
+        t += step;
+        step = step.saturating_mul(2);
+    }
+    (wait, probes)
 }
 
 /// A complete, declarative fault schedule for one run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The scheduled faults, applied in the order listed when several
-    /// share a trigger point.
+    /// share a cycle.
     pub events: Vec<FaultEvent>,
     /// What survives a kill.
     pub durability: Durability,
@@ -197,16 +146,7 @@ impl FaultPlan {
     /// Adds a kill of `node` at `cycle`.
     pub fn kill_at(mut self, node: NodeId, cycle: Cycle) -> Self {
         self.events.push(FaultEvent {
-            at: FaultTrigger::AtCycle(cycle),
-            kind: FaultKind::Kill { node },
-        });
-        self
-    }
-
-    /// Adds a kill of `node` when barrier `id` releases.
-    pub fn kill_at_barrier(mut self, node: NodeId, id: u32) -> Self {
-        self.events.push(FaultEvent {
-            at: FaultTrigger::AtBarrier(id),
+            at: cycle,
             kind: FaultKind::Kill { node },
         });
         self
@@ -215,26 +155,8 @@ impl FaultPlan {
     /// Adds a rejoin of `node` at `cycle`.
     pub fn rejoin_at(mut self, node: NodeId, cycle: Cycle) -> Self {
         self.events.push(FaultEvent {
-            at: FaultTrigger::AtCycle(cycle),
+            at: cycle,
             kind: FaultKind::Rejoin { node },
-        });
-        self
-    }
-
-    /// Adds an interconnect degradation window starting at `cycle`.
-    pub fn degrade_at(mut self, cycle: Cycle, extra: Cycle, for_cycles: Cycle) -> Self {
-        self.events.push(FaultEvent {
-            at: FaultTrigger::AtCycle(cycle),
-            kind: FaultKind::DegradeLink { extra, for_cycles },
-        });
-        self
-    }
-
-    /// Adds a handler stall at `node` at `cycle`.
-    pub fn stall_at(mut self, node: NodeId, cycle: Cycle, extra: Cycle) -> Self {
-        self.events.push(FaultEvent {
-            at: FaultTrigger::AtCycle(cycle),
-            kind: FaultKind::HandlerStall { node, extra },
         });
         self
     }
@@ -247,71 +169,40 @@ impl FaultPlan {
 }
 
 /// Runtime queue over a [`FaultPlan`]: the driver polls it from the event
-/// loop (cycle triggers) and the barrier release path (barrier triggers).
+/// loop.
 ///
-/// Cycle-triggered events are stably sorted by cycle, preserving plan
-/// order among ties, so the pop sequence is a pure function of the plan.
+/// Events are stably sorted by cycle, preserving plan order among ties,
+/// so the pop sequence is a pure function of the plan.
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
-    by_cycle: Vec<(Cycle, FaultKind)>,
+    by_cycle: Vec<FaultEvent>,
     next: usize,
-    by_barrier: Vec<(u32, FaultKind)>,
 }
 
 impl FaultSchedule {
     /// Builds the runtime queue from a plan.
     pub fn new(plan: &FaultPlan) -> Self {
-        let mut by_cycle: Vec<(Cycle, FaultKind)> = Vec::new();
-        let mut by_barrier: Vec<(u32, FaultKind)> = Vec::new();
-        for e in &plan.events {
-            match e.at {
-                FaultTrigger::AtCycle(c) => by_cycle.push((c, e.kind)),
-                FaultTrigger::AtBarrier(b) => by_barrier.push((b, e.kind)),
-            }
-        }
-        by_cycle.sort_by_key(|&(c, _)| c);
-        FaultSchedule {
-            by_cycle,
-            next: 0,
-            by_barrier,
-        }
+        let mut by_cycle = plan.events.clone();
+        by_cycle.sort_by_key(|e| e.at);
+        FaultSchedule { by_cycle, next: 0 }
     }
 
-    /// Earliest still-pending cycle trigger, if any.
+    /// Earliest still-pending trigger cycle, if any.
     pub fn next_cycle(&self) -> Option<Cycle> {
-        self.by_cycle.get(self.next).map(|&(c, _)| c)
+        self.by_cycle.get(self.next).map(|e| e.at)
     }
 
-    /// Pops every cycle-triggered event due at or before `now`, in order.
+    /// Pops every event due at or before `now`, in order.
     pub fn due_at_cycle(&mut self, now: Cycle) -> Vec<FaultKind> {
         let mut out = Vec::new();
-        while let Some(&(c, kind)) = self.by_cycle.get(self.next) {
-            if c > now {
+        while let Some(e) = self.by_cycle.get(self.next) {
+            if e.at > now {
                 break;
             }
-            out.push(kind);
+            out.push(e.kind);
             self.next += 1;
         }
         out
-    }
-
-    /// Pops every event bound to barrier `id`, in plan order.
-    pub fn due_at_barrier(&mut self, id: u32) -> Vec<FaultKind> {
-        let mut out = Vec::new();
-        self.by_barrier.retain(|&(b, kind)| {
-            if b == id {
-                out.push(kind);
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
-    /// Number of events not yet popped.
-    pub fn pending(&self) -> usize {
-        (self.by_cycle.len() - self.next) + self.by_barrier.len()
     }
 }
 
@@ -339,10 +230,6 @@ pub struct RecoveryStats {
     pub retries: u64,
     /// Total cycles transactions spent waiting on recovering pages.
     pub retry_wait_cycles: u64,
-    /// Cycles of extra latency paid inside link-degradation windows.
-    pub degraded_cycles: u64,
-    /// Cycles of controller occupancy booked by handler stalls.
-    pub stall_cycles: u64,
     /// Per-page recovery latency (cycles from kill to page usable again).
     pub recovery: Histogram,
 }
@@ -376,8 +263,6 @@ impl RecoveryStats {
             lost_work_cycles: field("lost_work_cycles")?,
             retries: field("retries")?,
             retry_wait_cycles: field("retry_wait_cycles")?,
-            degraded_cycles: field("degraded_cycles")?,
-            stall_cycles: field("stall_cycles")?,
             recovery: histogram_from_json(v, "recovery")?,
         })
     }
@@ -394,8 +279,6 @@ impl ToJson for RecoveryStats {
             lost_work_cycles,
             retries,
             retry_wait_cycles,
-            degraded_cycles,
-            stall_cycles,
             recovery,
         } = self;
         JsonValue::obj([
@@ -407,8 +290,6 @@ impl ToJson for RecoveryStats {
             ("lost_work_cycles", JsonValue::u64(*lost_work_cycles)),
             ("retries", JsonValue::u64(*retries)),
             ("retry_wait_cycles", JsonValue::u64(*retry_wait_cycles)),
-            ("degraded_cycles", JsonValue::u64(*degraded_cycles)),
-            ("stall_cycles", JsonValue::u64(*stall_cycles)),
             ("recovery", recovery.to_json()),
         ])
     }
@@ -421,33 +302,21 @@ mod tests {
     #[test]
     fn schedule_pops_cycle_events_in_order() {
         let plan = FaultPlan::new()
-            .rejoin_at(1, 500)
+            .rejoin_at(2, 500)
             .kill_at(1, 100)
-            .stall_at(0, 100, 40);
+            .rejoin_at(3, 100);
         let mut s = FaultSchedule::new(&plan);
-        assert_eq!(s.pending(), 3);
         assert_eq!(s.next_cycle(), Some(100));
         assert_eq!(s.due_at_cycle(99), vec![]);
-        // Ties at cycle 100 keep plan order: kill before stall.
+        // Ties at cycle 100 keep plan order: kill before rejoin.
         assert_eq!(
             s.due_at_cycle(100),
-            vec![
-                FaultKind::Kill { node: 1 },
-                FaultKind::HandlerStall { node: 0, extra: 40 }
-            ]
+            vec![FaultKind::Kill { node: 1 }, FaultKind::Rejoin { node: 3 }]
         );
-        assert_eq!(s.due_at_cycle(10_000), vec![FaultKind::Rejoin { node: 1 }]);
-        assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn schedule_pops_barrier_events_once() {
-        let plan = FaultPlan::new().kill_at_barrier(2, 1);
-        let mut s = FaultSchedule::new(&plan);
-        assert_eq!(s.due_at_barrier(0), vec![]);
-        assert_eq!(s.due_at_barrier(1), vec![FaultKind::Kill { node: 2 }]);
-        assert_eq!(s.due_at_barrier(1), vec![]);
-        assert_eq!(s.pending(), 0);
+        assert_eq!(s.next_cycle(), Some(500));
+        assert_eq!(s.due_at_cycle(10_000), vec![FaultKind::Rejoin { node: 2 }]);
+        assert_eq!(s.next_cycle(), None);
+        assert_eq!(s.due_at_cycle(20_000), vec![]);
     }
 
     #[test]
@@ -463,18 +332,18 @@ mod tests {
 
     #[test]
     fn retry_wait_is_bounded_and_deterministic() {
-        let cfg = RetryCfg {
-            timeout: 1_000,
-            backoff: 100,
-            max_attempts: 3,
-        };
-        assert_eq!(cfg.wait_for(500, 400), (0, 0));
-        // Recovery 250 cycles out: probes at +100, +300 cover it.
-        assert_eq!(cfg.wait_for(0, 250), (250, 2));
-        // Recovery far out: wait capped by timeout, probes by max_attempts.
-        assert_eq!(cfg.wait_for(0, 50_000), (1_000, 3));
+        assert_eq!(retry_wait(500, 400), (0, 0));
+        assert_eq!(retry_wait(500, 500), (0, 0));
+        // Recovery 250 cycles out: probes at +200, +600 cover it.
+        assert_eq!(retry_wait(0, 250), (250, 2));
+        // Recovery 4 000 cycles out: probes at +200, +600, +1 400, +3 000
+        // and +6 200.
+        assert_eq!(retry_wait(1_000, 5_000), (4_000, 5));
+        // Recovery far out: the wait is capped by the timeout, which five
+        // doubling probes already span, below the attempt cap.
+        assert_eq!(retry_wait(0, 50_000), (RETRY_TIMEOUT, 5));
         // Determinism: same inputs, same answer.
-        assert_eq!(cfg.wait_for(0, 250), cfg.wait_for(0, 250));
+        assert_eq!(retry_wait(0, 250), retry_wait(0, 250));
     }
 
     #[test]
@@ -488,8 +357,6 @@ mod tests {
             lost_work_cycles: 9_999,
             retries: 12,
             retry_wait_cycles: 2_400,
-            degraded_cycles: 512,
-            stall_cycles: 64,
             recovery: Histogram::new(),
         };
         for v in [100u64, 250, 250, 8_000] {

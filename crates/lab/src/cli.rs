@@ -10,7 +10,8 @@
 //! Flags: the observability outputs (`--trace`, `--trace-only`,
 //! `--metrics`, `--epoch`, `--report`) and the sweep controls (`--jobs`,
 //! `--cache-dir`, `--no-cache`, `--threads`, `--scale`, `--quiet`,
-//! `--require-hit-rate`).
+//! `--require-hit-rate`). Each command accepts only the flags it reads;
+//! any other is an unknown argument.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -152,7 +153,17 @@ impl Options {
 
 /// Parses the flags after the command. Returns `Err` on a malformed
 /// value or an unknown argument.
+///
+/// A flag is recognized only by the commands that read it; elsewhere it
+/// falls through to the unknown arm. `run` reads every shared flag;
+/// `bench` the sweep shape (`--jobs`, `--threads`, `--scale`, `--quiet`)
+/// and its own flags; `list` the suite shape (`--threads`, `--scale`);
+/// `clean` only `--cache-dir`.
 fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result<(), String> {
+    let run = matches!(opts.command, Command::Run(_));
+    let sweep = run || opts.bench.is_some();
+    let sized = !matches!(opts.command, Command::Clean);
+    let cached = run || matches!(opts.command, Command::Clean);
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -160,33 +171,43 @@ fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match arg.as_str() {
-            "--jobs" | "-j" => {
+            "--jobs" | "-j" if sweep => {
                 opts.jobs = value("--jobs")?
                     .parse::<usize>()
                     .map_err(|e| format!("--jobs: {e}"))?
                     .max(1)
             }
-            "--cache-dir" => opts.cache_dir = value("--cache-dir")?.into(),
-            "--no-cache" => opts.no_cache = true,
-            "--threads" => opts.threads = parse_threads("--threads", &value("--threads")?)?,
-            "--scale" => opts.scale = parse_scale("--scale", &value("--scale")?)?,
-            "--trace" => opts.trace_path = Some(value("--trace")?.into()),
-            "--trace-only" => opts.trace_only = Some(value("--trace-only")?),
-            "--metrics" => opts.metrics_path = Some(value("--metrics")?.into()),
-            "--epoch" => {
-                opts.epoch = value("--epoch")?
+            "--cache-dir" if cached => opts.cache_dir = value("--cache-dir")?.into(),
+            "--no-cache" if run => opts.no_cache = true,
+            "--threads" if sized => {
+                opts.threads = parse_threads("--threads", &value("--threads")?)?
+            }
+            "--scale" if sized => opts.scale = parse_scale("--scale", &value("--scale")?)?,
+            "--trace" if run => opts.trace_path = Some(value("--trace")?.into()),
+            "--trace-only" if run => opts.trace_only = Some(value("--trace-only")?),
+            "--metrics" if run => opts.metrics_path = Some(value("--metrics")?.into()),
+            "--epoch" if run => {
+                let epoch = value("--epoch")?
                     .parse()
-                    .map_err(|e| format!("--epoch: {e}"))?
+                    .map_err(|e| format!("--epoch: {e}"))?;
+                if epoch == 0 {
+                    return Err("--epoch takes a positive cycle count, not 0".into());
+                }
+                opts.epoch = epoch
             }
-            "--report" => opts.report_path = Some(value("--report")?.into()),
-            "--require-hit-rate" => {
-                opts.require_hit_rate = Some(
-                    value("--require-hit-rate")?
-                        .parse()
-                        .map_err(|e| format!("--require-hit-rate: {e}"))?,
-                )
+            "--report" if run => opts.report_path = Some(value("--report")?.into()),
+            "--require-hit-rate" if run => {
+                let pct = value("--require-hit-rate")?
+                    .parse::<f64>()
+                    .map_err(|e| format!("--require-hit-rate: {e}"))?;
+                if !(0.0..=100.0).contains(&pct) {
+                    return Err(format!(
+                        "--require-hit-rate takes a percentage from 0 to 100, not {pct}"
+                    ));
+                }
+                opts.require_hit_rate = Some(pct)
             }
-            "--quiet" | "-q" => opts.quiet = true,
+            "--quiet" | "-q" if sweep => opts.quiet = true,
             // Bench-only flags: recognized only when a bench command set
             // `opts.bench`; elsewhere they fall through to the unknown arms.
             "--runs" if opts.bench.is_some() => {
@@ -284,14 +305,15 @@ pub fn main() -> ExitCode {
         Err(e) => {
             eprintln!("pimdsm-lab: {e}");
             eprintln!("usage: pimdsm-lab <run|bench|list|clean> [suites|--all] [flags]");
-            eprintln!(
-                "flags: --jobs N --cache-dir DIR --no-cache --threads N --scale full|bench|ci"
-            );
+            eprintln!("run:   --jobs N --threads N --scale full|bench|ci --quiet");
+            eprintln!("       --cache-dir DIR --no-cache --require-hit-rate PCT");
             eprintln!("       --trace F --trace-only SUBSTR --metrics F --epoch N --report F");
-            eprintln!("       --require-hit-rate PCT --quiet");
+            eprintln!("bench: --jobs N --threads N --scale full|bench|ci --quiet");
             eprintln!(
-                "bench: --runs N --out F --no-out --compare BASE --against CUR --check F --threshold X"
+                "       --runs N --out F --no-out --compare BASE --against CUR --check F --threshold X"
             );
+            eprintln!("list:  --threads N --scale full|bench|ci");
+            eprintln!("clean: --cache-dir DIR");
             eprintln!(
                 "env: PIMDSM_THREADS=N (default 32) PIMDSM_SCALE=full|bench|ci (default bench)"
             );
@@ -795,6 +817,63 @@ mod tests {
         assert!(parse_lab_args(args("run fig6 --runs 3")).is_err());
         assert!(parse_lab_args(args("bench smoke --threshold 0.5")).is_err());
         assert!(parse_lab_args(args("bench smoke --runs zero")).is_err());
+    }
+
+    #[test]
+    fn flags_are_rejected_outside_the_commands_that_read_them() {
+        for flags in [
+            "bench smoke --trace t.json",
+            "bench smoke --trace-only FFT",
+            "bench smoke --metrics m.json",
+            "bench smoke --epoch 5000",
+            "bench smoke --report r.json",
+            "bench smoke --no-cache",
+            "bench smoke --cache-dir d",
+            "bench smoke --require-hit-rate 90",
+            "list --jobs 3",
+            "list --trace x.json",
+            "list --quiet",
+            "list --cache-dir d",
+            "clean --trace y.json",
+            "clean --jobs 2",
+            "clean --threads 4",
+            "clean --scale ci",
+        ] {
+            let flag = flags.split_whitespace().find(|a| a.starts_with("--"));
+            assert_eq!(
+                parse_lab_args(args(flags)).err(),
+                Some(format!("unknown argument {:?}", flag.unwrap())),
+                "{flags}"
+            );
+        }
+        for flags in [
+            "bench smoke --jobs 1 --threads 4 --scale ci --quiet",
+            "list --threads 4 --scale ci",
+            "clean --cache-dir d",
+        ] {
+            assert!(parse_lab_args(args(flags)).is_ok(), "{flags}");
+        }
+    }
+
+    #[test]
+    fn hit_rate_and_epoch_values_are_checked() {
+        for bad in ["nan", "inf", "-1", "100.5"] {
+            let e = parse_lab_args(args(&format!("run smoke --require-hit-rate {bad}")))
+                .err()
+                .unwrap_or_else(|| panic!("{bad} accepted"));
+            assert!(
+                e.starts_with("--require-hit-rate takes a percentage from 0 to 100"),
+                "{e}"
+            );
+        }
+        for ok in [0.0, 90.0, 100.0] {
+            let o = parse_lab_args(args(&format!("run smoke --require-hit-rate {ok}"))).unwrap();
+            assert_eq!(o.require_hit_rate, Some(ok));
+        }
+        assert_eq!(
+            parse_lab_args(args("run smoke --epoch 0")).err(),
+            Some("--epoch takes a positive cycle count, not 0".into())
+        );
     }
 
     #[test]

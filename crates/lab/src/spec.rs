@@ -13,7 +13,7 @@
 use pimdsm::{ArchSpec, Machine, ReconfigPlan};
 use pimdsm_faults::{Durability, FaultPlan};
 use pimdsm_mem::CacheCfg;
-use pimdsm_proto::NodeSet;
+use pimdsm_proto::{AggSystem, NodeSet};
 use pimdsm_svc::SvcSpec;
 use pimdsm_workloads::{build, build_dbase, AppId, Scale};
 
@@ -324,6 +324,29 @@ pub enum SpecError {
         /// Its P-nodes plus D-nodes.
         nodes: usize,
     },
+    /// The fault scenario kills a node the machine does not have.
+    NoSuchNode {
+        /// The point's [`PointSpec::key`].
+        point: String,
+        /// The victim.
+        node: usize,
+        /// Its P-nodes plus D-nodes.
+        nodes: usize,
+    },
+    /// The fault scenario kills the machine's last compute node.
+    LastComputeNode {
+        /// The point's [`PointSpec::key`].
+        point: String,
+        /// The victim.
+        node: usize,
+    },
+    /// The fault scenario kills the AGG machine's only D-node.
+    LastDNode {
+        /// The point's [`PointSpec::key`].
+        point: String,
+        /// The victim.
+        node: usize,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -334,6 +357,18 @@ impl std::fmt::Display for SpecError {
                 "point {point} needs {nodes} nodes (P-nodes plus D-nodes), \
                  past the {}-node limit",
                 NodeSet::MAX_NODES
+            ),
+            SpecError::NoSuchNode { point, node, nodes } => write!(
+                f,
+                "point {point} kills node {node}, but its machine has {nodes} node(s)"
+            ),
+            SpecError::LastComputeNode { point, node } => write!(
+                f,
+                "point {point} kills node {node}, which would leave no compute node"
+            ),
+            SpecError::LastDNode { point, node } => write!(
+                f,
+                "point {point} kills node {node}, which would leave no D-node"
             ),
         }
     }
@@ -409,9 +444,9 @@ impl PointSpec {
         self.start_threads() + self.d_nodes()
     }
 
-    /// Checks that the point's machine can be built, so a bad shape is
-    /// rejected before any point runs instead of by a protocol
-    /// constructor's `assert!` in the middle of a sweep.
+    /// Checks that the point's machine can be built and can survive its
+    /// fault scenario, so a bad shape or kill is rejected before any point
+    /// runs instead of by an `assert!` or a panic in the middle of a sweep.
     pub fn validate(&self) -> Result<(), SpecError> {
         let nodes = self.nodes();
         if nodes > NodeSet::MAX_NODES {
@@ -420,7 +455,35 @@ impl PointSpec {
                 nodes,
             });
         }
-        Ok(())
+        match self.fault {
+            Some(f) => self.check_kill(f.kill_node),
+            None => Ok(()),
+        }
+    }
+
+    /// Checks that the machine can lose `node`: it must exist, and the
+    /// survivors must keep a compute node and, on AGG, a D-node. Every
+    /// NUMA and COMA node computes; AGG's roles are the ones
+    /// [`AggSystem::new`] lays out, and killing an AGG P-node drafts a
+    /// D-node into compute duty when there are at least two.
+    fn check_kill(&self, node: usize) -> Result<(), SpecError> {
+        let (p, d) = (self.start_threads(), self.d_nodes());
+        let point = self.key();
+        if node >= p + d {
+            return Err(SpecError::NoSuchNode {
+                point,
+                node,
+                nodes: p + d,
+            });
+        }
+        let victim_is_d = d > 0 && AggSystem::d_slots(p, d)[node];
+        if victim_is_d && d == 1 {
+            Err(SpecError::LastDNode { point, node })
+        } else if !victim_is_d && p == 1 && d < 2 {
+            Err(SpecError::LastComputeNode { point, node })
+        } else {
+            Ok(())
+        }
     }
 
     /// Builds the (not yet run) machine this point describes.
@@ -707,6 +770,86 @@ mod tests {
         assert!(points.iter().all(|p| p.validate().is_ok()));
         let widest = points.iter().map(PointSpec::nodes).max();
         assert_eq!(widest, Some(64), "1/1AGG: 32 P-nodes + 32 D-nodes");
+    }
+
+    #[test]
+    fn fault_kills_the_machine_cannot_survive_are_rejected_by_name() {
+        let fault_points = |threads| {
+            let ctx = crate::SuiteCtx {
+                threads,
+                scale: Scale::ci(),
+            };
+            crate::find("fig-fault").unwrap().points(&ctx)
+        };
+        // One thread: node 1 does not exist on NUMA or COMA, and it is
+        // 1/1AGG's only D-node.
+        let errors: Vec<_> = fault_points(1)
+            .iter()
+            .filter_map(|p| p.validate().err())
+            .collect();
+        assert_eq!(errors.len(), 12, "every kill point at one thread");
+        assert_eq!(
+            errors[0],
+            SpecError::NoSuchNode {
+                point: "Radix:NUMA kill".into(),
+                node: 1,
+                nodes: 1,
+            }
+        );
+        assert_eq!(
+            errors[0].to_string(),
+            "point Radix:NUMA kill kills node 1, but its machine has 1 node(s)"
+        );
+        assert_eq!(
+            errors[8],
+            SpecError::LastDNode {
+                point: "Radix:1/1AGG75 kill".into(),
+                node: 1,
+            }
+        );
+        for threads in [2, 32] {
+            for p in fault_points(threads) {
+                assert_eq!(p.validate(), Ok(()), "{} at {threads}", p.key());
+            }
+        }
+    }
+
+    #[test]
+    fn killing_the_last_compute_node_is_rejected() {
+        let mut p = point();
+        p.fault = Some(FaultSpec {
+            kill_node: 0,
+            kill_cycle: 5_000,
+            rejoin_after: None,
+            durability: Durability::None,
+        });
+        p.workload = WorkloadSpec::App {
+            app: AppId::Fft,
+            threads: 1,
+        };
+        p.machine = MachineSpec::Arch(Config::Numa);
+        p.label = "solo".into();
+        let lone = SpecError::LastComputeNode {
+            point: "FFT:solo".into(),
+            node: 0,
+        };
+        assert_eq!(p.validate(), Err(lone.clone()));
+        // 1/1AGG: node 0 is the P-node, node 1 the D-node.
+        p.machine = MachineSpec::Arch(Config::Agg {
+            ratio: 1,
+            pressure_pct: 75,
+        });
+        assert_eq!(p.validate(), Err(lone));
+        // With two D-nodes the kill drafts one into compute duty.
+        p.machine = MachineSpec::CustomAgg {
+            n_d: 2,
+            pressure_pct: 75,
+            tweak: Tweak::None,
+            reconfig: None,
+        };
+        assert_eq!(AggSystem::d_slots(1, 2), [true, false, true]);
+        p.fault.as_mut().unwrap().kill_node = 1;
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! with an on-chip line at memory-line grain (managed in hardware as in
 //! Saulsbury et al.).
 //!
-//! [`AttractionMemory`] composes a [`SetAssocCache`] (tags + state) with a
-//! global LRU of *on-chip* lines: touching an off-chip resident line
-//! promotes it on-chip, demoting the least-recently-used on-chip line. The
-//! caller charges the corresponding latency (the paper's 37 vs 57-cycle
-//! local round trips).
+//! [`AttractionMemory`] composes a [`SetAssocCache`] (tags + state) with an
+//! [`OnChipLru`], the global LRU of *on-chip* lines: touching an off-chip
+//! resident line promotes it on-chip, demoting the least-recently-used
+//! on-chip line. The caller charges the corresponding latency (the paper's
+//! 37 vs 57-cycle local round trips). NUMA nodes and AGG D-nodes use the
+//! same [`OnChipLru`] over their plain local memory.
 
 use crate::addr::{CompactLine, Line};
 use crate::cache::{CacheCfg, Evicted, SetAssocCache};
@@ -25,6 +26,75 @@ pub enum Residency {
     OnChip,
     /// In the off-chip DRAM extension (57-cycle round trip in Table 1).
     OffChip,
+}
+
+/// LRU membership of the lines held in a node's on-chip DRAM: touching a
+/// line found off chip promotes it, demoting the least-recently-used
+/// on-chip line once `cap` lines are on chip.
+#[derive(Debug, Clone)]
+pub struct OnChipLru {
+    queue: KeyedQueue<CompactLine>,
+    cap: usize,
+}
+
+impl OnChipLru {
+    /// Tracks at most `cap` on-chip lines.
+    pub fn new(cap: usize) -> Self {
+        OnChipLru {
+            queue: KeyedQueue::new(),
+            cap,
+        }
+    }
+
+    /// Touches a line: returns where it was found; promotes it on chip.
+    #[inline]
+    pub fn touch(&mut self, line: Line) -> Residency {
+        let key = CompactLine::new(line);
+        if self.queue.move_to_back(&key) {
+            Residency::OnChip
+        } else {
+            self.promote(key);
+            Residency::OffChip
+        }
+    }
+
+    /// Places a line on chip unless it already is there (an on-chip line
+    /// keeps its LRU position).
+    #[inline]
+    pub fn insert(&mut self, line: Line) {
+        let key = CompactLine::new(line);
+        if !self.queue.contains(&key) {
+            self.promote(key);
+        }
+    }
+
+    /// Whether a line is on chip.
+    #[inline]
+    pub fn contains(&self, line: Line) -> bool {
+        self.queue.contains(&CompactLine::new(line))
+    }
+
+    /// Drops a line from the on-chip set, if it is there.
+    #[inline]
+    pub fn remove(&mut self, line: Line) {
+        self.queue.remove(&CompactLine::new(line));
+    }
+
+    /// Empties the on-chip set.
+    pub fn clear(&mut self) {
+        while self.queue.pop_front().is_some() {}
+    }
+
+    #[inline]
+    fn promote(&mut self, key: CompactLine) {
+        if self.cap == 0 {
+            return;
+        }
+        if self.queue.len() >= self.cap {
+            self.queue.pop_front();
+        }
+        self.queue.push_back(key);
+    }
 }
 
 /// Result of inserting a line into an [`AttractionMemory`].
@@ -55,8 +125,7 @@ pub struct AmInsert<S> {
 #[derive(Debug, Clone)]
 pub struct AttractionMemory<S> {
     cache: SetAssocCache<S>,
-    onchip: KeyedQueue<CompactLine>,
-    onchip_cap: usize,
+    onchip: OnChipLru,
     swaps: u64,
 }
 
@@ -66,8 +135,7 @@ impl<S> AttractionMemory<S> {
     pub fn new(cfg: CacheCfg, onchip_lines: usize) -> Self {
         AttractionMemory {
             cache: SetAssocCache::new(cfg),
-            onchip: KeyedQueue::new(),
-            onchip_cap: onchip_lines,
+            onchip: OnChipLru::new(onchip_lines),
             swaps: 0,
         }
     }
@@ -96,24 +164,11 @@ impl<S> AttractionMemory<S> {
     /// promotes it on chip (swapping with the LRU on-chip line if needed).
     pub fn touch(&mut self, line: Line) -> Option<Residency> {
         self.cache.get(line)?;
-        let key = CompactLine::new(line);
-        if self.onchip.move_to_back(&key) {
-            Some(Residency::OnChip)
-        } else {
-            self.promote(key);
+        let found = self.onchip.touch(line);
+        if found == Residency::OffChip {
             self.swaps += 1;
-            Some(Residency::OffChip)
         }
-    }
-
-    fn promote(&mut self, key: CompactLine) {
-        if self.onchip_cap == 0 {
-            return;
-        }
-        if self.onchip.len() >= self.onchip_cap {
-            self.onchip.pop_front();
-        }
-        self.onchip.push_back(key);
+        Some(found)
     }
 
     /// Payload access without promotion or LRU update.
@@ -140,7 +195,7 @@ impl<S> AttractionMemory<S> {
     pub fn residency(&self, line: Line) -> Option<Residency> {
         if !self.cache.contains(line) {
             None
-        } else if self.onchip.contains(&CompactLine::new(line)) {
+        } else if self.onchip.contains(line) {
             Some(Residency::OnChip)
         } else {
             Some(Residency::OffChip)
@@ -163,12 +218,9 @@ impl<S> AttractionMemory<S> {
     ) -> AmInsert<S> {
         let victim = self.cache.insert(line, state, victim_class);
         if let Some(ev) = &victim {
-            self.onchip.remove(&CompactLine::new(ev.line));
+            self.onchip.remove(ev.line);
         }
-        let key = CompactLine::new(line);
-        if !self.onchip.contains(&key) {
-            self.promote(key);
-        }
+        self.onchip.insert(line);
         AmInsert { victim }
     }
 
@@ -176,7 +228,7 @@ impl<S> AttractionMemory<S> {
     pub fn remove(&mut self, line: Line) -> Option<S> {
         let s = self.cache.remove(line);
         if s.is_some() {
-            self.onchip.remove(&CompactLine::new(line));
+            self.onchip.remove(line);
         }
         s
     }
@@ -202,7 +254,7 @@ impl<S> AttractionMemory<S> {
     /// residency is ever materialized. Dropping it mid-way finishes the
     /// drain, so the memory is always left empty.
     pub fn drain_all(&mut self) -> crate::cache::DrainAll<'_, S> {
-        while self.onchip.pop_front().is_some() {}
+        self.onchip.clear();
         self.cache.drain_all()
     }
 }
@@ -213,6 +265,23 @@ mod tests {
 
     fn am(total_lines: u64, ways: u32, onchip: usize) -> AttractionMemory<u32> {
         AttractionMemory::new(CacheCfg::new(total_lines * 64, ways, 6), onchip)
+    }
+
+    #[test]
+    fn onchip_lru_swaps() {
+        let mut o = OnChipLru::new(2);
+        assert_eq!(o.touch(1), Residency::OffChip);
+        assert_eq!(o.touch(1), Residency::OnChip);
+        o.touch(2);
+        o.touch(3); // demotes 1
+        assert_eq!(o.touch(1), Residency::OffChip);
+    }
+
+    #[test]
+    fn onchip_lru_zero_capacity() {
+        let mut o = OnChipLru::new(0);
+        assert_eq!(o.touch(1), Residency::OffChip);
+        assert_eq!(o.touch(1), Residency::OffChip);
     }
 
     #[test]

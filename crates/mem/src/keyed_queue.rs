@@ -1,9 +1,9 @@
 //! A keyed doubly-linked queue with cheap removal by key.
 //!
 //! Supports push-to-back, pop-from-front, arbitrary removal by key, and
-//! move-to-back — the operation mix needed both by the attraction memory's
-//! on-chip LRU (move-to-back on touch, pop-front to pick the LRU swap
-//! victim) and by the AGG D-node's FreeList/SharedList (FIFO insertion at
+//! move-to-back — the operation mix needed both by the on-chip LRU,
+//! [`OnChipLru`](crate::OnChipLru) (move-to-back on touch, pop-front to
+//! pick the LRU swap victim), and by the AGG D-node's FreeList/SharedList (FIFO insertion at
 //! the tail, reclamation from the head, unlink when a line changes state;
 //! Section 2.2.2 of the paper).
 

@@ -11,14 +11,15 @@
 //!   then master").
 //! - [`AttractionMemory`] — the paper's tagged local memory organized as a
 //!   cache (Section 2.1.1), including the on-/off-chip residency split with
-//!   exclusive line swapping at a memory-line grain.
+//!   exclusive line swapping at a memory-line grain, kept by an
+//!   [`OnChipLru`] that NUMA nodes and AGG D-nodes share.
 //! - [`Dram`] — a bandwidth-limited memory device built on a
 //!   [`Timeline`](pimdsm_engine::Timeline).
 //! - [`PageTable`] — first-touch page placement with per-node capacity.
 //! - [`PagedMap`] — a page-chunked per-line map, the storage of every
 //!   protocol directory.
-//! - [`KeyedQueue`] — a keyed FIFO/LRU list, reused by the attraction
-//!   memory's on-chip LRU and by the AGG D-node's FreeList/SharedList.
+//! - [`KeyedQueue`] — a keyed FIFO/LRU list, reused by [`OnChipLru`] and
+//!   by the AGG D-node's FreeList/SharedList.
 //!
 //! Addresses are plain `u64` byte addresses; [`line_of`] and [`page_of`]
 //! convert them to line/page numbers. Storage kept once per line (tag
@@ -34,7 +35,7 @@ pub mod paged_map;
 pub mod pages;
 
 pub use addr::{line_of, page_of, CompactLine, Line, Page};
-pub use attraction::{AmInsert, AttractionMemory, Residency};
+pub use attraction::{AmInsert, AttractionMemory, OnChipLru, Residency};
 pub use cache::{CacheCfg, DrainAll, Evicted, SetAssocCache};
 pub use chunked_index::ChunkedIndex;
 pub use dram::Dram;

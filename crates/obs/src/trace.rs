@@ -87,17 +87,13 @@ pub enum Event {
     Kill,
     /// `rejoin`/`machine.fault`: a node rejoin.
     Rejoin,
-    /// `degrade`/`machine.fault`: an interconnect degradation window.
-    Degrade,
-    /// `stall`/`machine.fault`: a handler stall.
-    Stall,
     /// `recovery`/`machine.recovery`: the recovery after a kill.
     Recovery,
 }
 
 impl Event {
     /// Every event, in declaration order.
-    pub const ALL: [Event; 26] = [
+    pub const ALL: [Event; 24] = [
         Event::NetLocal,
         Event::NetXfer,
         Event::NetDeliver,
@@ -121,8 +117,6 @@ impl Event {
         Event::Reconfig,
         Event::Kill,
         Event::Rejoin,
-        Event::Degrade,
-        Event::Stall,
         Event::Recovery,
     ];
 
@@ -153,8 +147,6 @@ impl Event {
             Event::Reconfig => ("reconfig", "machine.reconfig", MACHINE),
             Event::Kill => ("kill", "machine.fault", MACHINE),
             Event::Rejoin => ("rejoin", "machine.fault", MACHINE),
-            Event::Degrade => ("degrade", "machine.fault", MACHINE),
-            Event::Stall => ("stall", "machine.fault", MACHINE),
             Event::Recovery => ("recovery", "machine.recovery", MACHINE),
         }
     }

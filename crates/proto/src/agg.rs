@@ -147,28 +147,10 @@ impl AggSystem {
         let total = cfg.n_p + cfg.n_d;
         assert!(total <= crate::common::NodeSet::MAX_NODES);
 
-        // Spread D-nodes evenly across the linear node order (which the
-        // row-major mesh turns into a 2D interleaving).
-        let mut is_d = vec![false; total];
-        for i in 0..cfg.n_d {
-            let pos = (i * total + total / 2) / cfg.n_d;
-            is_d[pos.min(total - 1)] = true;
-        }
-        // Rounding collisions: fix up to exactly n_d.
-        let mut count = is_d.iter().filter(|&&d| d).count();
-        let mut idx = 0;
-        while count < cfg.n_d {
-            if !is_d[idx] {
-                is_d[idx] = true;
-                count += 1;
-            }
-            idx += 1;
-        }
-
         let mut roles = Vec::with_capacity(total);
         let mut p_list = Vec::new();
         let mut d_list = Vec::new();
-        for (node, &d) in is_d.iter().enumerate() {
+        for (node, &d) in Self::d_slots(cfg.n_p, cfg.n_d).iter().enumerate() {
             if d {
                 d_list.push(node);
                 roles.push(Role::D(Box::new(DNode::new(cfg.dnode))));
@@ -194,6 +176,29 @@ impl AggSystem {
             fab,
             cfg,
         }
+    }
+
+    /// The starting role of each of the `n_p + n_d` nodes, `true` for a
+    /// D-node: the D-nodes spread evenly across the linear node order
+    /// (which the row-major mesh turns into a 2D interleaving).
+    pub fn d_slots(n_p: usize, n_d: usize) -> Vec<bool> {
+        let total = n_p + n_d;
+        let mut is_d = vec![false; total];
+        for i in 0..n_d {
+            let pos = (i * total + total / 2) / n_d;
+            is_d[pos.min(total - 1)] = true;
+        }
+        // Rounding collisions: fix up to exactly n_d.
+        let mut count = is_d.iter().filter(|&&d| d).count();
+        let mut idx = 0;
+        while count < n_d {
+            if !is_d[idx] {
+                is_d[idx] = true;
+                count += 1;
+            }
+            idx += 1;
+        }
+        is_d
     }
 
     fn new_pstore(cfg: &AggCfg) -> PNodeStore {
@@ -1187,12 +1192,6 @@ impl MemSystem for AggSystem {
         }
         // The returning node cold-starts from disk-resident state.
         now + self.fab.lat.disk
-    }
-
-    fn stall_controller(&mut self, node: NodeId, now: Cycle, extra: Cycle) {
-        if let Role::D(dn) = &mut self.roles[node] {
-            dn.server.occupy(now, extra);
-        }
     }
 
     fn census(&self) -> Census {

@@ -889,10 +889,6 @@ impl MemSystem for ComaSystem {
         now + self.fab.lat.disk
     }
 
-    fn stall_controller(&mut self, node: NodeId, now: Cycle, extra: Cycle) {
-        self.ctrls[node].occupy(now, extra);
-    }
-
     fn census(&self) -> Census {
         let mut c = Census {
             d_slots: self.cfg.am.capacity_lines() * self.cfg.nodes as u64,

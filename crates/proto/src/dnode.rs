@@ -24,10 +24,9 @@
 //! [`crate::agg`].
 
 use pimdsm_engine::{Cycle, Server};
-use pimdsm_mem::{CompactLine, Dram, KeyedQueue, Line, Page, PagedMap, Residency};
+use pimdsm_mem::{CompactLine, Dram, KeyedQueue, Line, OnChipLru, Page, PagedMap, Residency};
 
 use crate::common::{CompactNode, NodeId, NodeList, NodeSet};
-use crate::pnode::OnChipLru;
 
 /// Who holds the master (authoritative clean) copy of a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 
 use pimdsm_engine::{Cycle, Server, ServerGrant};
-use pimdsm_faults::RetryCfg;
 use pimdsm_mem::{Line, Page, PageTable};
 use pimdsm_net::Network;
 use pimdsm_obs::{EpochProbe, Event, Tracer};
@@ -165,9 +164,9 @@ impl Fabric {
     }
 
     /// Retry wait a transaction from `node` pays at `now` if `page` is
-    /// still recovering: bounded timeout/backoff per the default
-    /// [`RetryCfg`]. Returns 0 (and clears the marker) once the page's
-    /// recovery has completed.
+    /// still recovering: bounded timeout/backoff per
+    /// [`pimdsm_faults::retry_wait`]. Returns 0 (and clears the marker)
+    /// once the page's recovery has completed.
     pub fn retry_wait(&mut self, node: NodeId, page: Page, now: Cycle) -> Cycle {
         let Some(&recovered_at) = self.recovering.get(&page) else {
             return 0;
@@ -176,7 +175,7 @@ impl Fabric {
             self.recovering.remove(&page);
             return 0;
         }
-        let (wait, probes) = RetryCfg::default().wait_for(now, recovered_at);
+        let (wait, probes) = pimdsm_faults::retry_wait(now, recovered_at);
         self.retries += probes as u64;
         self.retry_wait_cycles += wait;
         self.tracer.instant(

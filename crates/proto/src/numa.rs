@@ -16,7 +16,7 @@
 
 use pimdsm_engine::{Cycle, Server, ServerGrant};
 use pimdsm_faults::{Durability, RecoveryStats};
-use pimdsm_mem::{line_of, CacheCfg, Dram, Line, PagedMap, Residency};
+use pimdsm_mem::{line_of, CacheCfg, Dram, Line, OnChipLru, PagedMap, Residency};
 use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::NETWORK;
 
@@ -25,7 +25,7 @@ use crate::common::{
     Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind,
 };
 use crate::fabric::Fabric;
-use crate::pnode::{OnChipLru, PrivCaches, WriteProbe};
+use crate::pnode::{PrivCaches, WriteProbe};
 use crate::system::MemSystem;
 use crate::txn::{cache_hit, walk, Txn, TxnKind};
 
@@ -577,10 +577,6 @@ impl MemSystem for NumaSystem {
         assert!(self.fab.dead.contains(node), "node {node} is not dead");
         self.fab.dead.remove(node);
         now + self.fab.lat.disk
-    }
-
-    fn stall_controller(&mut self, node: NodeId, now: Cycle, extra: Cycle) {
-        self.ctrls[node].occupy(now, extra);
     }
 
     fn census(&self) -> Census {

@@ -2,9 +2,7 @@
 //! L1/L2 caches and, for AGG and COMA P-nodes, the attraction memory.
 
 use pimdsm_engine::Cycle;
-use pimdsm_mem::{
-    AttractionMemory, CacheCfg, CompactLine, Dram, KeyedQueue, Line, Residency, SetAssocCache,
-};
+use pimdsm_mem::{AttractionMemory, CacheCfg, Dram, Line, Residency, SetAssocCache};
 
 use crate::common::{AmState, CState, LatencyCfg, Level};
 
@@ -200,42 +198,6 @@ impl PrivCaches {
                 (line, strongest)
             })
             .collect()
-    }
-}
-
-/// LRU membership tracker for the on-chip portion of a NUMA node's plain
-/// local memory (same swap mechanism as the attraction memory, but every
-/// local line is always backed off-chip).
-#[derive(Debug, Clone)]
-pub struct OnChipLru {
-    queue: KeyedQueue<CompactLine>,
-    cap: usize,
-}
-
-impl OnChipLru {
-    /// Tracks at most `cap` on-chip lines.
-    pub fn new(cap: usize) -> Self {
-        OnChipLru {
-            queue: KeyedQueue::new(),
-            cap,
-        }
-    }
-
-    /// Touches a line: returns where it was found; promotes it on chip.
-    pub fn touch(&mut self, line: Line) -> Residency {
-        if self.cap == 0 {
-            return Residency::OffChip;
-        }
-        let key = CompactLine::new(line);
-        if self.queue.move_to_back(&key) {
-            Residency::OnChip
-        } else {
-            if self.queue.len() >= self.cap {
-                self.queue.pop_front();
-            }
-            self.queue.push_back(key);
-            Residency::OffChip
-        }
     }
 }
 
@@ -436,23 +398,6 @@ mod tests {
         let mut drained = c.drain_all();
         drained.sort_by_key(|&(l, _)| l);
         assert_eq!(drained, vec![(0, CState::Dirty), (4, CState::Shared)]);
-    }
-
-    #[test]
-    fn onchip_lru_swaps() {
-        let mut o = OnChipLru::new(2);
-        assert_eq!(o.touch(1), Residency::OffChip);
-        assert_eq!(o.touch(1), Residency::OnChip);
-        o.touch(2);
-        o.touch(3); // demotes 1
-        assert_eq!(o.touch(1), Residency::OffChip);
-    }
-
-    #[test]
-    fn onchip_lru_zero_capacity() {
-        let mut o = OnChipLru::new(0);
-        assert_eq!(o.touch(1), Residency::OffChip);
-        assert_eq!(o.touch(1), Residency::OffChip);
     }
 
     #[test]

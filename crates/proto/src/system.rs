@@ -140,11 +140,6 @@ pub trait MemSystem {
     /// Panics if `node` is not dead.
     fn apply_rejoin(&mut self, node: NodeId, now: Cycle) -> Cycle;
 
-    /// Books `extra` cycles of occupancy on the protocol controller /
-    /// D-node processor at `node` starting at `now` (handler-stall
-    /// fault). A no-op for nodes without a controller (AGG P-nodes).
-    fn stall_controller(&mut self, node: NodeId, now: Cycle, extra: Cycle);
-
     /// Functionally installs a line that existed before the measured
     /// region (initialization happens outside the paper's measurement
     /// window): assigns its page home as if `owner` had first-touched it
