@@ -8,7 +8,7 @@
 //! with 4× the memory each), which matches the paper's "keep total memory
 //! constant while varying the ratio".
 
-use pimdsm_mem::CacheCfg;
+use pimdsm_mem::{CacheCfg, LINE_BYTES};
 use pimdsm_proto::{AggCfg, ComaCfg, NumaCfg};
 use pimdsm_workloads::Workload;
 
@@ -62,9 +62,6 @@ pub struct MachineCfg {
     pub l2_bytes: u64,
 }
 
-const LINE_BYTES: u64 = 64;
-const LINE_SHIFT: u32 = 6;
-
 /// Rounds `lines` up to a valid 4-way set-associative capacity.
 fn round_cache_lines(lines: u64, ways: u64) -> u64 {
     lines.div_ceil(ways).max(1) * ways
@@ -109,11 +106,11 @@ pub fn resolve(workload: &dyn Workload, pressure: f64) -> MachineCfg {
 
 impl MachineCfg {
     fn l1(&self) -> CacheCfg {
-        CacheCfg::new(self.l1_bytes, 1, LINE_SHIFT)
+        CacheCfg::new(self.l1_bytes, 1)
     }
 
     fn l2(&self) -> CacheCfg {
-        CacheCfg::new(self.l2_bytes, 4, LINE_SHIFT)
+        CacheCfg::new(self.l2_bytes, 4)
     }
 
     /// Builds the NUMA system configuration.
@@ -131,7 +128,7 @@ impl MachineCfg {
         let mut cfg = ComaCfg::paper(self.threads, 1, 1, node_lines);
         cfg.l1 = self.l1();
         cfg.l2 = self.l2();
-        cfg.am = CacheCfg::new(node_lines * LINE_BYTES, 4, LINE_SHIFT).with_hashed_index();
+        cfg.am = CacheCfg::new(node_lines * LINE_BYTES, 4).with_hashed_index();
         cfg.onchip_lines = node_lines / 2;
         cfg
     }

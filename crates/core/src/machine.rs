@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use pimdsm_engine::{Cycle, EventQueue, Timeline};
 use pimdsm_faults::{FaultKind, FaultPlan, FaultSchedule, RecoveryStats};
+use pimdsm_mem::{LINE_BYTES, PAGE_BYTES};
 use pimdsm_obs::{EpochSampler, Event, Tracer};
 use pimdsm_proto::{AggSystem, ComaSystem, MemSystem, NodeId, NumaSystem};
 use pimdsm_svc::SvcStats;
@@ -234,7 +235,6 @@ impl Machine {
         if regions.is_empty() {
             return;
         }
-        let line = 64u64;
         for r in regions {
             let owner_node = self
                 .threads
@@ -252,7 +252,7 @@ impl Machine {
             let mut addr = r.base;
             while addr < r.base + r.bytes {
                 sys.preload(addr, owner_node, kind);
-                addr += line;
+                addr += LINE_BYTES;
             }
         }
     }
@@ -290,7 +290,7 @@ impl Machine {
             });
         }
         // Locks live past the end of the data footprint, page-aligned.
-        let lock_base = (workload.footprint_bytes() + (1 << 16)) & !0xFFF;
+        let lock_base = (workload.footprint_bytes() + (1 << 16)) & !(PAGE_BYTES - 1);
         Machine {
             system,
             workload,
@@ -565,7 +565,7 @@ impl Machine {
     }
 
     fn lock_addr(&self, id: u32) -> u64 {
-        self.lock_base + id as u64 * 4096
+        self.lock_base + id as u64 * PAGE_BYTES
     }
 
     fn step(&mut self, tid: usize, now: Cycle) {

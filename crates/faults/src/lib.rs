@@ -102,15 +102,13 @@ pub const RETRY_TIMEOUT: Cycle = 5_000;
 /// Initial backoff between retry probes, in cycles; doubles each attempt.
 pub const RETRY_BACKOFF: Cycle = 200;
 
-/// Maximum retry probes per transaction.
-pub const RETRY_MAX_ATTEMPTS: u32 = 8;
-
 /// Wait a transaction spends at `now` for a page that recovers at
 /// `recovered_at`, together with the number of retry probes issued.
 ///
-/// Probes back off exponentially from [`RETRY_BACKOFF`]; the wait is
-/// capped by both the recovery completion and [`RETRY_TIMEOUT`], the
-/// probes by [`RETRY_MAX_ATTEMPTS`]. Purely arithmetic — deterministic.
+/// Probes back off exponentially from [`RETRY_BACKOFF`] until they span
+/// the wait, which is capped by both the recovery completion and
+/// [`RETRY_TIMEOUT`]; five probes span the timeout. Purely arithmetic —
+/// deterministic.
 pub fn retry_wait(now: Cycle, recovered_at: Cycle) -> (Cycle, u32) {
     if recovered_at <= now {
         return (0, 0);
@@ -119,7 +117,7 @@ pub fn retry_wait(now: Cycle, recovered_at: Cycle) -> (Cycle, u32) {
     let mut probes = 0u32;
     let mut t = 0;
     let mut step = RETRY_BACKOFF;
-    while t < wait && probes < RETRY_MAX_ATTEMPTS {
+    while t < wait {
         probes += 1;
         t += step;
         step = step.saturating_mul(2);
@@ -340,7 +338,7 @@ mod tests {
         // and +6 200.
         assert_eq!(retry_wait(1_000, 5_000), (4_000, 5));
         // Recovery far out: the wait is capped by the timeout, which five
-        // doubling probes already span, below the attempt cap.
+        // doubling probes span.
         assert_eq!(retry_wait(0, 50_000), (RETRY_TIMEOUT, 5));
         // Determinism: same inputs, same answer.
         assert_eq!(retry_wait(0, 250), retry_wait(0, 250));

@@ -408,7 +408,7 @@ fn run_suites(names: &[String], opts: &Options) -> ExitCode {
 
         if let Some(reports) = result.reports() {
             print!("{}", suite.render(&ctx, &reports));
-            write_report_doc(suite, &ctx, opts.report_path.as_deref(), &reports);
+            write_report_doc(suite, &ctx, opts, &reports);
         } else {
             for o in &result.outcomes {
                 if let Err(e) = &o.report {
@@ -701,25 +701,29 @@ fn write_metrics(path: &Path, bin: &str, epoch: u64, result: &SweepResult) {
     write_json(path, &doc, "epoch metrics");
 }
 
-/// Writes the `{"bin", "runs"[, "data"]}` report document — to
-/// `--report`'s path when given, else to `results/<suite>.json` when a
-/// `results/` directory exists (so regenerating text tables also
-/// refreshes the machine-readable results).
-/// Table suites have no runs; their payload is the suite's `data` block.
-fn write_report_doc(
-    suite: &Suite,
-    ctx: &SuiteCtx,
-    explicit: Option<&Path>,
-    reports: &[&RunReport],
-) {
+/// Where `run` writes a suite's report document: `--report`'s path when
+/// given, else `results/<suite>.json` when `has_results` (a `results/`
+/// directory exists and the suite has something to write), so
+/// regenerating text tables also refreshes the machine-readable results.
+/// A `--metrics` run skips the default: its reports carry epoch series
+/// the suite itself does not sample, and the committed results follow
+/// the suite alone.
+fn report_doc_path(suite: &str, opts: &Options, has_results: bool) -> Option<PathBuf> {
+    let default = has_results && opts.metrics_path.is_none();
+    opts.report_path
+        .clone()
+        .or_else(|| default.then(|| format!("results/{suite}.json").into()))
+}
+
+/// Writes the `{"bin", "runs"[, "data"]}` report document to
+/// [`report_doc_path`]. Table suites have no runs; their payload is the
+/// suite's `data` block.
+fn write_report_doc(suite: &Suite, ctx: &SuiteCtx, opts: &Options, reports: &[&RunReport]) {
     let data = suite.data(ctx);
-    let default = explicit.is_none()
-        && (!reports.is_empty() || data.is_some())
-        && Path::new("results").is_dir();
-    let path: Option<PathBuf> = explicit
-        .map(Path::to_path_buf)
-        .or_else(|| default.then(|| format!("results/{}.json", suite.name).into()));
-    let Some(path) = path else { return };
+    let has_results = (!reports.is_empty() || data.is_some()) && Path::new("results").is_dir();
+    let Some(path) = report_doc_path(suite.name, opts, has_results) else {
+        return;
+    };
     let mut pairs = vec![
         ("bin", JsonValue::str(suite.name)),
         ("runs", JsonValue::arr(reports.iter().map(|r| r.to_json()))),
@@ -874,6 +878,26 @@ mod tests {
             parse_lab_args(args("run smoke --epoch 0")).err(),
             Some("--epoch takes a positive cycle count, not 0".into())
         );
+    }
+
+    #[test]
+    fn a_metrics_run_leaves_the_default_results_document_alone() {
+        let path = |flags: &str, has_results: bool| {
+            let o = parse_lab_args(args(flags)).unwrap();
+            report_doc_path("smoke", &o, has_results)
+        };
+        let results = Some(PathBuf::from("results/smoke.json"));
+        assert_eq!(path("run smoke", true), results);
+        assert_eq!(path("run smoke --trace t.json", true), results);
+        assert_eq!(path("run smoke", false), None);
+        assert_eq!(path("run smoke --metrics m.json", true), None);
+        assert_eq!(path("run smoke --metrics m.json --epoch 5000", true), None);
+        let report = Some(PathBuf::from("r.json"));
+        assert_eq!(
+            path("run smoke --metrics m.json --report r.json", true),
+            report
+        );
+        assert_eq!(path("run smoke --report r.json", false), report);
     }
 
     #[test]

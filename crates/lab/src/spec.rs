@@ -12,7 +12,7 @@
 
 use pimdsm::{ArchSpec, Machine, ReconfigPlan};
 use pimdsm_faults::{Durability, FaultPlan};
-use pimdsm_mem::CacheCfg;
+use pimdsm_mem::{CacheCfg, LINE_BYTES};
 use pimdsm_proto::{AggSystem, NodeSet};
 use pimdsm_svc::SvcSpec;
 use pimdsm_workloads::{build, build_dbase, AppId, Scale};
@@ -192,7 +192,7 @@ impl Tweak {
             Tweak::AmOrg { ways, hashed } => {
                 let lines = cfg.p_am.capacity_lines();
                 let rounded = lines.div_ceil(ways as u64) * ways as u64;
-                let mut am = CacheCfg::new(rounded * 64, ways, 6);
+                let mut am = CacheCfg::new(rounded * LINE_BYTES, ways);
                 if hashed {
                     am = am.with_hashed_index();
                 }
@@ -402,8 +402,10 @@ impl PointSpec {
     /// producing the same canonical string are the same experiment.
     ///
     /// The `|fault=` segment is appended only when a fault scenario is
-    /// attached, so every pre-existing fault-free key is byte-identical
-    /// to what earlier versions produced and warm caches stay warm.
+    /// attached, so a fault-free point's string names only what it sets
+    /// and keeps its pre-fault shape. That keeps no cache warm across
+    /// versions: the cache key also hashes the workspace fingerprint
+    /// (see [`crate::cache`]), so any source change misses on every point.
     pub fn canonical(&self) -> String {
         let mut c = format!(
             "v1|workload={}|machine={}|scale={}/{}|label={}",
@@ -695,8 +697,9 @@ mod tests {
 
     #[test]
     fn fault_free_canonical_has_no_fault_segment() {
-        // Old cache entries must stay addressable: a point without a
-        // fault renders the exact pre-fault key shape.
+        // A point without a fault names no fault: its string keeps the
+        // pre-fault shape. (Cache entries do not outlive a source change
+        // either way; the key also hashes the workspace fingerprint.)
         assert!(!point().canonical().contains("fault="));
     }
 

@@ -1,16 +1,35 @@
 //! Address arithmetic.
 //!
 //! Byte addresses are `u64`. A [`Line`] is a line *number* (the byte
-//! address shifted right by the line-size shift), and a [`Page`] is a page
-//! number. Keeping these as plain integers keeps hot simulator paths
-//! allocation- and conversion-free; the distinct aliases document intent at
-//! API boundaries.
+//! address shifted right by [`LINE_SHIFT`]), and a [`Page`] is a page
+//! number (shifted by [`PAGE_SHIFT`]). Keeping these as plain integers
+//! keeps hot simulator paths allocation- and conversion-free; the distinct
+//! aliases document intent at API boundaries.
+//!
+//! The simulated machine has one line size and one page size, so both are
+//! constants here rather than configuration: every cache, directory, page
+//! table and message size derives from them.
 
-/// A cache/memory line number (byte address >> line shift).
+/// A cache/memory line number (byte address >> [`LINE_SHIFT`]).
 pub type Line = u64;
 
-/// A page number (byte address >> page shift).
+/// A page number (byte address >> [`PAGE_SHIFT`]).
 pub type Page = u64;
+
+/// Line size shift: the coherence unit is a 64-byte line at every level.
+pub const LINE_SHIFT: u32 = 6;
+
+/// Line size in bytes.
+pub const LINE_BYTES: u64 = 1 << LINE_SHIFT;
+
+/// Page size shift: 4 KiB pages, the unit of homing and paging.
+pub const PAGE_SHIFT: u32 = 12;
+
+/// Page size in bytes.
+pub const PAGE_BYTES: u64 = 1 << PAGE_SHIFT;
+
+/// Lines per page. A page smaller than a line fails to compile here.
+pub const LINES_PER_PAGE: u64 = 1 << (PAGE_SHIFT - LINE_SHIFT);
 
 /// A line number stored in four bytes, for the per-line tag entries and
 /// line-keyed queues.
@@ -57,44 +76,39 @@ impl CompactLine {
     }
 }
 
-/// Line number of a byte address for a line of size `1 << line_shift`.
+/// Line number of a byte address.
 ///
 /// # Examples
 ///
 /// ```
 /// use pimdsm_mem::line_of;
-/// assert_eq!(line_of(0x1000, 6), 0x40); // 64-byte lines
-/// assert_eq!(line_of(0x103F, 6), 0x40);
-/// assert_eq!(line_of(0x1040, 6), 0x41);
+/// assert_eq!(line_of(0x1000), 0x40); // 64-byte lines
+/// assert_eq!(line_of(0x103F), 0x40);
+/// assert_eq!(line_of(0x1040), 0x41);
 /// ```
 #[inline]
-pub const fn line_of(addr: u64, line_shift: u32) -> Line {
-    addr >> line_shift
+pub const fn line_of(addr: u64) -> Line {
+    addr >> LINE_SHIFT
 }
 
-/// Page number of a byte address for a page of size `1 << page_shift`.
+/// Page number of a byte address.
 ///
 /// # Examples
 ///
 /// ```
 /// use pimdsm_mem::page_of;
-/// assert_eq!(page_of(0x2FFF, 12), 2); // 4 KiB pages
-/// assert_eq!(page_of(0x3000, 12), 3);
+/// assert_eq!(page_of(0x2FFF), 2); // 4 KiB pages
+/// assert_eq!(page_of(0x3000), 3);
 /// ```
 #[inline]
-pub const fn page_of(addr: u64, page_shift: u32) -> Page {
-    addr >> page_shift
+pub const fn page_of(addr: u64) -> Page {
+    addr >> PAGE_SHIFT
 }
 
-/// Page number of a line, given both shifts.
-///
-/// # Panics
-///
-/// Debug-asserts that `page_shift >= line_shift`.
+/// Page number of a line.
 #[inline]
-pub fn page_of_line(line: Line, line_shift: u32, page_shift: u32) -> Page {
-    debug_assert!(page_shift >= line_shift);
-    line >> (page_shift - line_shift)
+pub const fn page_of_line(line: Line) -> Page {
+    line >> (PAGE_SHIFT - LINE_SHIFT)
 }
 
 #[cfg(test)]
@@ -104,9 +118,10 @@ mod tests {
     #[test]
     fn line_and_page_consistency() {
         let addr = 0xDEAD_BEEF_u64;
-        let line = line_of(addr, 6);
-        let page = page_of(addr, 12);
-        assert_eq!(page_of_line(line, 6, 12), page);
+        let line = line_of(addr);
+        let page = page_of(addr);
+        assert_eq!(page_of_line(line), page);
+        assert_eq!(LINES_PER_PAGE * LINE_BYTES, PAGE_BYTES);
     }
 
     #[test]
@@ -124,7 +139,7 @@ mod tests {
 
     #[test]
     fn adjacent_bytes_same_line() {
-        assert_eq!(line_of(64, 6), line_of(127, 6));
-        assert_ne!(line_of(64, 6), line_of(128, 6));
+        assert_eq!(line_of(64), line_of(127));
+        assert_ne!(line_of(64), line_of(128));
     }
 }

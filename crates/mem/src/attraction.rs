@@ -113,7 +113,7 @@ pub struct AmInsert<S> {
 /// use pimdsm_mem::{AttractionMemory, CacheCfg, Residency};
 ///
 /// // 4 lines total, only 2 fit on chip.
-/// let cfg = CacheCfg::new(256, 4, 6);
+/// let cfg = CacheCfg::new(256, 4);
 /// let mut am: AttractionMemory<u8> = AttractionMemory::new(cfg, 2);
 /// am.insert(0, 0, |_| 0);
 /// am.insert(1, 1, |_| 0);
@@ -264,7 +264,7 @@ mod tests {
     use super::*;
 
     fn am(total_lines: u64, ways: u32, onchip: usize) -> AttractionMemory<u32> {
-        AttractionMemory::new(CacheCfg::new(total_lines * 64, ways, 6), onchip)
+        AttractionMemory::new(CacheCfg::new(total_lines * 64, ways), onchip)
     }
 
     #[test]

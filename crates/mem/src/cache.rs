@@ -18,16 +18,16 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::addr::{CompactLine, Line};
+use crate::addr::{CompactLine, Line, LINE_BYTES, LINE_SHIFT};
 
-/// Geometry of a set-associative cache.
+/// Geometry of a set-associative cache of [`LINE_BYTES`]-byte lines.
 ///
 /// # Examples
 ///
 /// ```
 /// use pimdsm_mem::CacheCfg;
 ///
-/// let l1 = CacheCfg::new(8 * 1024, 1, 6); // 8 KiB direct-mapped, 64 B lines
+/// let l1 = CacheCfg::new(8 * 1024, 1); // 8 KiB direct-mapped
 /// assert_eq!(l1.num_sets(), 128);
 /// assert_eq!(l1.capacity_lines(), 128);
 /// ```
@@ -35,34 +35,32 @@ use crate::addr::{CompactLine, Line};
 pub struct CacheCfg {
     size_bytes: u64,
     ways: u32,
-    line_shift: u32,
     hashed_index: bool,
 }
 
 impl CacheCfg {
-    /// Creates a geometry of `size_bytes` total capacity, `ways`
-    /// associativity and `1 << line_shift`-byte lines.
+    /// Creates a geometry of `size_bytes` total capacity and `ways`
+    /// associativity.
     ///
     /// # Panics
     ///
     /// Panics if the capacity is not a whole, nonzero number of sets of
     /// whole lines.
-    pub fn new(size_bytes: u64, ways: u32, line_shift: u32) -> Self {
+    pub fn new(size_bytes: u64, ways: u32) -> Self {
         assert!(ways > 0, "cache needs at least one way");
-        let line = 1u64 << line_shift;
+        let set_bytes = LINE_BYTES * ways as u64;
         assert!(
-            size_bytes >= line * ways as u64,
-            "cache of {size_bytes} B cannot hold one set of {ways} x {line} B lines"
+            size_bytes >= set_bytes,
+            "cache of {size_bytes} B cannot hold one set of {ways} x {LINE_BYTES} B lines"
         );
         assert_eq!(
-            size_bytes % (line * ways as u64),
+            size_bytes % set_bytes,
             0,
             "cache size must be a whole number of sets"
         );
         CacheCfg {
             size_bytes,
             ways,
-            line_shift,
             hashed_index: false,
         }
     }
@@ -91,19 +89,14 @@ impl CacheCfg {
         self.ways
     }
 
-    /// Line size is `1 << line_shift()` bytes.
-    pub fn line_shift(&self) -> u32 {
-        self.line_shift
-    }
-
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.size_bytes / ((1u64 << self.line_shift) * self.ways as u64)
+        self.size_bytes / (LINE_BYTES * self.ways as u64)
     }
 
     /// Total capacity in lines.
     pub fn capacity_lines(&self) -> u64 {
-        self.size_bytes >> self.line_shift
+        self.size_bytes >> LINE_SHIFT
     }
 }
 
@@ -140,7 +133,7 @@ pub struct Evicted<S> {
 /// ```
 /// use pimdsm_mem::{CacheCfg, SetAssocCache};
 ///
-/// let mut c: SetAssocCache<char> = SetAssocCache::new(CacheCfg::new(256, 2, 6));
+/// let mut c: SetAssocCache<char> = SetAssocCache::new(CacheCfg::new(256, 2));
 /// assert!(c.insert(0, 'a', |_| 0).is_none());
 /// assert!(c.insert(2, 'b', |_| 0).is_none()); // same set (2 sets, stride 2)
 /// let victim = c.insert(4, 'c', |_| 0).unwrap(); // set full: LRU evicted
@@ -460,7 +453,7 @@ mod tests {
 
     #[test]
     fn cfg_geometry() {
-        let cfg = CacheCfg::new(32 * 1024, 4, 6);
+        let cfg = CacheCfg::new(32 * 1024, 4);
         assert_eq!(cfg.num_sets(), 128);
         assert_eq!(cfg.capacity_lines(), 512);
         assert_eq!(cfg.ways(), 4);
@@ -470,12 +463,12 @@ mod tests {
     #[should_panic(expected = "whole number of sets")]
     fn cfg_rejects_ragged_size() {
         // 448 B holds two 3-way sets of 64 B lines plus 64 B of slack.
-        CacheCfg::new(448, 3, 6);
+        CacheCfg::new(448, 3);
     }
 
     #[test]
     fn hit_after_insert() {
-        let mut c = SetAssocCache::new(CacheCfg::new(1024, 2, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(1024, 2));
         c.insert(7, 42u32, any);
         assert_eq!(c.get(7), Some(&mut 42));
         assert_eq!(c.peek(7), Some(&42));
@@ -486,7 +479,7 @@ mod tests {
     #[test]
     fn lru_eviction_within_set() {
         // 2 sets, 2 ways: lines 0,2,4 map to set 0.
-        let mut c = SetAssocCache::new(CacheCfg::new(256, 2, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(256, 2));
         c.insert(0, 'a', |_| 0);
         c.insert(2, 'b', |_| 0);
         c.get(0); // make 2 the LRU
@@ -497,7 +490,7 @@ mod tests {
 
     #[test]
     fn victim_class_beats_lru() {
-        let mut c = SetAssocCache::new(CacheCfg::new(256, 2, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(256, 2));
         c.insert(0, 'M', |_| 0); // "master": class 0
         c.insert(2, 'S', |_| 0); // "shared": class 1
         c.get(2); // shared is MRU
@@ -507,7 +500,7 @@ mod tests {
 
     #[test]
     fn overwrite_does_not_evict() {
-        let mut c = SetAssocCache::new(CacheCfg::new(256, 2, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(256, 2));
         c.insert(0, 1u32, any);
         c.insert(2, 2u32, any);
         assert!(c.insert(0, 10u32, any).is_none());
@@ -517,7 +510,7 @@ mod tests {
 
     #[test]
     fn remove_frees_way() {
-        let mut c = SetAssocCache::new(CacheCfg::new(256, 2, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(256, 2));
         c.insert(0, 'a', |_| 0);
         c.insert(2, 'b', |_| 0);
         assert!(!c.has_room_for(4));
@@ -529,7 +522,7 @@ mod tests {
 
     #[test]
     fn iter_and_drain() {
-        let mut c = SetAssocCache::new(CacheCfg::new(1024, 4, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(1024, 4));
         for i in 0..10u32 {
             c.insert(i.into(), i, any);
         }
@@ -549,7 +542,7 @@ mod tests {
     #[test]
     fn iteration_preserves_vec_swap_remove_order() {
         // One set, four ways: all of 0,4,8,12,16 collide.
-        let mut c = SetAssocCache::new(CacheCfg::new(1024, 4, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(1024, 4));
         for line in [0u32, 4, 8, 12] {
             c.insert(line.into(), line, any);
         }
@@ -580,7 +573,7 @@ mod tests {
 
     #[test]
     fn dropping_a_partial_drain_empties_the_cache() {
-        let mut c = SetAssocCache::new(CacheCfg::new(1024, 4, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(1024, 4));
         for i in 0..10u32 {
             c.insert(i.into(), i, any);
         }
@@ -608,7 +601,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "32-bit line key")]
     fn a_line_past_32_bits_does_not_alias_a_resident_line() {
-        let mut c = SetAssocCache::new(CacheCfg::new(256, 2, 6));
+        let mut c = SetAssocCache::new(CacheCfg::new(256, 2));
         c.insert(5, 'a', |_| 0);
         c.peek(5 + (1 << 32));
     }
@@ -616,12 +609,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "256")]
     fn new_rejects_more_than_256_ways() {
-        SetAssocCache::<u8>::new(CacheCfg::new(257 * 64, 257, 6));
+        SetAssocCache::<u8>::new(CacheCfg::new(257 * 64, 257));
     }
 
     #[test]
     fn direct_mapped_conflicts() {
-        let mut c = SetAssocCache::new(CacheCfg::new(128, 1, 6)); // 2 sets
+        let mut c = SetAssocCache::new(CacheCfg::new(128, 1)); // 2 sets
         c.insert(0, 'a', |_| 0);
         let v = c.insert(2, 'b', |_| 0).unwrap(); // same set in 2-set cache
         assert_eq!(v.line, 0);

@@ -2,8 +2,16 @@
 
 use pimdsm_engine::{Cycle, Timeline};
 
+use crate::addr::LINE_BYTES;
+
+/// Bytes a DRAM data port moves per CPU cycle (Table 1: 32 B).
+pub const PORT_BYTES_PER_CYCLE: u64 = 32;
+
+/// Cycles one line occupies a data port.
+pub const LINE_TRANSFER: Cycle = LINE_BYTES.div_ceil(PORT_BYTES_PER_CYCLE);
+
 /// A DRAM module with a fixed access latency and a shared data port of
-/// `bytes_per_cycle` bandwidth (Table 1: 32 B per CPU clock).
+/// [`PORT_BYTES_PER_CYCLE`] bandwidth.
 ///
 /// Contention is modeled on the data port: concurrent accesses serialize
 /// their transfer time, so a burst of line fills sees queueing delay on top
@@ -14,7 +22,7 @@ use pimdsm_engine::{Cycle, Timeline};
 /// ```
 /// use pimdsm_mem::Dram;
 ///
-/// let mut d = Dram::new(37, 32);
+/// let mut d = Dram::new(37);
 /// // 64-byte line: 2 transfer cycles after the 37-cycle access.
 /// assert_eq!(d.access(0, 64), 39);
 /// // A second access right behind it queues on the port.
@@ -23,23 +31,15 @@ use pimdsm_engine::{Cycle, Timeline};
 #[derive(Debug, Clone)]
 pub struct Dram {
     latency: Cycle,
-    bytes_per_cycle: u64,
     port: Timeline,
     accesses: u64,
 }
 
 impl Dram {
-    /// Creates a DRAM with `latency` cycles to first data and a port moving
-    /// `bytes_per_cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_cycle` is zero.
-    pub fn new(latency: Cycle, bytes_per_cycle: u64) -> Self {
-        assert!(bytes_per_cycle > 0, "DRAM needs nonzero bandwidth");
+    /// Creates a DRAM with `latency` cycles to first data.
+    pub fn new(latency: Cycle) -> Self {
         Dram {
             latency,
-            bytes_per_cycle,
             port: Timeline::new(),
             accesses: 0,
         }
@@ -50,7 +50,7 @@ impl Dram {
     #[inline]
     pub fn access(&mut self, now: Cycle, bytes: u64) -> Cycle {
         self.accesses += 1;
-        let transfer = bytes.div_ceil(self.bytes_per_cycle);
+        let transfer = bytes.div_ceil(PORT_BYTES_PER_CYCLE);
         let start = self.port.acquire(now, transfer);
         start + self.latency + transfer
     }
@@ -78,14 +78,14 @@ mod tests {
 
     #[test]
     fn uncontended_access_is_latency_bound() {
-        let mut d = Dram::new(37, 32);
+        let mut d = Dram::new(37);
         assert_eq!(d.access(100, 64), 139);
         assert_eq!(d.accesses(), 1);
     }
 
     #[test]
     fn port_contention_serializes_transfers() {
-        let mut d = Dram::new(10, 32);
+        let mut d = Dram::new(10);
         let t1 = d.access(0, 128); // 4 transfer cycles
         let t2 = d.access(0, 128);
         assert_eq!(t1, 14);
@@ -94,14 +94,8 @@ mod tests {
 
     #[test]
     fn large_transfer_dominates_latency() {
-        let mut d = Dram::new(10, 1);
-        // 64 bytes at 1 B/cycle: 10-cycle latency + 64 transfer cycles.
-        assert_eq!(d.access(0, 64), 74);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth")]
-    fn zero_bandwidth_rejected() {
-        Dram::new(10, 0);
+        let mut d = Dram::new(10);
+        // A 4 KiB page at 32 B/cycle: 10-cycle latency + 128 transfer cycles.
+        assert_eq!(d.access(0, 4096), 138);
     }
 }

@@ -22,8 +22,10 @@
 //!   by the AGG D-node's FreeList/SharedList.
 //!
 //! Addresses are plain `u64` byte addresses; [`line_of`] and [`page_of`]
-//! convert them to line/page numbers. Storage kept once per line (tag
-//! entries, line-keyed queues) holds a four-byte [`CompactLine`].
+//! convert them to line/page numbers of the machine's one geometry
+//! ([`LINE_BYTES`]-byte lines, [`PAGE_BYTES`]-byte pages). Storage kept
+//! once per line (tag entries, line-keyed queues) holds a four-byte
+//! [`CompactLine`].
 
 pub mod addr;
 pub mod attraction;
@@ -34,11 +36,14 @@ pub mod keyed_queue;
 pub mod paged_map;
 pub mod pages;
 
-pub use addr::{line_of, page_of, CompactLine, Line, Page};
+pub use addr::{
+    line_of, page_of, page_of_line, CompactLine, Line, Page, LINES_PER_PAGE, LINE_BYTES,
+    LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT,
+};
 pub use attraction::{AmInsert, AttractionMemory, OnChipLru, Residency};
 pub use cache::{CacheCfg, DrainAll, Evicted, SetAssocCache};
 pub use chunked_index::ChunkedIndex;
-pub use dram::Dram;
+pub use dram::{Dram, LINE_TRANSFER};
 pub use keyed_queue::KeyedQueue;
 pub use paged_map::PagedMap;
 pub use pages::PageTable;

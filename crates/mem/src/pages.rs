@@ -31,39 +31,24 @@ pub type NodeId = usize;
 /// # Examples
 ///
 /// ```
-/// use pimdsm_mem::PageTable;
+/// use pimdsm_mem::{page_of, PageTable};
 ///
-/// let mut pt = PageTable::new(12); // 4 KiB pages
-/// let home = pt.home_or_assign(0x5000 >> 12, || 3);
+/// let mut pt = PageTable::new();
+/// let home = pt.home_or_assign(page_of(0x5000), || 3);
 /// assert_eq!(home, 3);
 /// // Subsequent touches see the established home.
-/// assert_eq!(pt.home_or_assign(0x5000 >> 12, || 9), 3);
+/// assert_eq!(pt.home_or_assign(page_of(0x5000), || 9), 3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    page_shift: u32,
     homes: ChunkedIndex,
     per_node: BTreeMap<NodeId, u64>,
 }
 
 impl PageTable {
-    /// Creates an empty table for pages of `1 << page_shift` bytes.
-    pub fn new(page_shift: u32) -> Self {
-        PageTable {
-            page_shift,
-            homes: ChunkedIndex::new(),
-            per_node: BTreeMap::new(),
-        }
-    }
-
-    /// Page size shift.
-    pub fn page_shift(&self) -> u32 {
-        self.page_shift
-    }
-
-    /// Page size in bytes.
-    pub fn page_bytes(&self) -> u64 {
-        1 << self.page_shift
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Home of `page`, if mapped.
@@ -167,7 +152,7 @@ mod tests {
 
     #[test]
     fn first_touch_sticks() {
-        let mut pt = PageTable::new(12);
+        let mut pt = PageTable::new();
         assert_eq!(pt.home_or_assign(7, || 2), 2);
         assert_eq!(pt.home_or_assign(7, || 5), 2);
         assert_eq!(pt.home(7), Some(2));
@@ -177,7 +162,7 @@ mod tests {
 
     #[test]
     fn reassign_moves_counts() {
-        let mut pt = PageTable::new(12);
+        let mut pt = PageTable::new();
         pt.home_or_assign(1, || 0);
         pt.home_or_assign(2, || 0);
         assert_eq!(pt.reassign(1, 3), 0);
@@ -189,12 +174,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "unmapped")]
     fn reassign_unmapped_panics() {
-        PageTable::new(12).reassign(9, 1);
+        PageTable::new().reassign(9, 1);
     }
 
     #[test]
     fn unmap_clears_entry() {
-        let mut pt = PageTable::new(12);
+        let mut pt = PageTable::new();
         pt.home_or_assign(4, || 1);
         assert_eq!(pt.unmap(4), Some(1));
         assert_eq!(pt.unmap(4), None);
@@ -204,7 +189,7 @@ mod tests {
 
     #[test]
     fn pages_homed_at_lists_only_that_node() {
-        let mut pt = PageTable::new(12);
+        let mut pt = PageTable::new();
         pt.home_or_assign(1, || 0);
         pt.home_or_assign(2, || 1);
         pt.home_or_assign(3, || 0);
@@ -215,7 +200,7 @@ mod tests {
 
     #[test]
     fn evacuate_rehomes_every_page_in_order() {
-        let mut pt = PageTable::new(12);
+        let mut pt = PageTable::new();
         for &p in &[9u64, 2, 17] {
             pt.home_or_assign(p, || 0);
         }
@@ -230,7 +215,7 @@ mod tests {
 
     #[test]
     fn pages_homed_at_is_sorted_regardless_of_touch_order() {
-        let mut pt = PageTable::new(12);
+        let mut pt = PageTable::new();
         for &p in &[9u64, 2, 17, 4, 11] {
             pt.home_or_assign(p, || 0);
         }
@@ -243,7 +228,7 @@ mod tests {
 
     #[test]
     fn iteration_is_ascending_across_chunk_boundaries() {
-        let mut pt = PageTable::new(12);
+        let mut pt = PageTable::new();
         // Pages straddling three dense chunks, touched out of order.
         for &p in &[CHUNK as u64 * 2 + 5, 3, CHUNK as u64 - 1, CHUNK as u64, 7] {
             pt.home_or_assign(p, || 1);

@@ -211,7 +211,7 @@ proptest! {
         sets in 1u64..5,
         hashed in any::<bool>(),
     ) {
-        let mut cfg = CacheCfg::new(sets * ways as u64 * 64, ways, 6);
+        let mut cfg = CacheCfg::new(sets * ways as u64 * 64, ways);
         if hashed {
             cfg = cfg.with_hashed_index();
         }
@@ -251,7 +251,7 @@ proptest! {
         sets in 1u64..16,
         hashed in any::<bool>(),
     ) {
-        let mut cfg = CacheCfg::new(sets * ways as u64 * 64, ways, 6);
+        let mut cfg = CacheCfg::new(sets * ways as u64 * 64, ways);
         if hashed {
             cfg = cfg.with_hashed_index();
         }
@@ -277,7 +277,7 @@ proptest! {
         ops in proptest::collection::vec((0u64..64, 0u32..1000), 1..200)
     ) {
         // Large enough that nothing is ever evicted: pure map semantics.
-        let mut cache = SetAssocCache::new(CacheCfg::new(64 * 64, 4, 6));
+        let mut cache = SetAssocCache::new(CacheCfg::new(64 * 64, 4));
         let mut model: HashMap<u64, u32> = HashMap::new();
         for (line, val) in ops {
             prop_assert!(cache.insert(line, val, |_| 0).is_none());
@@ -297,7 +297,7 @@ proptest! {
         onchip in 0usize..16,
     ) {
         let mut am: AttractionMemory<u8> =
-            AttractionMemory::new(CacheCfg::new(64 * 64, 4, 6).with_hashed_index(), onchip);
+            AttractionMemory::new(CacheCfg::new(64 * 64, 4).with_hashed_index(), onchip);
         for line in lines {
             am.insert(line, 0, |_| 0);
             am.touch(line);

@@ -23,14 +23,14 @@
 
 use pimdsm_engine::{Cycle, ServerGrant};
 use pimdsm_faults::{Durability, RecoveryStats};
-use pimdsm_mem::{line_of, CacheCfg, Line, Page};
+use pimdsm_mem::{line_of, page_of_line, CacheCfg, Line, Page, LINES_PER_PAGE, LINE_BYTES};
 use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::{DRAM, HANDLER, NETWORK};
 use pimdsm_obs::{EpochProbe, Event};
 
 use crate::common::{
-    Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
-    LatencyCfg, Level, MsgSize, NodeId, NodeList, PreloadKind,
+    Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind, Level,
+    NodeId, NodeList, PreloadKind, LAT, MSG,
 };
 use crate::dnode::{DNode, DNodeCfg, Master};
 use crate::fabric::Fabric;
@@ -55,23 +55,17 @@ pub struct AggCfg {
     pub p_onchip_lines: u64,
     /// D-node sizing and policy.
     pub dnode: DNodeCfg,
-    /// Line size shift.
-    pub line_shift: u32,
-    /// Page size shift.
-    pub page_shift: u32,
-    /// Latency table.
-    pub lat: LatencyCfg,
-    /// Message sizes.
-    pub msg: MsgSize,
     /// Network timing (2 B/cycle links in the paper).
     pub net: NetCfg,
     /// Protocol handler costs (software, Table 2).
     pub handler: HandlerCosts,
-    /// Memory port bandwidth, bytes/cycle.
-    pub mem_bytes_per_cycle: u64,
-    /// Extra D-node processor occupancy per page paged out.
-    pub pageout_page_occupancy: Cycle,
 }
+
+/// Extra D-node processor occupancy per page paged out (cycles).
+const PAGEOUT_PAGE_OCCUPANCY: Cycle = 1_000;
+
+/// Panic message of an unpinned page-out that finds no page to evict.
+const NO_PAGE: &str = "D-node must page out but maps no pages";
 
 impl AggCfg {
     /// A paper-parameter configuration: `n_p` P-nodes with `p_am_lines`
@@ -85,13 +79,12 @@ impl AggCfg {
         p_am_lines: u64,
         d_data_lines: u64,
     ) -> Self {
-        let line_shift = 6;
         AggCfg {
             n_p,
             n_d,
-            l1: CacheCfg::new(l1_kb * 1024, 1, line_shift),
-            l2: CacheCfg::new(l2_kb * 1024, 4, line_shift),
-            p_am: CacheCfg::new(p_am_lines * 64, 4, line_shift),
+            l1: CacheCfg::new(l1_kb * 1024, 1),
+            l2: CacheCfg::new(l2_kb * 1024, 4),
+            p_am: CacheCfg::new(p_am_lines * LINE_BYTES, 4),
             p_onchip_lines: p_am_lines / 2,
             dnode: DNodeCfg {
                 data_lines: d_data_lines,
@@ -99,20 +92,9 @@ impl AggCfg {
                 shared_list_min: (d_data_lines / 64).max(4),
                 pageout_batch: 1,
                 reuse_shared_list: true,
-                lines_per_page: 1 << (12 - line_shift),
-                lat_on: 37,
-                lat_off: 57,
-                mem_bytes_per_cycle: 32,
-                line_bytes: 64,
             },
-            line_shift,
-            page_shift: 12,
-            lat: LatencyCfg::default(),
-            msg: MsgSize::default(),
             net: NetCfg::default(),
             handler: HandlerCosts::paper(ControllerKind::Software),
-            mem_bytes_per_cycle: 32,
-            pageout_page_occupancy: 1_000,
         }
     }
 }
@@ -161,14 +143,7 @@ impl AggSystem {
         }
 
         let net = Network::new(Mesh::for_nodes(total), cfg.net);
-        let fab = Fabric::new(
-            cfg.line_shift,
-            cfg.page_shift,
-            cfg.lat,
-            cfg.msg,
-            cfg.handler,
-            net,
-        );
+        let fab = Fabric::new(cfg.handler, net);
         AggSystem {
             roles,
             p_list,
@@ -202,14 +177,7 @@ impl AggSystem {
     }
 
     fn new_pstore(cfg: &AggCfg) -> PNodeStore {
-        PNodeStore::calibrated(
-            cfg.l1,
-            cfg.l2,
-            cfg.p_am,
-            cfg.p_onchip_lines as usize,
-            &cfg.lat,
-            cfg.mem_bytes_per_cycle,
-        )
+        PNodeStore::calibrated(cfg.l1, cfg.l2, cfg.p_am, cfg.p_onchip_lines as usize)
     }
 
     /// The configuration.
@@ -277,7 +245,7 @@ impl AggSystem {
     /// number ("each D-node is home to a fraction of the physical
     /// addresses", Section 2.2.1), which also spreads protocol load.
     fn home_of(&mut self, line: Line, _toucher: NodeId) -> NodeId {
-        let page = self.fab.page_of(line);
+        let page = page_of_line(line);
         if let Some(h) = self.fab.pages.home(page) {
             return h;
         }
@@ -295,75 +263,53 @@ impl AggSystem {
         self.fab.dispatch(&mut dn.server, d, kind, invals, at)
     }
 
-    /// Ensures D-node `d` has a free Data slot, paging out if necessary.
-    /// Returns the cycle by which the slot is available.
-    fn ensure_slot(&mut self, d: NodeId, line: Line, at: Cycle) -> Cycle {
+    /// Ensures D-node `d` has a free Data slot for `line`, paging out if
+    /// necessary but never the `pinned` page (see [`Self::page_out`]).
+    /// Returns the cycle by which the slot is available, or `None` if
+    /// only the pinned page could have made room.
+    fn ensure_slot(
+        &mut self,
+        d: NodeId,
+        line: Line,
+        at: Cycle,
+        pinned: Option<Page>,
+    ) -> Option<Cycle> {
         let mut t = at;
-        loop {
-            match self.dstore(d).alloc_slot(line) {
-                Ok(_dropped) => return t,
-                Err(()) => {
-                    t = self.page_out(d, t);
-                }
-            }
+        while self.dstore(d).alloc_slot(line).is_err() {
+            t = self.page_out(d, t, pinned)?;
         }
+        Some(t)
     }
 
     /// Threshold-triggered page-out at D-node `d` (Section 2.2.2): the OS
     /// walks the directory entries of victim pages, recalls lines cached
     /// in P-nodes, and writes the pages to disk. Returns the cycle at
-    /// which the freed space is usable.
-    fn page_out(&mut self, d: NodeId, at: Cycle) -> Cycle {
+    /// which the freed space is usable, or `None` if `d` maps no page but
+    /// `pinned`.
+    ///
+    /// The `pinned` page is never a victim: it holds the line of the walk
+    /// whose attraction-memory fill displaced the line being written back
+    /// here, and that walk has already entered its requester in the
+    /// directory, so recalling the line would leave the requester's
+    /// caches holding a line the directory had paged out (an OS likewise
+    /// pins a page under I/O).
+    fn page_out(&mut self, d: NodeId, at: Cycle, pinned: Option<Page>) -> Option<Cycle> {
         let batch = self.dstore_ref(d).cfg().pageout_batch;
-        let victims = self.dstore_ref(d).pageout_victims(batch);
-        assert!(
-            !victims.is_empty(),
-            "D-node {d} must page out but maps no pages"
-        );
+        let victims = self.dstore_ref(d).pageout_victims(batch, pinned);
+        if victims.is_empty() {
+            return None;
+        }
         self.fab.stats.page_outs += 1;
         let n_pages = victims.len() as u64;
-        let lpp = self.dstore_ref(d).cfg().lines_per_page;
-        let data = self.fab.msg_data();
-        let ctrl = self.fab.msg_ctrl();
         let mut t = at;
         for page in victims {
-            let first = page * lpp;
-            for line in first..first + lpp {
-                let Some(e) = self.dstore_ref(d).entry(line).copied() else {
-                    continue;
-                };
-                let mut holders = NodeList::new();
-                for s in e.sharers.iter() {
-                    holders.push(s);
-                }
-                if let Some(o) = e.owner.map(CompactNode::get) {
-                    if !holders.contains(&o) {
-                        holders.push(o);
-                    }
-                }
-                for &k in holders.iter() {
-                    // Recall: invalidate at the P-node; dirty/master data
-                    // travels back.
-                    if let Role::P(s) = &mut self.roles[k] {
-                        s.caches.invalidate(line);
-                        s.am.remove(line);
-                    }
-                    let t1 = self.fab.net.send(d, k, ctrl, t);
-                    let t2 = self
-                        .fab
-                        .net
-                        .send(k, d, data, t1 + self.fab.lat.am_tag_check);
-                    t = t.max(t2);
-                }
-                let e = self.dstore(d).entry_mut(line);
-                e.owner = None;
-                e.sharers.clear();
-                e.master = Master::Home;
+            let first = page * LINES_PER_PAGE;
+            for line in first..first + LINES_PER_PAGE {
+                t = self.recall(d, line, t);
             }
-            let occ = self.cfg.pageout_page_occupancy;
             let dn = self.dstore(d);
             dn.apply_pageout(page);
-            t = dn.server.occupy(t, occ) + occ;
+            t = dn.server.occupy(t, PAGEOUT_PAGE_OCCUPANCY) + PAGEOUT_PAGE_OCCUPANCY;
         }
         self.fab.tracer.span(
             Event::PageOut,
@@ -372,23 +318,63 @@ impl AggSystem {
             (t - at).max(1),
             &[("pages", n_pages)],
         );
+        Some(t)
+    }
+
+    /// Recalls every P-node copy of `line` to its home D-node `d` from
+    /// `at`, leaving the home the master of an uncached line. Returns the
+    /// cycle the last copy arrives.
+    fn recall(&mut self, d: NodeId, line: Line, at: Cycle) -> Cycle {
+        let Some(e) = self.dstore_ref(d).entry(line).copied() else {
+            return at;
+        };
+        let mut holders = NodeList::new();
+        for s in e.sharers.iter() {
+            holders.push(s);
+        }
+        if let Some(o) = e.owner.map(CompactNode::get) {
+            if !holders.contains(&o) {
+                holders.push(o);
+            }
+        }
+        let mut t = at;
+        for &k in holders.iter() {
+            // Invalidate at the P-node; dirty/master data travels back.
+            if let Role::P(s) = &mut self.roles[k] {
+                s.caches.invalidate(line);
+                s.am.remove(line);
+            }
+            let t1 = self.fab.net.send(d, k, MSG.ctrl, t);
+            let t2 = self.fab.net.send(k, d, MSG.data, t1 + LAT.am_tag_check);
+            t = t.max(t2);
+        }
+        let e = self.dstore(d).entry_mut(line);
+        e.owner = None;
+        e.sharers.clear();
+        e.master = Master::Home;
         t
     }
 
     /// Write-back of a displaced dirty/shared-master line from P-node `p`
-    /// to its home D-node. Booked asynchronously from `at`.
-    fn write_back(&mut self, p: NodeId, line: Line, at: Cycle) {
+    /// to its home D-node, whose page-out spares the `pinned` page. Booked
+    /// asynchronously from `at`.
+    fn write_back(&mut self, p: NodeId, line: Line, at: Cycle, pinned: Option<Page>) {
         self.fab.stats.write_backs += 1;
         let home = self.fab.mapped_home(line);
-        let data = self.fab.msg_data();
-        let t1 = self.fab.net.send(p, home, data, at);
+        let t1 = self.fab.net.send(p, home, MSG.data, at);
         let g = self.dispatch(home, HandlerKind::WriteBack, 0, t1);
-        if !self.dstore_ref(home).entry(line).is_some_and(|e| e.in_mem) {
-            let t_slot = self.ensure_slot(home, line, g.start);
+        if self.dstore_ref(home).entry(line).is_some_and(|e| e.in_mem) {
+            self.dstore(home).data_access(line, g.start);
+        } else if let Some(t_slot) = self.ensure_slot(home, line, g.start, pinned) {
             self.dstore(home).fill_slot(line);
             self.dstore(home).data_access(line, t_slot);
         } else {
-            self.dstore(home).data_access(line, g.start);
+            // The home holds nothing it may page out: the line goes to
+            // disk on its own, its remaining copies recalled.
+            self.recall(home, line, g.start);
+            self.dstore(home).entry_mut(line).paged_out = true;
+            self.fab.stats.disk_spills += 1;
+            return;
         }
         self.dstore(home).write_back(line, p);
     }
@@ -396,8 +382,7 @@ impl AggSystem {
     /// Silent drop of a shared non-master copy + asynchronous hint.
     fn drop_shared(&mut self, p: NodeId, line: Line, at: Cycle) {
         let home = self.fab.mapped_home(line);
-        let ctrl = self.fab.msg_ctrl();
-        let t1 = self.fab.net.send(p, home, ctrl, at);
+        let t1 = self.fab.net.send(p, home, MSG.ctrl, at);
         let Role::D(dn) = &mut self.roles[home] else {
             panic!("home {home} is a P-node, expected D")
         };
@@ -407,7 +392,7 @@ impl AggSystem {
 
     /// Inserts a line into P-node `p`'s attraction memory, handling the
     /// displaced victim per the AGG protocol (write back to the home —
-    /// never inject).
+    /// never inject, and never page out `line`'s own page).
     fn am_fill(&mut self, p: NodeId, line: Line, state: AmState, at: Cycle) {
         let r = self.pstore(p).am.insert(line, state, victim_class);
         let Some(victim) = r.victim else { return };
@@ -420,7 +405,9 @@ impl AggSystem {
         };
         match vstate {
             AmState::Shared => self.drop_shared(p, vline, at),
-            AmState::SharedMaster | AmState::Dirty => self.write_back(p, vline, at),
+            AmState::SharedMaster | AmState::Dirty => {
+                self.write_back(p, vline, at, Some(page_of_line(line)));
+            }
         }
     }
 
@@ -437,10 +424,9 @@ impl AggSystem {
         at: Cycle,
     ) -> Cycle {
         let mut done = at;
-        let ctrl = self.fab.msg_ctrl();
         for &k in targets {
             self.fab.stats.invalidations += 1;
-            let t1 = self.fab.net.send(from, k, ctrl, at);
+            let t1 = self.fab.net.send(from, k, MSG.ctrl, at);
             if let Role::P(s) = &mut self.roles[k] {
                 s.caches.invalidate(line);
                 s.am.remove(line);
@@ -448,7 +434,7 @@ impl AggSystem {
             let t2 = self
                 .fab
                 .net
-                .send(k, collector, ctrl, t1 + self.fab.lat.am_tag_check);
+                .send(k, collector, MSG.ctrl, t1 + LAT.am_tag_check);
             done = done.max(t2);
         }
         done
@@ -456,13 +442,12 @@ impl AggSystem {
 
     /// Local memory (AM data) access for a line resident at P-node `p`.
     fn mem_access(&mut self, p: NodeId, line: Line, at: Cycle) -> Cycle {
-        let bytes = self.fab.line_bytes();
         let ps = self.pstore(p);
         let res = ps
             .am
             .touch(line)
             .expect("line must be resident for mem_access");
-        ps.mem_access(res, at, bytes)
+        ps.mem_access(res, at)
     }
 
     /// Supplies a line from P-node `k`'s memory to `to` along the walk:
@@ -471,12 +456,11 @@ impl AggSystem {
     fn supply_from_p(&mut self, tx: &mut Txn, k: NodeId, to: NodeId, line: Line) -> Cycle {
         let m = self.mem_access(k, line, tx.at());
         tx.dram(m);
-        let data = self.fab.msg_data();
-        tx.send(&mut self.fab, k, to, data)
+        tx.send(&mut self.fab, k, to, MSG.data)
     }
 
     fn read_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         if let Some(level) = self.pstore(node).caches.read_probe(line) {
             return cache_hit(&mut self.fab, level, now, true);
         }
@@ -487,12 +471,12 @@ impl AggSystem {
 
     /// The steps of a read that missed the private caches.
     fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
+        tx.probe(LAT.l2 + LAT.am_tag_check);
         if self.pstore(node).am.contains(line) {
             self.fab.am_hit(node, line, tx.at());
             let m = self.mem_access(node, line, tx.at());
             tx.dram(m);
-            tx.fill(&self.fab);
+            tx.fill();
             self.pstore(node).fill_caches(line, CState::Shared);
             return Level::LocalMem;
         }
@@ -500,8 +484,8 @@ impl AggSystem {
 
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
-        let ctrl = self.fab.msg_ctrl();
-        let data = self.fab.msg_data();
+        let ctrl = MSG.ctrl;
+        let data = MSG.data;
         let t1 = tx.send(&mut self.fab, node, home, ctrl);
         let entry = self.dstore_ref(home).entry(line).copied();
 
@@ -510,8 +494,8 @@ impl AggSystem {
                 self.fab.disk_fault(home, line, t1);
                 let g = self.dispatch(home, HandlerKind::Read, 0, t1);
                 tx.handler_start(g);
-                tx.disk(&self.fab);
-                let t_slot = self.ensure_slot(home, line, tx.at());
+                tx.disk();
+                let t_slot = self.ensure_slot(home, line, tx.at(), None).expect(NO_PAGE);
                 tx.to(DRAM, t_slot);
                 let dn = self.dstore(home);
                 dn.fill_slot(line);
@@ -537,7 +521,7 @@ impl AggSystem {
             }
             Some(e) if !e.sharers.is_empty() => {
                 let g = self.dispatch(home, HandlerKind::Read, 0, t1);
-                let pg = self.fab.page_of(line);
+                let pg = page_of_line(line);
                 self.dstore(home).touch_page(pg);
                 if e.in_mem {
                     tx.handler_start(g);
@@ -573,7 +557,7 @@ impl AggSystem {
                 // D-node-only line (master at home): grant mastership out.
                 let g = self.dispatch(home, HandlerKind::Read, 0, t1);
                 tx.handler_start(g);
-                let pg = self.fab.page_of(line);
+                let pg = page_of_line(line);
                 self.dstore(home).touch_page(pg);
                 self.dstore(home).grant_master_read(line, node);
                 let m = self.dstore(home).data_access(line, g.start);
@@ -586,7 +570,7 @@ impl AggSystem {
                 // Virgin line: materialize at the home, grant mastership.
                 let g = self.dispatch(home, HandlerKind::Read, 0, t1);
                 tx.handler_start(g);
-                let t_slot = self.ensure_slot(home, line, g.start);
+                let t_slot = self.ensure_slot(home, line, g.start, None).expect(NO_PAGE);
                 tx.to(DRAM, t_slot);
                 self.dstore(home).grant_first_read(line, node);
                 let m = self.dstore(home).data_access(line, t_slot);
@@ -597,14 +581,14 @@ impl AggSystem {
             }
         };
 
-        tx.fill(&self.fab);
+        tx.fill();
         self.am_fill(node, line, new_state, tx.at());
         self.pstore(node).fill_caches(line, CState::Shared);
         level
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         match self.pstore(node).caches.write_probe(line) {
             WriteProbe::Done(level) => cache_hit(&mut self.fab, level, now, false),
             WriteProbe::NeedUpgrade | WriteProbe::Miss => {
@@ -618,22 +602,22 @@ impl AggSystem {
     /// The steps of a write that the private caches could not complete:
     /// a miss, or a shared copy that needs ownership.
     fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
+        tx.probe(LAT.l2 + LAT.am_tag_check);
         let am_state = self.pstore(node).am.peek(line).copied();
 
         if am_state == Some(AmState::Dirty) {
             // Exclusive at the memory level already.
             let m = self.mem_access(node, line, tx.at());
             tx.dram(m);
-            tx.fill(&self.fab);
+            tx.fill();
             self.pstore(node).fill_caches(line, CState::Dirty);
             return Level::LocalMem;
         }
 
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
-        let ctrl = self.fab.msg_ctrl();
-        let data = self.fab.msg_data();
+        let ctrl = MSG.ctrl;
+        let data = MSG.data;
         self.fab.stats.remote_writes += 1;
         let t1 = tx.send(&mut self.fab, node, home, ctrl);
         let entry = self.dstore_ref(home).entry(line).copied();
@@ -644,12 +628,12 @@ impl AggSystem {
                 self.fab.disk_fault(home, line, t1);
                 let g = self.dispatch(home, HandlerKind::ReadExclusive, 0, t1);
                 tx.handler(g);
-                tx.disk(&self.fab);
+                tx.disk();
                 self.dstore(home).apply_pagein(line);
                 let targets = self.dstore(home).make_owner(line, node);
                 debug_assert!(targets.is_empty());
                 tx.send(&mut self.fab, home, node, data);
-                tx.fill(&self.fab);
+                tx.fill();
                 self.am_fill(node, line, AmState::Dirty, tx.at());
                 self.pstore(node).fill_caches(line, CState::Dirty);
                 return Level::Hop2;
@@ -723,7 +707,7 @@ impl AggSystem {
             Level::Hop2
         };
 
-        tx.fill(&self.fab);
+        tx.fill();
         if !had_local_copy {
             self.am_fill(node, line, AmState::Dirty, tx.at());
         }
@@ -764,7 +748,7 @@ impl AggSystem {
     /// Home D-node of an address (first-touch assigning if needed) —
     /// exposed so computation-in-memory callers can route their requests.
     pub fn home_for_addr(&mut self, addr: u64, toucher: NodeId) -> NodeId {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         self.home_of(line, toucher)
     }
 
@@ -781,14 +765,11 @@ impl AggSystem {
         assert!(self.d_list.len() > 1, "cannot convert the last D-node");
         let targets: Vec<NodeId> = self.d_list.iter().copied().filter(|&d| d != node).collect();
         let pages = self.fab.pages.pages_homed_at(node);
-        let lpp = self.dstore_ref(node).cfg().lines_per_page;
         // Bulk migration: the node streams its warm resident lines to the
         // new homes at link bandwidth; initialization-cold pages are sent
         // to disk instead (the paper: "these pages can be mapped to
         // another D-node or sent to disk"), off the critical path.
-        // The converting node streams over its four mesh links in
-        // parallel, without per-line message headers (bulk DMA).
-        let line_transfer = (self.fab.line_bytes()).div_ceil(self.cfg.net.bytes_per_cycle * 4);
+        let line_transfer = self.bulk_line_transfer();
         let mut t = now;
         let mut lines_moved = 0u64;
         for (i, &page) in pages.iter().enumerate() {
@@ -801,8 +782,8 @@ impl AggSystem {
                 // entries marked paged-out; no data moves now.
                 self.dstore(nh).map_page(page);
                 self.dstore(nh).mark_page_cold(page);
-                let first = page * lpp;
-                for line in first..first + lpp {
+                let first = page * LINES_PER_PAGE;
+                for line in first..first + LINES_PER_PAGE {
                     if let Some(mut e) = self.dstore(node).evict_entry(line) {
                         e.in_mem = false;
                         e.paged_out = true;
@@ -813,8 +794,8 @@ impl AggSystem {
                 continue;
             }
             self.dstore(nh).map_page(page);
-            let first = page * lpp;
-            for line in first..first + lpp {
+            let first = page * LINES_PER_PAGE;
+            for line in first..first + LINES_PER_PAGE {
                 let Some(e) = self.dstore(node).evict_entry(line) else {
                     continue;
                 };
@@ -824,7 +805,7 @@ impl AggSystem {
                 }
                 let mut entry = e;
                 while !self.dstore(nh).install_entry(line, entry) {
-                    t = self.page_out(nh, t);
+                    t = self.page_out(nh, t, None).expect(NO_PAGE);
                     entry = e;
                 }
             }
@@ -868,7 +849,7 @@ impl AggSystem {
                 AmState::Shared => self.drop_shared(node, line, t),
                 AmState::SharedMaster | AmState::Dirty => {
                     flushed += 1;
-                    self.write_back(node, line, t);
+                    self.write_back(node, line, t, None);
                     t += 2; // message issue pacing
                 }
             }
@@ -885,7 +866,7 @@ impl AggSystem {
     /// calibration and tests (equivalent to capacity-evicting the line
     /// from the SRAM caches).
     pub fn purge_caches(&mut self, p: NodeId, addr: u64) {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         self.pstore(p).purge_caches(line);
     }
 
@@ -896,12 +877,11 @@ impl AggSystem {
         }
     }
 
-    /// Bulk line-transfer cycles during recovery sweeps (same four-link
-    /// DMA streaming model as reconfiguration migration).
-    fn recovery_line_transfer(&self) -> Cycle {
-        self.fab
-            .line_bytes()
-            .div_ceil(self.cfg.net.bytes_per_cycle * 4)
+    /// Cycles to stream one line in a reconfiguration migration or a
+    /// recovery sweep: over four mesh links in parallel, without per-line
+    /// message headers (bulk DMA).
+    fn bulk_line_transfer(&self) -> Cycle {
+        LINE_BYTES.div_ceil(self.cfg.net.bytes_per_cycle * 4)
     }
 
     /// Kill of a P-node: its caches and attraction memory vanish, so
@@ -919,7 +899,7 @@ impl AggSystem {
         self.roles[victim] = Role::P(Box::new(Self::new_pstore(&self.cfg)));
         self.fab.dead.insert(victim);
 
-        let line_transfer = self.recovery_line_transfer();
+        let line_transfer = self.bulk_line_transfer();
         let mut t = now;
         let d_list = self.d_list.clone();
         let dead = CompactNode::new(victim);
@@ -982,7 +962,7 @@ impl AggSystem {
                     }
                     assert!(self.dstore(d).install_entry(line, e));
                 }
-                let page = self.fab.page_of(line);
+                let page = page_of_line(line);
                 match touched_pages.iter_mut().find(|(p, _)| *p == page) {
                     Some((_, n)) => *n += 1,
                     None => touched_pages.push((page, 1)),
@@ -991,7 +971,7 @@ impl AggSystem {
             // The home walks each affected page's directory once; pages
             // become usable again as their sweep completes.
             for (page, lines) in touched_pages {
-                t += self.fab.lat.am_tag_check + lines * line_transfer;
+                t += LAT.am_tag_check + lines * line_transfer;
                 self.fab.mark_recovering(page, t);
                 rs.recovery.record(t - now);
             }
@@ -1038,8 +1018,7 @@ impl AggSystem {
             .filter(|&d| d != victim)
             .collect();
         let pages = self.fab.pages.pages_homed_at(victim);
-        let lpp = self.dstore_ref(victim).cfg().lines_per_page;
-        let line_transfer = self.recovery_line_transfer();
+        let line_transfer = self.bulk_line_transfer();
         let mut t = now;
         for (i, &page) in pages.iter().enumerate() {
             let nh = targets[i % targets.len()];
@@ -1051,9 +1030,9 @@ impl AggSystem {
                 self.dstore(nh).mark_page_cold(page);
             }
             let page_start = t;
-            let first = page * lpp;
+            let first = page * LINES_PER_PAGE;
             let mut touched = 0u64;
-            for line in first..first + lpp {
+            for line in first..first + LINES_PER_PAGE {
                 let Some(mut e) = self.dstore(victim).evict_entry(line) else {
                     continue;
                 };
@@ -1081,7 +1060,7 @@ impl AggSystem {
                     // D-node-only data: gone unless a replica exists.
                     if durability == Durability::Replication {
                         while !self.dstore(nh).install_entry(line, e) {
-                            t = self.page_out(nh, t);
+                            t = self.page_out(nh, t, None).expect(NO_PAGE);
                         }
                         t += line_transfer;
                     } else {
@@ -1095,7 +1074,7 @@ impl AggSystem {
                     assert!(self.dstore(nh).install_entry(line, e));
                 }
             }
-            t = t.max(page_start) + self.fab.lat.am_tag_check + touched * line_transfer;
+            t = t.max(page_start) + LAT.am_tag_check + touched * line_transfer;
             self.fab.mark_recovering(page, t);
             rs.recovery.record(t - now);
         }
@@ -1114,14 +1093,14 @@ impl MemSystem for AggSystem {
     fn read(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let a = self.read_walk(node, addr, now);
         #[cfg(feature = "coherence-oracle")]
-        crate::check::agg_line(self, line_of(addr, self.cfg.line_shift));
+        crate::check::agg_line(self, line_of(addr));
         a
     }
 
     fn write(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let a = self.write_walk(node, addr, now);
         #[cfg(feature = "coherence-oracle")]
-        crate::check::agg_line(self, line_of(addr, self.cfg.line_shift));
+        crate::check::agg_line(self, line_of(addr));
         a
     }
 
@@ -1191,7 +1170,7 @@ impl MemSystem for AggSystem {
             }
         }
         // The returning node cold-starts from disk-resident state.
-        now + self.fab.lat.disk
+        now + LAT.disk
     }
 
     fn census(&self) -> Census {
@@ -1234,7 +1213,7 @@ impl MemSystem for AggSystem {
     }
 
     fn preload(&mut self, addr: u64, owner: NodeId, kind: PreloadKind) {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         let home = self.home_of(line, owner);
         if self.dstore_ref(home).entry(line).is_some() {
             return;
@@ -1245,7 +1224,7 @@ impl MemSystem for AggSystem {
         // 2.2.2 has already pushed the least-recently-used — i.e. cold —
         // pages to disk, which is exactly how the paper argues AGG runs
         // at high memory pressures.
-        let page = self.fab.page_of(line);
+        let page = page_of_line(line);
         match self.dstore(home).alloc_slot(line) {
             Ok(_) => {
                 let dn = self.dstore(home);

@@ -20,7 +20,7 @@
 //! (stale sharer bits are legal there — silent Shared drops — but a
 //! dirty copy unknown to the directory is not).
 
-use pimdsm_mem::Line;
+use pimdsm_mem::{page_of_line, Line};
 
 use crate::agg::AggSystem;
 use crate::coma::ComaSystem;
@@ -42,7 +42,7 @@ pub fn check_agg(sys: &AggSystem) {
     }
     for &p in sys.p_nodes() {
         for (line, _) in sys.pstore_ref(p).am.iter() {
-            let home = sys.fabric().pages.home(sys.fabric().page_of(line));
+            let home = sys.fabric().pages.home(page_of_line(line));
             let home = home.unwrap_or_else(|| panic!("AM line {line:#x} at node {p} has no home"));
             assert!(
                 sys.dnode(home).entry(line).is_some(),
@@ -55,7 +55,7 @@ pub fn check_agg(sys: &AggSystem) {
 /// Line-level AGG oracle: the directory entry at the line's home must
 /// agree exactly with the P-node attraction memories and private caches.
 pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
-    let Some(home) = sys.fabric().pages.home(sys.fabric().page_of(line)) else {
+    let Some(home) = sys.fabric().pages.home(page_of_line(line)) else {
         return;
     };
     let Some(e) = sys.dnode(home).entry(line) else {

@@ -18,14 +18,14 @@
 
 use pimdsm_engine::{Cycle, Server, ServerGrant};
 use pimdsm_faults::{Durability, RecoveryStats};
-use pimdsm_mem::{line_of, CacheCfg, Line, PagedMap};
+use pimdsm_mem::{line_of, CacheCfg, Line, PagedMap, LINES_PER_PAGE, LINE_BYTES};
 use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::NETWORK;
 use pimdsm_obs::Event;
 
 use crate::common::{
-    Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
-    LatencyCfg, Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind,
+    Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind, Level,
+    NodeId, NodeList, NodeSet, PreloadKind, LAT, MSG,
 };
 use crate::fabric::Fabric;
 use crate::pnode::{victim_class, PNodeStore, WriteProbe};
@@ -45,20 +45,10 @@ pub struct ComaCfg {
     pub am: CacheCfg,
     /// Lines of the attraction memory resident on chip.
     pub onchip_lines: u64,
-    /// Line size shift.
-    pub line_shift: u32,
-    /// Page size shift.
-    pub page_shift: u32,
-    /// Latency table.
-    pub lat: LatencyCfg,
-    /// Message sizes.
-    pub msg: MsgSize,
     /// Network timing (double-width links, as for NUMA).
     pub net: NetCfg,
     /// Directory controller costs (hardware).
     pub handler: HandlerCosts,
-    /// Memory port bandwidth, bytes/cycle.
-    pub mem_bytes_per_cycle: u64,
     /// Injection attempts before spilling to disk.
     pub injection_max_tries: usize,
 }
@@ -67,23 +57,17 @@ impl ComaCfg {
     /// A paper-parameter configuration with the given per-node attraction
     /// memory capacity in lines.
     pub fn paper(nodes: usize, l1_kb: u64, l2_kb: u64, am_lines: u64) -> Self {
-        let line_shift = 6;
         ComaCfg {
             nodes,
-            l1: CacheCfg::new(l1_kb * 1024, 1, line_shift),
-            l2: CacheCfg::new(l2_kb * 1024, 4, line_shift),
-            am: CacheCfg::new(am_lines * 64, 4, line_shift),
+            l1: CacheCfg::new(l1_kb * 1024, 1),
+            l2: CacheCfg::new(l2_kb * 1024, 4),
+            am: CacheCfg::new(am_lines * LINE_BYTES, 4),
             onchip_lines: am_lines / 2,
-            line_shift,
-            page_shift: 12,
-            lat: LatencyCfg::default(),
-            msg: MsgSize::default(),
             net: NetCfg {
                 bytes_per_cycle: 4,
                 ..NetCfg::default()
             },
             handler: HandlerCosts::paper(ControllerKind::Hardware),
-            mem_bytes_per_cycle: 32,
             injection_max_tries: 8,
         }
     }
@@ -127,26 +111,10 @@ impl ComaSystem {
     pub fn new(cfg: ComaCfg) -> Self {
         assert!(cfg.nodes > 0 && cfg.nodes <= NodeSet::MAX_NODES);
         let nodes = (0..cfg.nodes)
-            .map(|_| {
-                PNodeStore::calibrated(
-                    cfg.l1,
-                    cfg.l2,
-                    cfg.am,
-                    cfg.onchip_lines as usize,
-                    &cfg.lat,
-                    cfg.mem_bytes_per_cycle,
-                )
-            })
+            .map(|_| PNodeStore::calibrated(cfg.l1, cfg.l2, cfg.am, cfg.onchip_lines as usize))
             .collect();
         let net = Network::new(Mesh::for_nodes(cfg.nodes), cfg.net);
-        let fab = Fabric::new(
-            cfg.line_shift,
-            cfg.page_shift,
-            cfg.lat,
-            cfg.msg,
-            cfg.handler,
-            net,
-        );
+        let fab = Fabric::new(cfg.handler, net);
         let by_dist = (0..cfg.nodes)
             .map(|from| {
                 let mut l = NodeList::new();
@@ -159,7 +127,7 @@ impl ComaSystem {
             .collect();
         ComaSystem {
             ctrls: (0..cfg.nodes).map(|_| Server::new()).collect(),
-            dir: PagedMap::new(fab.lines_per_page()),
+            dir: PagedMap::new(),
             by_dist,
             nodes,
             fab,
@@ -198,7 +166,7 @@ impl ComaSystem {
     /// attraction memory or the directory — a probe helper for tests
     /// (equivalent to capacity-evicting the line from the SRAM caches).
     pub fn purge_caches(&mut self, node: NodeId, addr: u64) {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         self.nodes[node].purge_caches(line);
     }
 
@@ -206,7 +174,7 @@ impl ComaSystem {
     /// and hence the directory entry — spilling to the least-loaded node
     /// once the toucher's share of frames is exhausted.
     fn home_of(&mut self, line: Line, toucher: NodeId) -> NodeId {
-        let cap = self.cfg.am.capacity_lines() / self.fab.lines_per_page();
+        let cap = self.cfg.am.capacity_lines() / LINES_PER_PAGE;
         self.fab
             .first_touch_home(line, toucher, self.cfg.nodes, cap)
     }
@@ -223,8 +191,7 @@ impl ComaSystem {
             .am
             .touch(line)
             .expect("line must be resident for mem_access");
-        let bytes = self.fab.line_bytes();
-        self.nodes[node].mem_access(res, at, bytes)
+        self.nodes[node].mem_access(res, at)
     }
 
     /// Supplies the line's data to `node` from holder `k`, behind the
@@ -242,7 +209,7 @@ impl ComaSystem {
         count_master_fetch: bool,
     ) -> Level {
         debug_assert_ne!(k, node, "supplier cannot be the requestor");
-        let data = self.fab.msg_data();
+        let data = MSG.data;
         if k == home {
             let m = self.mem_access(home, line, tx.at());
             tx.dram(m);
@@ -252,7 +219,7 @@ impl ComaSystem {
             if count_master_fetch {
                 self.fab.stats.master_fetches += 1;
             }
-            let ctrl = self.fab.msg_ctrl();
+            let ctrl = MSG.ctrl;
             let fwd = tx.send(&mut self.fab, home, k, ctrl);
             let g2 = self.dispatch(k, HandlerKind::Read, 0, fwd);
             tx.handler(g2);
@@ -278,8 +245,8 @@ impl ComaSystem {
             if kind == HandlerKind::ReadExclusive {
                 self.fab.stats.remote_writes += 1;
             }
-            let ctrl = self.fab.msg_ctrl();
-            let data = self.fab.msg_data();
+            let ctrl = MSG.ctrl;
+            let data = MSG.data;
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             let g = self.dispatch(home, kind, 0, t1);
             tx.handler(g);
@@ -339,7 +306,7 @@ impl ComaSystem {
             e.sharers.remove(node);
         }
         if home != node {
-            let ctrl = self.fab.msg_ctrl();
+            let ctrl = MSG.ctrl;
             let t = self.fab.net.send(node, home, ctrl, now);
             self.fab
                 .ack_occupy(Event::Hint, &mut self.ctrls[home], home, t);
@@ -353,7 +320,7 @@ impl ComaSystem {
         let home = self.fab.mapped_home(line);
         let candidates = self.inject_candidates(node, provider, home);
 
-        let data = self.fab.msg_data();
+        let data = MSG.data;
         if candidates.is_empty() {
             // Single-node machine: nowhere to inject, spill to disk.
             self.fab.stats.disk_spills += 1;
@@ -521,7 +488,7 @@ impl ComaSystem {
         e.owner = holder;
         e.master = holder;
         let n_inv = targets.len() as u32;
-        let ctrl = self.fab.msg_ctrl();
+        let ctrl = MSG.ctrl;
         if home == node {
             let g = self.dispatch(node, HandlerKind::ReadExclusive, n_inv, tx.at());
             tx.handler(g);
@@ -541,7 +508,7 @@ impl ComaSystem {
     }
 
     fn read_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         if let Some(level) = self.nodes[node].caches.read_probe(line) {
             return cache_hit(&mut self.fab, level, now, true);
         }
@@ -552,13 +519,13 @@ impl ComaSystem {
 
     /// The steps of a read that missed the private caches.
     fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
+        tx.probe(LAT.l2 + LAT.am_tag_check);
         // Attraction-memory hit: the whole point of the organization.
         if self.nodes[node].am.contains(line) {
             self.fab.am_hit(node, line, tx.at());
             let m = self.mem_access(node, line, tx.at());
             tx.dram(m);
-            tx.fill(&self.fab);
+            tx.fill();
             self.fill_caches(node, line, CState::Shared);
             return Level::LocalMem;
         }
@@ -567,15 +534,15 @@ impl ComaSystem {
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
         let e = self.dir.get(line).copied().unwrap_or_default();
-        let ctrl = self.fab.msg_ctrl();
-        let data = self.fab.msg_data();
+        let ctrl = MSG.ctrl;
+        let data = MSG.data;
 
         let (provider, level, new_state) = if e.on_disk {
             let t1 = tx.send(&mut self.fab, node, home, ctrl);
             self.fab.disk_fault(home, line, t1);
             let g = self.dispatch(home, HandlerKind::Read, 0, t1);
             tx.handler(g);
-            tx.disk(&self.fab);
+            tx.disk();
             tx.send(&mut self.fab, home, node, data);
             self.purge_stale(node, line);
             let de = self.dir.get_or_insert_with(line, DirEntry::default);
@@ -625,14 +592,14 @@ impl ComaSystem {
             (home, lvl, AmState::SharedMaster)
         };
 
-        tx.fill(&self.fab);
+        tx.fill();
         self.am_fill(node, line, new_state, provider, tx.at());
         self.fill_caches(node, line, CState::Shared);
         level
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         match self.nodes[node].caches.write_probe(line) {
             WriteProbe::Done(level) => cache_hit(&mut self.fab, level, now, false),
             WriteProbe::NeedUpgrade => walk(self, node, line, now, TxnKind::Write, |s, tx| {
@@ -646,7 +613,7 @@ impl ComaSystem {
 
     /// The steps of a write to a line the private caches hold shared.
     fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2);
+        tx.probe(LAT.l2);
         let am_state = self.nodes[node]
             .am
             .peek(line)
@@ -654,7 +621,7 @@ impl ComaSystem {
             .expect("cached line must be in the AM (inclusion)");
         if am_state == AmState::Dirty {
             // Already exclusive at the memory level.
-            tx.probe(self.fab.lat.am_tag_check);
+            tx.probe(LAT.am_tag_check);
             self.nodes[node].caches.mark_dirty(line);
             return Level::L2;
         }
@@ -663,19 +630,19 @@ impl ComaSystem {
             *s = AmState::Dirty;
         }
         self.nodes[node].caches.mark_dirty(line);
-        tx.fill(&self.fab);
+        tx.fill();
         level
     }
 
     /// The steps of a write that missed the private caches.
     fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2 + self.fab.lat.am_tag_check);
+        tx.probe(LAT.l2 + LAT.am_tag_check);
         // AM hit under a full cache miss.
         if let Some(&st) = self.nodes[node].am.peek(line) {
             let m = self.mem_access(node, line, tx.at());
             if st == AmState::Dirty {
                 tx.dram(m);
-                tx.fill(&self.fab);
+                tx.fill();
                 self.fill_caches(node, line, CState::Dirty);
                 return Level::LocalMem;
             }
@@ -686,7 +653,7 @@ impl ComaSystem {
             if let Some(s) = self.nodes[node].am.peek_mut(line) {
                 *s = AmState::Dirty;
             }
-            tx.fill(&self.fab);
+            tx.fill();
             self.fill_caches(node, line, CState::Dirty);
             return level;
         }
@@ -695,8 +662,8 @@ impl ComaSystem {
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
         let e = self.dir.get(line).copied().unwrap_or_default();
-        let ctrl = self.fab.msg_ctrl();
-        let data = self.fab.msg_data();
+        let ctrl = MSG.ctrl;
+        let data = MSG.data;
         let mut targets = NodeList::sharers_except(&e.sharers, node);
         // Handler cost covers the pre-retain fan-out size.
         let n_inv = targets.len() as u32;
@@ -706,7 +673,7 @@ impl ComaSystem {
             self.fab.disk_fault(home, line, t1);
             let g = self.dispatch(home, HandlerKind::ReadExclusive, 0, t1);
             tx.handler(g);
-            tx.disk(&self.fab);
+            tx.disk();
             tx.send(&mut self.fab, home, node, data);
             self.purge_stale(node, line);
             self.dir.get_or_insert_with(line, DirEntry::default).on_disk = false;
@@ -748,7 +715,7 @@ impl ComaSystem {
         de.owner = holder;
         de.master = holder;
         de.sharers = NodeSet::singleton(node);
-        tx.fill(&self.fab);
+        tx.fill();
         self.am_fill(node, line, AmState::Dirty, provider, tx.at());
         self.fill_caches(node, line, CState::Dirty);
         level
@@ -763,14 +730,14 @@ impl MemSystem for ComaSystem {
     fn read(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let a = self.read_walk(node, addr, now);
         #[cfg(feature = "coherence-oracle")]
-        crate::check::coma_line(self, line_of(addr, self.cfg.line_shift));
+        crate::check::coma_line(self, line_of(addr));
         a
     }
 
     fn write(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let a = self.write_walk(node, addr, now);
         #[cfg(feature = "coherence-oracle")]
-        crate::check::coma_line(self, line_of(addr, self.cfg.line_shift));
+        crate::check::coma_line(self, line_of(addr));
         a
     }
 
@@ -826,8 +793,6 @@ impl MemSystem for ComaSystem {
             self.cfg.l2,
             self.cfg.am,
             self.cfg.onchip_lines as usize,
-            &self.cfg.lat,
-            self.cfg.mem_bytes_per_cycle,
         );
         // Scrub every directory entry naming the victim: re-elect
         // mastership onto a surviving sharer, write dirty data off to
@@ -869,12 +834,11 @@ impl MemSystem for ComaSystem {
             .pages
             .evacuate(node, |p| survivors[p as usize % survivors.len()]);
         rs.pages_rehomed += moved.len() as u64;
-        let lpp = self.fab.lines_per_page();
         let mut t = now;
         for (page, _nh) in moved {
             // The new home rebuilds the page's directory entries by
             // probing the surviving memories, one tag check per line.
-            t += self.fab.lat.am_tag_check + lpp;
+            t += LAT.am_tag_check + LINES_PER_PAGE;
             self.fab.mark_recovering(page, t);
             rs.recovery.record(t - now);
         }
@@ -886,7 +850,7 @@ impl MemSystem for ComaSystem {
     fn apply_rejoin(&mut self, node: NodeId, now: Cycle) -> Cycle {
         assert!(self.fab.dead.contains(node), "node {node} is not dead");
         self.fab.dead.remove(node);
-        now + self.fab.lat.disk
+        now + LAT.disk
     }
 
     fn census(&self) -> Census {
@@ -907,7 +871,7 @@ impl MemSystem for ComaSystem {
     }
 
     fn preload(&mut self, addr: u64, owner: NodeId, kind: PreloadKind) {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         self.home_of(line, owner);
         if self.dir.get(line).is_some() {
             return;
@@ -942,6 +906,7 @@ impl MemSystem for ComaSystem {
 mod tests {
     use super::*;
     use pimdsm_engine::SimRng;
+    use pimdsm_mem::LINE_SHIFT;
 
     /// Attraction memories of four 4-way sets: a few dozen preloads fill
     /// sets, so the sorted fallback and the disk spill both fire.
@@ -1044,7 +1009,7 @@ mod tests {
                         }
                     }
                     let spills_before = m.fab.stats.disk_spills;
-                    m.preload(line << m.cfg.line_shift, owner, kind);
+                    m.preload(line << LINE_SHIFT, owner, kind);
                     let e = m.dir_entry(line).expect("preload records the line");
                     match want {
                         Some(c) => {

@@ -1,6 +1,7 @@
 //! Types shared by all three protocols.
 
 use pimdsm_engine::Cycle;
+use pimdsm_mem::LINE_BYTES;
 
 /// Node index within the machine (mesh position).
 pub type NodeId = usize;
@@ -355,37 +356,31 @@ pub struct LatencyCfg {
     pub disk: Cycle,
 }
 
-impl Default for LatencyCfg {
-    fn default() -> Self {
-        LatencyCfg {
-            l1: 3,
-            l2: 6,
-            mem_on: 37,
-            mem_off: 57,
-            am_tag_check: 6,
-            fill: 4,
-            disk: 2_000_000,
-        }
-    }
-}
+/// Table 1's latency card, the one every machine runs with.
+pub const LAT: LatencyCfg = LatencyCfg {
+    l1: 3,
+    l2: 6,
+    mem_on: 37,
+    mem_off: 57,
+    am_tag_check: 6,
+    fill: 4,
+    disk: 2_000_000,
+};
 
 /// Message sizes on the interconnect, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgSize {
     /// Control message (request, ack, invalidation, hint).
     pub ctrl: u32,
-    /// Data message header; a data message is `header + line size`.
-    pub data_header: u32,
+    /// Data message: a 16-byte header plus one line.
+    pub data: u32,
 }
 
-impl Default for MsgSize {
-    fn default() -> Self {
-        MsgSize {
-            ctrl: 16,
-            data_header: 16,
-        }
-    }
-}
+/// The interconnect's message sizes.
+pub const MSG: MsgSize = MsgSize {
+    ctrl: 16,
+    data: 16 + LINE_BYTES as u32,
+};
 
 /// The major protocol handler types of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -543,8 +538,10 @@ pub struct ProtoStats {
     pub page_outs: u64,
     /// Disk faults (paged-out or overflowed lines fetched back).
     pub disk_faults: u64,
-    /// Master lines COMA had to spill to disk because no memory would
-    /// absorb the injection.
+    /// Master lines spilled to disk because no memory would take them
+    /// in: COMA injections that found no room, and AGG write-backs whose
+    /// home could page out nothing but the page of the walk that
+    /// displaced them.
     pub disk_spills: u64,
 }
 

@@ -24,9 +24,12 @@
 //! [`crate::agg`].
 
 use pimdsm_engine::{Cycle, Server};
-use pimdsm_mem::{CompactLine, Dram, KeyedQueue, Line, OnChipLru, Page, PagedMap, Residency};
+use pimdsm_mem::{
+    page_of_line, CompactLine, Dram, KeyedQueue, Line, OnChipLru, Page, PagedMap, Residency,
+    LINES_PER_PAGE, LINE_BYTES, LINE_TRANSFER,
+};
 
-use crate::common::{CompactNode, NodeId, NodeList, NodeSet};
+use crate::common::{CompactNode, NodeId, NodeList, NodeSet, LAT};
 
 /// Who holds the master (authoritative clean) copy of a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,17 +88,6 @@ pub struct DNodeCfg {
     /// Whether the SharedList may be reclaimed at all (ablation switch;
     /// the paper's design reclaims it but tries not to).
     pub reuse_shared_list: bool,
-    /// Lines per page.
-    pub lines_per_page: u64,
-    /// Local memory round-trip latencies (on-chip, off-chip) and port
-    /// bandwidth, as in the P-nodes.
-    pub lat_on: Cycle,
-    /// Off-chip round trip.
-    pub lat_off: Cycle,
-    /// Memory port bandwidth, bytes per cycle.
-    pub mem_bytes_per_cycle: u64,
-    /// Line size in bytes.
-    pub line_bytes: u64,
 }
 
 /// Storage half of an AGG directory node.
@@ -122,26 +114,24 @@ pub struct DNode {
 }
 
 impl DNode {
-    /// Creates an empty D-node.
+    /// Creates an empty D-node whose Data-array accesses take Table 1's
+    /// local memory round trips (the device latency plus the line
+    /// transfer).
     ///
     /// # Panics
     ///
     /// Panics if the Data array would be empty.
     pub fn new(cfg: DNodeCfg) -> Self {
         assert!(cfg.data_lines > 0, "D-node needs a nonempty Data array");
-        let transfer = cfg.line_bytes.div_ceil(cfg.mem_bytes_per_cycle);
         DNode {
-            dir: PagedMap::new(cfg.lines_per_page),
+            dir: PagedMap::new(),
             free_slots: cfg.data_lines,
             shared_list: KeyedQueue::new(),
             mapped_pages: KeyedQueue::new(),
             cold_pages: KeyedQueue::new(),
             server: Server::new(),
-            mem_on: Dram::new(cfg.lat_on.saturating_sub(transfer), cfg.mem_bytes_per_cycle),
-            mem_off: Dram::new(
-                cfg.lat_off.saturating_sub(transfer),
-                cfg.mem_bytes_per_cycle,
-            ),
+            mem_on: Dram::new(LAT.mem_on.saturating_sub(LINE_TRANSFER)),
+            mem_off: Dram::new(LAT.mem_off.saturating_sub(LINE_TRANSFER)),
             onchip: OnChipLru::new(cfg.onchip_lines as usize),
             cfg,
         }
@@ -234,10 +224,9 @@ impl DNode {
 
     /// Times one Data-array access starting at `now`.
     pub fn data_access(&mut self, line: Line, now: Cycle) -> Cycle {
-        let bytes = self.cfg.line_bytes;
         match self.onchip.touch(line) {
-            Residency::OnChip => self.mem_on.access(now, bytes),
-            Residency::OffChip => self.mem_off.access(now, bytes),
+            Residency::OnChip => self.mem_on.access(now, LINE_BYTES),
+            Residency::OffChip => self.mem_off.access(now, LINE_BYTES),
         }
     }
 
@@ -416,22 +405,30 @@ impl DNode {
         }
     }
 
-    /// Selects up to `batch` victim pages for a page-out. Pages are
-    /// scanned from the least-recently-served end; within the scan
-    /// window, pages with no lines cached in P-nodes (nothing to recall —
-    /// typically long-cold data) are preferred. Does not modify state.
-    pub fn pageout_victims(&self, batch: usize) -> Vec<Page> {
+    /// Selects up to `batch` victim pages for a page-out, never `pinned`.
+    /// Pages are scanned from the least-recently-served end; within the
+    /// scan window, pages with no lines cached in P-nodes (nothing to
+    /// recall — typically long-cold data) are preferred. Does not modify
+    /// state.
+    pub fn pageout_victims(&self, batch: usize, pinned: Option<Page>) -> Vec<Page> {
+        let unpinned = |p: &&Page| Some(**p) != pinned;
         // Initialization-cold pages first: nothing will miss them.
-        let mut quiet: Vec<Page> = self.cold_pages.iter().take(batch.max(1)).copied().collect();
+        let mut quiet: Vec<Page> = self
+            .cold_pages
+            .iter()
+            .filter(unpinned)
+            .take(batch.max(1))
+            .copied()
+            .collect();
         if quiet.len() >= batch.max(1) {
             quiet.truncate(batch.max(1));
             return quiet;
         }
         let window = 8 * batch.max(1);
         let mut noisy = Vec::new();
-        for &page in self.mapped_pages.iter().take(window) {
-            let first = page * self.cfg.lines_per_page;
-            let active = (first..first + self.cfg.lines_per_page).any(|l| {
+        for &page in self.mapped_pages.iter().take(window).filter(unpinned) {
+            let first = page * LINES_PER_PAGE;
+            let active = (first..first + LINES_PER_PAGE).any(|l| {
                 self.dir
                     .get(l)
                     .is_some_and(|e| e.owner.is_some() || !e.sharers.is_empty())
@@ -455,9 +452,9 @@ impl DNode {
     /// in P-nodes must have been recalled by the caller beforehand.
     /// Returns the number of slots freed.
     pub fn apply_pageout(&mut self, page: Page) -> u64 {
-        let first = page * self.cfg.lines_per_page;
+        let first = page * LINES_PER_PAGE;
         let mut freed = 0;
-        for line in first..first + self.cfg.lines_per_page {
+        for line in first..first + LINES_PER_PAGE {
             let was_in_mem = match self.dir.get_mut(line) {
                 Some(e) => {
                     debug_assert!(e.uncached(), "recall lines before paging out");
@@ -481,9 +478,9 @@ impl DNode {
     /// Applies a page-in (disk fault) for `line`'s page: clears the
     /// paged-out marker for all lines of the page and re-maps it.
     pub fn apply_pagein(&mut self, line: Line) {
-        let page = line / self.cfg.lines_per_page;
-        let first = page * self.cfg.lines_per_page;
-        for l in first..first + self.cfg.lines_per_page {
+        let page = page_of_line(line);
+        let first = page * LINES_PER_PAGE;
+        for l in first..first + LINES_PER_PAGE {
             if let Some(e) = self.dir.get_mut(l) {
                 e.paged_out = false;
             }
@@ -599,11 +596,6 @@ mod tests {
             shared_list_min: 2,
             pageout_batch: 1,
             reuse_shared_list: true,
-            lines_per_page: 4,
-            lat_on: 37,
-            lat_off: 57,
-            mem_bytes_per_cycle: 32,
-            line_bytes: 64,
         }
     }
 
@@ -757,7 +749,7 @@ mod tests {
             e.master = Master::Home;
             e.sharers.clear();
         }
-        let victims = d.pageout_victims(1);
+        let victims = d.pageout_victims(1, None);
         assert_eq!(victims, vec![0]);
         let freed = d.apply_pageout(0);
         assert_eq!(freed, 3);
@@ -814,31 +806,32 @@ mod tests {
 
     #[test]
     fn directory_iteration_is_ascending_across_pages() {
+        const L: u64 = LINES_PER_PAGE;
         let mut d = dnode(16);
-        // lines_per_page = 4: these lines span pages 0..=3, touched out
-        // of order.
-        for &line in &[9u64, 2, 13, 4, 0] {
+        // These lines span pages 0..=3, touched out of order.
+        for &line in &[2 * L + 1, 2, 3 * L + 1, L, 0] {
             d.entry_mut(line);
         }
         let lines: Vec<Line> = d.iter_deterministic().map(|(l, _)| l).collect();
-        assert_eq!(lines, vec![0, 2, 4, 9, 13]);
+        assert_eq!(lines, vec![0, 2, L, 2 * L + 1, 3 * L + 1]);
     }
 
     #[test]
     fn evicting_a_whole_page_recycles_its_chunk() {
+        const L: u64 = LINES_PER_PAGE;
         let mut d = dnode(8);
-        d.entry_mut(4);
-        d.entry_mut(5);
-        assert!(d.evict_entry(4).is_some());
-        assert!(d.evict_entry(5).is_some());
-        assert!(d.entry(4).is_none());
+        d.entry_mut(L);
+        d.entry_mut(L + 1);
+        assert!(d.evict_entry(L).is_some());
+        assert!(d.evict_entry(L + 1).is_some());
+        assert!(d.entry(L).is_none());
         // The vacated chunk serves the next page with no stale entries.
-        d.entry_mut(8);
+        d.entry_mut(2 * L);
         assert_eq!(
             d.iter_deterministic().map(|(l, _)| l).collect::<Vec<_>>(),
-            vec![8]
+            vec![2 * L]
         );
-        assert!(d.entry(8).unwrap().uncached());
+        assert!(d.entry(2 * L).unwrap().uncached());
         d.check_invariants();
     }
 

@@ -3,8 +3,10 @@
 //! All three memory systems ([`AggSystem`](crate::AggSystem),
 //! [`ComaSystem`](crate::ComaSystem), [`NumaSystem`](crate::NumaSystem))
 //! sit on the same physical substrate: a page table mapping pages to
-//! homes, a wormhole mesh, a handler cost table, message sizing, the
-//! uncontended latency card and the aggregate statistics/tracing sinks.
+//! homes, a wormhole mesh, a handler cost table and the aggregate
+//! statistics/tracing sinks. The machine's fixed card (line and page
+//! size, Table 1 latencies, message sizes) is constants:
+//! [`pimdsm_mem::addr`] and [`LAT`](crate::LAT)/[`MSG`].
 //! [`Fabric`] owns that substrate once, so a protocol file holds only its
 //! state machine (directory entries and per-node stores) and walks
 //! transactions over the shared [`Txn`](crate::txn::Txn) steps.
@@ -17,11 +19,11 @@
 use std::collections::BTreeMap;
 
 use pimdsm_engine::{Cycle, Server, ServerGrant};
-use pimdsm_mem::{Line, Page, PageTable};
+use pimdsm_mem::{page_of_line, Line, Page, PageTable};
 use pimdsm_net::Network;
 use pimdsm_obs::{EpochProbe, Event, Tracer};
 
-use crate::common::{HandlerCosts, HandlerKind, LatencyCfg, MsgSize, NodeId, NodeSet, ProtoStats};
+use crate::common::{HandlerCosts, HandlerKind, NodeId, NodeSet, ProtoStats, MSG};
 
 /// The trace event of a handler occupancy span.
 fn handler_event(kind: HandlerKind) -> Event {
@@ -34,17 +36,9 @@ fn handler_event(kind: HandlerKind) -> Event {
 }
 
 /// The substrate shared by every protocol: homing, interconnect, handler
-/// costs, message sizing, statistics and tracing.
+/// costs, statistics and tracing.
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    /// Line size shift (lines are `1 << line_shift` bytes).
-    pub line_shift: u32,
-    /// Page size shift (pages are `1 << page_shift` bytes).
-    pub page_shift: u32,
-    /// Uncontended latency card (Table 1).
-    pub lat: LatencyCfg,
-    /// Interconnect message sizing.
-    pub msg: MsgSize,
     /// Protocol handler cost table (Table 2).
     pub handler: HandlerCosts,
     /// Page → home-node map (first-touch or interleaved, per protocol).
@@ -70,21 +64,10 @@ pub struct Fabric {
 
 impl Fabric {
     /// Assembles a fabric over a prebuilt network.
-    pub fn new(
-        line_shift: u32,
-        page_shift: u32,
-        lat: LatencyCfg,
-        msg: MsgSize,
-        handler: HandlerCosts,
-        net: Network,
-    ) -> Self {
+    pub fn new(handler: HandlerCosts, net: Network) -> Self {
         Fabric {
-            line_shift,
-            page_shift,
-            lat,
-            msg,
             handler,
-            pages: PageTable::new(page_shift),
+            pages: PageTable::new(),
             net,
             stats: ProtoStats::default(),
             tracer: Tracer::disabled(),
@@ -95,31 +78,6 @@ impl Fabric {
         }
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        1u64 << self.line_shift
-    }
-
-    /// Lines per page.
-    pub fn lines_per_page(&self) -> u64 {
-        1u64 << (self.page_shift - self.line_shift)
-    }
-
-    /// The page a line belongs to.
-    pub fn page_of(&self, line: Line) -> Page {
-        line >> (self.page_shift - self.line_shift)
-    }
-
-    /// Size in bytes of a control message.
-    pub fn msg_ctrl(&self) -> u32 {
-        self.msg.ctrl
-    }
-
-    /// Size in bytes of a data-bearing message (header plus one line).
-    pub fn msg_data(&self) -> u32 {
-        self.msg.data_header + (1u32 << self.line_shift)
-    }
-
     /// The home of a line that must already be mapped.
     ///
     /// # Panics
@@ -127,7 +85,7 @@ impl Fabric {
     /// Panics if the line's page has no home.
     pub fn mapped_home(&self, line: Line) -> NodeId {
         self.pages
-            .home(self.page_of(line))
+            .home(page_of_line(line))
             .expect("resident line must have a home")
     }
 
@@ -141,7 +99,7 @@ impl Fabric {
         n_nodes: usize,
         cap_pages: u64,
     ) -> NodeId {
-        let page = self.page_of(line);
+        let page = page_of_line(line);
         if let Some(home) = self.pages.home(page) {
             return home;
         }
@@ -248,7 +206,7 @@ impl Fabric {
         mut invalidate: impl FnMut(NodeId),
     ) -> Cycle {
         let mut done = at;
-        let ctrl_bytes = self.msg_ctrl();
+        let ctrl_bytes = MSG.ctrl;
         let (ack_lat, _) = self.handler.cost(HandlerKind::Acknowledgment, 0);
         for &k in targets {
             self.stats.invalidations += 1;

@@ -19,9 +19,9 @@
 //! All three are thin protocol walks over a shared three-layer substrate:
 //!
 //! 1. [`fabric`] — the per-node machinery every protocol owns one of:
-//!    mesh links, first-touch page table, handler cost table, message
-//!    sizes, central [`ProtoStats`], tracer. It also hosts the shared
-//!    *mechanisms* (handler dispatch, invalidation fan-out, first-touch
+//!    mesh links, first-touch page table, handler cost table, central
+//!    [`ProtoStats`], tracer. It also hosts the shared *mechanisms*
+//!    (handler dispatch, invalidation fan-out, first-touch
 //!    placement, the disk-fault and injection events that count
 //!    themselves) so the systems only encode protocol *policy*.
 //! 2. [`txn`] — the transaction-walk builder. [`txn::walk`] runs one memory
@@ -61,7 +61,7 @@ pub use check::{check_agg, check_coma, check_numa};
 pub use coma::{ComaCfg, ComaSystem};
 pub use common::{
     Access, AmState, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind,
-    LatencyCfg, Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind, ProtoStats,
+    LatencyCfg, Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind, ProtoStats, LAT, MSG,
 };
 pub use dnode::DNode;
 pub use fabric::Fabric;

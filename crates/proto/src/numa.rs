@@ -16,13 +16,16 @@
 
 use pimdsm_engine::{Cycle, Server, ServerGrant};
 use pimdsm_faults::{Durability, RecoveryStats};
-use pimdsm_mem::{line_of, CacheCfg, Dram, Line, OnChipLru, PagedMap, Residency};
+use pimdsm_mem::{
+    line_of, CacheCfg, Dram, Line, OnChipLru, PagedMap, Residency, LINES_PER_PAGE, LINE_BYTES,
+    LINE_TRANSFER,
+};
 use pimdsm_net::{Mesh, NetCfg, Network};
 use pimdsm_obs::breakdown::NETWORK;
 
 use crate::common::{
-    Access, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind, LatencyCfg,
-    Level, MsgSize, NodeId, NodeList, NodeSet, PreloadKind,
+    Access, CState, Census, CompactNode, ControllerKind, HandlerCosts, HandlerKind, Level, NodeId,
+    NodeList, NodeSet, PreloadKind, LAT, MSG,
 };
 use crate::fabric::Fabric;
 use crate::pnode::{PrivCaches, WriteProbe};
@@ -42,43 +45,27 @@ pub struct NumaCfg {
     pub node_mem_lines: u64,
     /// Of those, how many fit on chip.
     pub onchip_lines: u64,
-    /// Line size shift (64 B lines → 6).
-    pub line_shift: u32,
-    /// Page size shift (4 KiB pages → 12).
-    pub page_shift: u32,
-    /// Latency table.
-    pub lat: LatencyCfg,
-    /// Message sizes.
-    pub msg: MsgSize,
     /// Network timing (double-width links vs AGG, per Section 3).
     pub net: NetCfg,
     /// Directory controller costs (hardware: 70% of Table 2).
     pub handler: HandlerCosts,
-    /// Local memory port bandwidth, bytes/cycle.
-    pub mem_bytes_per_cycle: u64,
 }
 
 impl NumaCfg {
     /// A 32-node configuration with the paper's Table 1 parameters and
     /// the given per-application cache sizes / memory capacity.
     pub fn paper(nodes: usize, l1_kb: u64, l2_kb: u64, node_mem_lines: u64) -> Self {
-        let line_shift = 6;
         NumaCfg {
             nodes,
-            l1: CacheCfg::new(l1_kb * 1024, 1, line_shift),
-            l2: CacheCfg::new(l2_kb * 1024, 4, line_shift),
+            l1: CacheCfg::new(l1_kb * 1024, 1),
+            l2: CacheCfg::new(l2_kb * 1024, 4),
             node_mem_lines,
             onchip_lines: node_mem_lines / 2,
-            line_shift,
-            page_shift: 12,
-            lat: LatencyCfg::default(),
-            msg: MsgSize::default(),
             net: NetCfg {
                 bytes_per_cycle: 4,
                 ..NetCfg::default()
             },
             handler: HandlerCosts::paper(ControllerKind::Hardware),
-            mem_bytes_per_cycle: 32,
         }
     }
 }
@@ -119,38 +106,23 @@ impl NumaSystem {
     /// Builds an idle NUMA machine.
     pub fn new(cfg: NumaCfg) -> Self {
         assert!(cfg.nodes > 0 && cfg.nodes <= NodeSet::MAX_NODES);
-        let line_bytes = 1u64 << cfg.line_shift;
-        let transfer = line_bytes.div_ceil(cfg.mem_bytes_per_cycle);
         // Calibrate the DRAM device latency so the end-to-end local
         // round trip (L2 probe + device + line fill) lands on Table 1's
         // 37/57-cycle values.
-        let overhead = cfg.lat.l2 + cfg.lat.fill + transfer;
+        let overhead = LAT.l2 + LAT.fill + LINE_TRANSFER;
         let nodes = (0..cfg.nodes)
             .map(|_| NumaNode {
                 caches: PrivCaches::new(cfg.l1, cfg.l2),
                 onchip: OnChipLru::new(cfg.onchip_lines as usize),
-                mem_on: Dram::new(
-                    cfg.lat.mem_on.saturating_sub(overhead),
-                    cfg.mem_bytes_per_cycle,
-                ),
-                mem_off: Dram::new(
-                    cfg.lat.mem_off.saturating_sub(overhead),
-                    cfg.mem_bytes_per_cycle,
-                ),
+                mem_on: Dram::new(LAT.mem_on.saturating_sub(overhead)),
+                mem_off: Dram::new(LAT.mem_off.saturating_sub(overhead)),
             })
             .collect();
         let net = Network::new(Mesh::for_nodes(cfg.nodes), cfg.net);
-        let fab = Fabric::new(
-            cfg.line_shift,
-            cfg.page_shift,
-            cfg.lat,
-            cfg.msg,
-            cfg.handler,
-            net,
-        );
+        let fab = Fabric::new(cfg.handler, net);
         NumaSystem {
             ctrls: (0..cfg.nodes).map(|_| Server::new()).collect(),
-            dir: PagedMap::new(fab.lines_per_page()),
+            dir: PagedMap::new(),
             nodes,
             fab,
             cfg,
@@ -182,7 +154,7 @@ impl NumaSystem {
     /// Home of a line: first-touch with capacity spill to the
     /// least-loaded node.
     fn home_of(&mut self, line: Line, toucher: NodeId) -> NodeId {
-        let cap = self.cfg.node_mem_lines / self.fab.lines_per_page();
+        let cap = self.cfg.node_mem_lines / LINES_PER_PAGE;
         self.fab
             .first_touch_home(line, toucher, self.cfg.nodes, cap)
     }
@@ -194,11 +166,10 @@ impl NumaSystem {
 
     /// Local memory access at `node` (dir access overlapped).
     fn local_mem(&mut self, node: NodeId, line: Line, now: Cycle) -> Cycle {
-        let bytes = 1u64 << self.cfg.line_shift;
         let n = &mut self.nodes[node];
         match n.onchip.touch(line) {
-            Residency::OnChip => n.mem_on.access(now, bytes),
-            Residency::OffChip => n.mem_off.access(now, bytes),
+            Residency::OnChip => n.mem_on.access(now, LINE_BYTES),
+            Residency::OffChip => n.mem_off.access(now, LINE_BYTES),
         }
     }
 
@@ -217,8 +188,7 @@ impl NumaSystem {
                 if home == node {
                     self.local_mem(node, line, now);
                 } else {
-                    let bytes = self.fab.msg_data();
-                    let t = self.fab.net.send(node, home, bytes, now);
+                    let t = self.fab.net.send(node, home, MSG.data, now);
                     let g = self.dispatch(home, HandlerKind::WriteBack, 0, t);
                     self.local_mem(home, line, g.start);
                 }
@@ -245,7 +215,7 @@ impl NumaSystem {
     }
 
     fn read_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         if let Some(level) = self.nodes[node].caches.read_probe(line) {
             return cache_hit(&mut self.fab, level, now, true);
         }
@@ -256,12 +226,12 @@ impl NumaSystem {
 
     /// The steps of a read that missed the private caches.
     fn read_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2); // L1+L2 probe time before going out
+        tx.probe(LAT.l2); // L1+L2 probe time before going out
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
         let entry = self.dir.get(line).copied().unwrap_or_default();
-        let ctrl = self.fab.msg_ctrl();
-        let data = self.fab.msg_data();
+        let ctrl = MSG.ctrl;
+        let data = MSG.data;
 
         let level = if home == node {
             match entry.owner.map(CompactNode::get) {
@@ -335,14 +305,14 @@ impl NumaSystem {
             .get_or_insert_with(line, DirEntry::default)
             .sharers
             .insert(node);
-        tx.fill(&self.fab);
+        tx.fill();
         let victim = self.nodes[node].caches.fill(line, CState::Shared);
         self.handle_victim(node, victim, tx.at());
         level
     }
 
     fn write_walk(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         match self.nodes[node].caches.write_probe(line) {
             WriteProbe::Done(level) => cache_hit(&mut self.fab, level, now, false),
             WriteProbe::NeedUpgrade => walk(self, node, line, now, TxnKind::Write, |s, tx| {
@@ -356,7 +326,7 @@ impl NumaSystem {
 
     /// The steps of a write to a line the private caches hold shared.
     fn upgrade_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2);
+        tx.probe(LAT.l2);
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
         let entry = self.dir.get_or_insert_with(line, DirEntry::default);
@@ -364,7 +334,7 @@ impl NumaSystem {
         entry.sharers = NodeSet::singleton(node);
         entry.owner = Some(CompactNode::new(node));
         let n_inv = targets.len() as u32;
-        let ctrl = self.fab.msg_ctrl();
+        let ctrl = MSG.ctrl;
         let level = if home == node {
             let g = self.dispatch(home, HandlerKind::ReadExclusive, n_inv, tx.at());
             tx.handler(g);
@@ -382,20 +352,20 @@ impl NumaSystem {
             Level::Hop2
         };
         self.nodes[node].caches.mark_dirty(line);
-        tx.fill(&self.fab);
+        tx.fill();
         level
     }
 
     /// Read-exclusive: fetch the line with ownership.
     fn write_txn(&mut self, tx: &mut Txn, node: NodeId, line: Line) -> Level {
-        tx.probe(self.fab.lat.l2);
+        tx.probe(LAT.l2);
         let home = self.home_of(line, node);
         tx.await_recovery(&mut self.fab);
         let entry = self.dir.get(line).copied().unwrap_or_default();
         let targets = NodeList::sharers_except(&entry.sharers, node);
         let n_inv = targets.len() as u32;
-        let ctrl = self.fab.msg_ctrl();
-        let data = self.fab.msg_data();
+        let ctrl = MSG.ctrl;
+        let data = MSG.data;
 
         let level = if home == node {
             match entry.owner.map(CompactNode::get) {
@@ -459,7 +429,7 @@ impl NumaSystem {
         let e = self.dir.get_or_insert_with(line, DirEntry::default);
         e.sharers.clear();
         e.owner = Some(CompactNode::new(node));
-        tx.fill(&self.fab);
+        tx.fill();
         let victim = self.nodes[node].caches.fill(line, CState::Dirty);
         self.handle_victim(node, victim, tx.at());
         level
@@ -474,14 +444,14 @@ impl MemSystem for NumaSystem {
     fn read(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let a = self.read_walk(node, addr, now);
         #[cfg(feature = "coherence-oracle")]
-        crate::check::numa_line(self, line_of(addr, self.cfg.line_shift));
+        crate::check::numa_line(self, line_of(addr));
         a
     }
 
     fn write(&mut self, node: NodeId, addr: u64, now: Cycle) -> Access {
         let a = self.write_walk(node, addr, now);
         #[cfg(feature = "coherence-oracle")]
-        crate::check::numa_line(self, line_of(addr, self.cfg.line_shift));
+        crate::check::numa_line(self, line_of(addr));
         a
     }
 
@@ -557,14 +527,10 @@ impl MemSystem for NumaSystem {
             .pages
             .evacuate(node, |p| survivors[p as usize % survivors.len()]);
         rs.pages_rehomed += moved.len() as u64;
-        let lpp = self.fab.lines_per_page();
-        let line_transfer = self
-            .fab
-            .line_bytes()
-            .div_ceil(self.cfg.net.bytes_per_cycle * 4);
+        let line_transfer = LINE_BYTES.div_ceil(self.cfg.net.bytes_per_cycle * 4);
         let mut t = now;
         for (page, _nh) in moved {
-            t += self.fab.lat.am_tag_check + lpp * line_transfer;
+            t += LAT.am_tag_check + LINES_PER_PAGE * line_transfer;
             self.fab.mark_recovering(page, t);
             rs.recovery.record(t - now);
         }
@@ -576,7 +542,7 @@ impl MemSystem for NumaSystem {
     fn apply_rejoin(&mut self, node: NodeId, now: Cycle) -> Cycle {
         assert!(self.fab.dead.contains(node), "node {node} is not dead");
         self.fab.dead.remove(node);
-        now + self.fab.lat.disk
+        now + LAT.disk
     }
 
     fn census(&self) -> Census {
@@ -598,7 +564,7 @@ impl MemSystem for NumaSystem {
     }
 
     fn preload(&mut self, addr: u64, owner: NodeId, _kind: PreloadKind) {
-        let line = line_of(addr, self.cfg.line_shift);
+        let line = line_of(addr);
         // Plain memory backs everything: establishing the page home is
         // all the state NUMA needs (capacity spill included).
         self.home_of(line, owner);

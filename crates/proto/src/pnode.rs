@@ -2,9 +2,11 @@
 //! L1/L2 caches and, for AGG and COMA P-nodes, the attraction memory.
 
 use pimdsm_engine::Cycle;
-use pimdsm_mem::{AttractionMemory, CacheCfg, Dram, Line, Residency, SetAssocCache};
+use pimdsm_mem::{
+    AttractionMemory, CacheCfg, Dram, Line, Residency, SetAssocCache, LINE_BYTES, LINE_TRANSFER,
+};
 
-use crate::common::{AmState, CState, LatencyCfg, Level};
+use crate::common::{AmState, CState, Level, LAT};
 
 /// Attraction-memory replacement priority shared by AGG and COMA:
 /// invalid ways are free, then shared non-master lines, then master,
@@ -40,8 +42,8 @@ pub enum WriteProbe {
 /// use pimdsm_proto::{CState, Level, PrivCaches};
 ///
 /// let mut c = PrivCaches::new(
-///     CacheCfg::new(8 * 1024, 1, 6),
-///     CacheCfg::new(32 * 1024, 4, 6),
+///     CacheCfg::new(8 * 1024, 1),
+///     CacheCfg::new(32 * 1024, 4),
 /// );
 /// assert_eq!(c.read_probe(100), None);
 /// c.fill(100, CState::Shared);
@@ -58,17 +60,11 @@ impl PrivCaches {
     ///
     /// # Panics
     ///
-    /// Panics if L2 is smaller than L1 (inclusion would be impossible) or
-    /// the line sizes differ.
+    /// Panics if L2 is smaller than L1 (inclusion would be impossible).
     pub fn new(l1: CacheCfg, l2: CacheCfg) -> Self {
         assert!(
             l2.size_bytes() >= l1.size_bytes(),
             "inclusive L2 must be at least as large as L1"
-        );
-        assert_eq!(
-            l1.line_shift(),
-            l2.line_shift(),
-            "L1 and L2 must share a line size"
         );
         PrivCaches {
             l1: SetAssocCache::new(l1),
@@ -216,51 +212,19 @@ pub struct PNodeStore {
 }
 
 impl PNodeStore {
-    /// Builds a P-node store.
-    ///
-    /// `am_cfg` covers the *total* local memory; `onchip_lines` of it are
-    /// on chip. DRAM device latencies are derived from `lat_on`/`lat_off`
-    /// round trips minus the line transfer time.
-    pub fn new(
-        l1: CacheCfg,
-        l2: CacheCfg,
-        am_cfg: CacheCfg,
-        onchip_lines: usize,
-        lat_on: Cycle,
-        lat_off: Cycle,
-        mem_bytes_per_cycle: u64,
-    ) -> Self {
-        let line_bytes = 1u64 << am_cfg.line_shift();
-        let transfer = line_bytes.div_ceil(mem_bytes_per_cycle);
+    /// Builds a P-node store whose attraction memory `am_cfg` covers the
+    /// *total* local memory, `onchip_lines` of it on chip. The DRAM device
+    /// latencies are calibrated so the end-to-end local round trip (L2
+    /// probe + AM tag check + device + line transfer + fill) lands on
+    /// Table 1's `mem_on`/`mem_off` values.
+    pub fn calibrated(l1: CacheCfg, l2: CacheCfg, am_cfg: CacheCfg, onchip_lines: usize) -> Self {
+        let overhead = LAT.l2 + LAT.am_tag_check + LAT.fill + LINE_TRANSFER;
         PNodeStore {
             caches: PrivCaches::new(l1, l2),
             am: AttractionMemory::new(am_cfg, onchip_lines),
-            mem_on: Dram::new(lat_on.saturating_sub(transfer), mem_bytes_per_cycle),
-            mem_off: Dram::new(lat_off.saturating_sub(transfer), mem_bytes_per_cycle),
+            mem_on: Dram::new(LAT.mem_on.saturating_sub(overhead)),
+            mem_off: Dram::new(LAT.mem_off.saturating_sub(overhead)),
         }
-    }
-
-    /// Builds a store whose DRAM device latencies are calibrated so the
-    /// end-to-end local round trip (L2 probe + AM tag check + device +
-    /// fill) lands on the latency table's `mem_on`/`mem_off` values.
-    pub fn calibrated(
-        l1: CacheCfg,
-        l2: CacheCfg,
-        am_cfg: CacheCfg,
-        onchip_lines: usize,
-        lat: &LatencyCfg,
-        mem_bytes_per_cycle: u64,
-    ) -> Self {
-        let overhead = lat.l2 + lat.am_tag_check + lat.fill;
-        PNodeStore::new(
-            l1,
-            l2,
-            am_cfg,
-            onchip_lines,
-            lat.mem_on.saturating_sub(overhead),
-            lat.mem_off.saturating_sub(overhead),
-            mem_bytes_per_cycle,
-        )
     }
 
     /// Drops a line from the private caches only; a dirty cached copy
@@ -274,11 +238,11 @@ impl PNodeStore {
         }
     }
 
-    /// Times a local memory access that hit with the given residency.
-    pub fn mem_access(&mut self, residency: Residency, now: Cycle, bytes: u64) -> Cycle {
+    /// Times a local line access that hit with the given residency.
+    pub fn mem_access(&mut self, residency: Residency, now: Cycle) -> Cycle {
         match residency {
-            Residency::OnChip => self.mem_on.access(now, bytes),
-            Residency::OffChip => self.mem_off.access(now, bytes),
+            Residency::OnChip => self.mem_on.access(now, LINE_BYTES),
+            Residency::OffChip => self.mem_off.access(now, LINE_BYTES),
         }
     }
 
@@ -311,7 +275,7 @@ mod tests {
 
     fn caches() -> PrivCaches {
         // L1: 2 sets direct-mapped; L2: 4 sets 2-way (64 B lines).
-        PrivCaches::new(CacheCfg::new(128, 1, 6), CacheCfg::new(512, 2, 6))
+        PrivCaches::new(CacheCfg::new(128, 1), CacheCfg::new(512, 2))
     }
 
     #[test]
@@ -403,6 +367,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "inclusive")]
     fn l2_smaller_than_l1_rejected() {
-        PrivCaches::new(CacheCfg::new(512, 2, 6), CacheCfg::new(128, 1, 6));
+        PrivCaches::new(CacheCfg::new(512, 2), CacheCfg::new(128, 1));
     }
 }

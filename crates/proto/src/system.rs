@@ -57,11 +57,6 @@ pub trait MemSystem {
     /// panicking on the first invariant violation (see [`crate::check`]).
     fn check_coherence(&self);
 
-    /// Line size shift (lines are `1 << line_shift()` bytes).
-    fn line_shift(&self) -> u32 {
-        self.fabric().line_shift
-    }
-
     /// The nodes on which application threads run (all nodes for
     /// NUMA/COMA; the P-nodes for AGG).
     fn compute_nodes(&self) -> Vec<NodeId>;

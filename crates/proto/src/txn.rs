@@ -23,11 +23,11 @@
 //! result.
 
 use pimdsm_engine::{Cycle, ServerGrant};
-use pimdsm_mem::Line;
+use pimdsm_mem::{page_of_line, Line};
 use pimdsm_obs::breakdown::{CACHE, DRAM, HANDLER, NETWORK, QUEUE};
 use pimdsm_obs::Event;
 
-use crate::common::{Access, Level, NodeId};
+use crate::common::{Access, Level, NodeId, LAT};
 use crate::fabric::Fabric;
 use crate::system::MemSystem;
 
@@ -87,7 +87,7 @@ impl Txn {
     /// Pays the bounded retry wait if the walk's page is mid-recovery
     /// after a kill (see [`Fabric::retry_wait`]).
     pub fn await_recovery(&mut self, fab: &mut Fabric) {
-        let w = fab.retry_wait(self.node, fab.page_of(self.line), self.t);
+        let w = fab.retry_wait(self.node, page_of_line(self.line), self.t);
         if w > 0 {
             self.to(QUEUE, self.t + w);
         }
@@ -131,14 +131,14 @@ impl Txn {
     }
 
     /// A disk round trip for a paged-out or spilled line.
-    pub fn disk(&mut self, fab: &Fabric) -> Cycle {
-        let t = self.t + fab.lat.disk;
+    pub fn disk(&mut self) -> Cycle {
+        let t = self.t + LAT.disk;
         self.to(DRAM, t)
     }
 
     /// The line-fill overhead at the requestor.
-    pub fn fill(&mut self, fab: &Fabric) -> Cycle {
-        let t = self.t + fab.lat.fill;
+    pub fn fill(&mut self) -> Cycle {
+        let t = self.t + LAT.fill;
         self.to(CACHE, t)
     }
 
@@ -202,11 +202,11 @@ pub fn walk<S: MemSystem>(
 }
 
 /// The private-cache fast path: a hit at `level` costing that level's
-/// configured latency, recorded (for reads) without a trace span.
+/// Table 1 latency, recorded (for reads) without a trace span.
 pub fn cache_hit(fab: &mut Fabric, level: Level, now: Cycle, record: bool) -> Access {
     let lat = match level {
-        Level::L1 => fab.lat.l1,
-        _ => fab.lat.l2,
+        Level::L1 => LAT.l1,
+        _ => LAT.l2,
     };
     let mut comps = [0; 5];
     comps[CACHE] = lat;

@@ -4,7 +4,7 @@
 use pimdsm_mem::CacheCfg;
 use pimdsm_obs::Tracer;
 use pimdsm_proto::dnode::Master;
-use pimdsm_proto::{AggCfg, AggSystem, AmState, CompactNode, Level, MemSystem};
+use pimdsm_proto::{AggCfg, AggSystem, AmState, CompactNode, Level, MemSystem, LAT};
 
 fn sys(n_p: usize, n_d: usize, p_am_lines: u64, d_lines: u64) -> AggSystem {
     AggSystem::new(AggCfg::paper(n_p, n_d, 8, 32, p_am_lines, d_lines))
@@ -79,9 +79,9 @@ fn read_of_dirty_line_is_three_hops() {
 #[test]
 fn displaced_master_writes_back_home_no_injection() {
     let mut cfg = AggCfg::paper(2, 1, 8, 32, 4, 1024);
-    cfg.p_am = CacheCfg::new(64, 1, 6); // one-line AM forces displacement
-    cfg.l1 = CacheCfg::new(64, 1, 6);
-    cfg.l2 = CacheCfg::new(64, 1, 6);
+    cfg.p_am = CacheCfg::new(64, 1); // one-line AM forces displacement
+    cfg.l1 = CacheCfg::new(64, 1);
+    cfg.l2 = CacheCfg::new(64, 1);
     let mut s = AggSystem::new(cfg);
     let p = s.p_nodes()[0];
     let d = s.d_nodes()[0];
@@ -122,13 +122,67 @@ fn pageout_when_nothing_reclaimable() {
     cfg.dnode.shared_list_min = 8;
     cfg.dnode.reuse_shared_list = false;
     cfg.dnode.pageout_batch = 2;
-    cfg.dnode.lines_per_page = 64;
     let mut s = AggSystem::new(cfg);
     let p = s.p_nodes()[0];
     for i in 0..6u64 {
         s.read(p, i * 4096, i * 100_000);
     }
     assert!(s.stats().page_outs >= 1, "D-node paged out under pressure");
+}
+
+/// A system of `n_p` P-nodes with one-line memories and caches (every
+/// fill displaces the previous line) and one D-node of `d_lines` Data
+/// lines that never reclaims its SharedList, so a write-back that finds
+/// no free slot must page out.
+fn one_line_nodes(n_p: usize, d_lines: u64) -> AggSystem {
+    let mut cfg = AggCfg::paper(n_p, 1, 8, 32, 4, d_lines);
+    cfg.p_am = CacheCfg::new(64, 1);
+    cfg.l1 = CacheCfg::new(64, 1);
+    cfg.l2 = CacheCfg::new(64, 1);
+    cfg.dnode.reuse_shared_list = false;
+    AggSystem::new(cfg)
+}
+
+#[test]
+fn page_out_spares_the_page_of_the_walk_that_triggered_it() {
+    let mut s = one_line_nodes(2, 2);
+    let (p0, p1) = (s.p_nodes()[0], s.p_nodes()[1]);
+    // Pages 1 and 2 fill both Data slots; page 3 is dirty at p1 without
+    // a slot.
+    s.read(p0, 0x1000, 0);
+    s.read(p0, 0x2000, 100_000);
+    s.write(p1, 0x3000, 200_000);
+    // The write into page 1 displaces 0x3000 from p1, whose write-back
+    // must page out. Page 1 is the least recently served, and every page
+    // has a cached line, but the walk's own line is in page 1.
+    s.write(p1, 0x1040, 300_000);
+    s.check_coherence();
+    s.check_invariants();
+    assert_eq!(s.stats().page_outs, 1);
+    assert_eq!(s.am_state(p1, 0x41), Some(AmState::Dirty));
+    let d = s.d_nodes()[0];
+    assert!(s.dnode(d).entry(0x80).unwrap().paged_out, "page 2 went");
+    assert!(
+        s.dnode(d).entry(0xC0).unwrap().in_mem,
+        "0x3000 was taken in"
+    );
+}
+
+#[test]
+fn write_back_spills_to_disk_when_only_the_walks_page_is_left() {
+    let mut s = one_line_nodes(1, 1);
+    let p = s.p_nodes()[0];
+    // Page 1 is dirty at p without a slot.
+    s.write(p, 0x1000, 0);
+    // The read takes the only Data slot and displaces 0x1000. Paging out
+    // page 1 frees nothing, and page 2 holds the walk's own line.
+    s.read(p, 0x2000, 100_000);
+    s.check_coherence();
+    s.check_invariants();
+    assert_eq!(s.stats().disk_spills, 1);
+    assert_eq!(s.am_state(p, 0x80), Some(AmState::SharedMaster));
+    let d = s.d_nodes()[0];
+    assert!(s.dnode(d).entry(0x40).unwrap().paged_out);
 }
 
 /// A 2P/1D system whose single D-node has paged lines out to disk, and
@@ -162,7 +216,7 @@ fn disk_fault_on_paged_out_line() {
     let a = s.read(p1, addr, 10_000_000);
     assert_eq!(s.stats().disk_faults, faults_before + 1);
     assert!(
-        a.done_at - 10_000_000 >= s.cfg().lat.disk,
+        a.done_at - 10_000_000 >= LAT.disk,
         "disk fault pays the disk latency"
     );
 }

@@ -3,7 +3,7 @@
 
 use pimdsm_mem::CacheCfg;
 use pimdsm_obs::Tracer;
-use pimdsm_proto::{AmState, ComaCfg, ComaSystem, CompactNode, Level, MemSystem};
+use pimdsm_proto::{AmState, ComaCfg, ComaSystem, CompactNode, Level, MemSystem, LAT};
 
 fn sys(am_lines: u64) -> ComaSystem {
     ComaSystem::new(ComaCfg::paper(4, 8, 32, am_lines))
@@ -120,7 +120,7 @@ fn local_home_upgrade_emits_no_remote_span() {
 fn replacement_prefers_shared_over_master() {
     let mut cfg = ComaCfg::paper(2, 8, 32, 4);
     // Two-line, 2-way AM: the third distinct line forces a replacement.
-    cfg.am = CacheCfg::new(2 * 64, 2, 6);
+    cfg.am = CacheCfg::new(2 * 64, 2);
     let mut s = ComaSystem::new(cfg);
     s.write(0, 0, 0); // line 0: Dirty (master) at 0
     s.read(1, 64, 0); // line 1: master at 1
@@ -135,9 +135,9 @@ fn replacement_prefers_shared_over_master() {
 #[test]
 fn master_replacement_injects() {
     let mut cfg = ComaCfg::paper(3, 8, 32, 4);
-    cfg.am = CacheCfg::new(64, 1, 6); // one-line AM
-    cfg.l1 = CacheCfg::new(64, 1, 6);
-    cfg.l2 = CacheCfg::new(64, 1, 6);
+    cfg.am = CacheCfg::new(64, 1); // one-line AM
+    cfg.l1 = CacheCfg::new(64, 1);
+    cfg.l2 = CacheCfg::new(64, 1);
     let mut s = ComaSystem::new(cfg);
     s.write(0, 0, 0); // line 0 dirty at node 0
     s.write(0, 64, 1000); // displaces line 0 -> inject
@@ -155,9 +155,9 @@ fn master_replacement_injects() {
 #[test]
 fn forced_injection_spills_displaced_master_to_disk() {
     let mut cfg = ComaCfg::paper(2, 8, 32, 4);
-    cfg.am = CacheCfg::new(64, 1, 6);
-    cfg.l1 = CacheCfg::new(64, 1, 6);
-    cfg.l2 = CacheCfg::new(64, 1, 6);
+    cfg.am = CacheCfg::new(64, 1);
+    cfg.l1 = CacheCfg::new(64, 1);
+    cfg.l2 = CacheCfg::new(64, 1);
     cfg.injection_max_tries = 1;
     let mut s = ComaSystem::new(cfg);
     s.write(0, 0, 0); // node 0 holds line 0 dirty
@@ -174,7 +174,7 @@ fn forced_injection_spills_displaced_master_to_disk() {
     assert!(s.dir_entry(1).expect("entry").on_disk);
     // Reading the spilled line pays the disk fault.
     let a = s.read(0, 64, 1_000_000);
-    assert!(a.done_at - 1_000_000 >= s.cfg().lat.disk);
+    assert!(a.done_at - 1_000_000 >= LAT.disk);
     assert_eq!(s.stats().disk_faults, 1);
 }
 

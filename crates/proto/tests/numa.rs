@@ -158,9 +158,7 @@ fn census_counts_states() {
 #[test]
 fn first_touch_spills_when_node_full() {
     // Tiny memory: 64 lines per node = 1 page of 64 lines.
-    let mut cfg = NumaCfg::paper(2, 8, 32, 64);
-    cfg.page_shift = 12;
-    let mut s = NumaSystem::new(cfg);
+    let mut s = NumaSystem::new(NumaCfg::paper(2, 8, 32, 64));
     s.read(0, 0, 0); // page 0 -> node 0 (fills its 1-page capacity)
     s.read(0, 0x1000, 100); // page 1 must spill to node 1
     assert_eq!(s.fabric().pages.home(0), Some(0));

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 
+use pimdsm_engine::SimRng;
 use pimdsm_proto::{
     AggCfg, AggSystem, ComaCfg, ComaSystem, MemSystem, NodeSet, NumaCfg, NumaSystem,
 };
@@ -15,6 +16,28 @@ use pimdsm_proto::{
 enum Access {
     Read { node: usize, line: u64 },
     Write { node: usize, line: u64 },
+}
+
+/// Four P-nodes with 16-line memories and two D-nodes with 32-line Data
+/// arrays, against traffic over 512 lines (eight pages, four homed at
+/// each D-node): SharedList reclaim, master fetches, page-out and disk
+/// faults all run.
+fn paging_agg() -> AggSystem {
+    let mut cfg = AggCfg::paper(4, 2, 1, 1, 16, 32);
+    cfg.dnode.shared_list_min = 2;
+    AggSystem::new(cfg)
+}
+
+/// Performs `op` on `sys`'s P-nodes at `t`, then checks the D-node
+/// structures and every line's coherence.
+fn agg_step(sys: &mut AggSystem, op: Access, t: u64) {
+    let p = sys.p_nodes().to_vec();
+    match op {
+        Access::Read { node, line } => sys.read(p[node], line * 64, t),
+        Access::Write { node, line } => sys.write(p[node], line * 64, t),
+    };
+    sys.check_invariants();
+    sys.check_coherence();
 }
 
 fn accesses(nodes: usize, lines: u64) -> impl Strategy<Value = Vec<Access>> {
@@ -33,29 +56,14 @@ fn accesses(nodes: usize, lines: u64) -> impl Strategy<Value = Vec<Access>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of reads and writes leaves the AGG D-node
-    /// structures (FreeList/SharedList/directory) consistent, and the
-    /// directory agrees with the P-node attraction memories.
+    /// Any interleaving of reads and writes, paging included, leaves the
+    /// AGG D-node structures (FreeList/SharedList/directory) consistent
+    /// and every line coherent after every access.
     #[test]
-    fn agg_invariants_under_random_traffic(ops in accesses(4, 64)) {
-        // Small D-memory so SharedList reclaim and page-out also trigger.
-        let mut cfg = AggCfg::paper(4, 2, 8, 32, 256, 48);
-        cfg.dnode.lines_per_page = 8;
-        cfg.dnode.shared_list_min = 2;
-        let mut sys = AggSystem::new(cfg);
-        let p_nodes: Vec<usize> = sys.p_nodes().to_vec();
-        let mut t = 0;
-        for op in ops {
-            t += 500;
-            match op {
-                Access::Read { node, line } => {
-                    sys.read(p_nodes[node], line * 64, t);
-                }
-                Access::Write { node, line } => {
-                    sys.write(p_nodes[node], line * 64, t);
-                }
-            }
-            sys.check_invariants();
+    fn agg_invariants_under_random_traffic(ops in accesses(4, 512)) {
+        let mut sys = paging_agg();
+        for (i, op) in ops.into_iter().enumerate() {
+            agg_step(&mut sys, op, 500 * (i as u64 + 1));
         }
         // Census is consistent with the directory contents.
         let c = sys.census();
@@ -135,4 +143,26 @@ proptest! {
         let collected: std::collections::HashSet<usize> = s.iter().collect();
         prop_assert_eq!(collected, model);
     }
+}
+
+/// The property test's shape really pages: one fixed stream of its kind
+/// recalls masters, pages out and faults pages back in, coherent after
+/// every access.
+#[test]
+fn paging_shape_pages_out_and_faults_back_in() {
+    let mut sys = paging_agg();
+    let mut rng = SimRng::new(7);
+    for i in 0..1_000u64 {
+        let (node, line) = (rng.index(4), rng.range(0, 512));
+        let op = if rng.chance(0.5) {
+            Access::Write { node, line }
+        } else {
+            Access::Read { node, line }
+        };
+        agg_step(&mut sys, op, 500 * (i + 1));
+    }
+    let s = sys.stats();
+    assert!(s.page_outs > 0, "no page-out");
+    assert!(s.disk_faults > 0, "no disk fault");
+    assert!(s.master_fetches > 0, "no master fetch");
 }

@@ -52,7 +52,7 @@ impl Bfs {
     /// Panics if `threads` or `verts` is zero.
     pub fn new(threads: usize, verts: u64, expansions_per_thread: u64) -> Self {
         assert!(threads > 0 && verts > 0);
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let row = l.alloc((verts + 1) * 8);
         let col = l.alloc(verts * BFS_DEG * 8);
         let visited = l.alloc(verts);
@@ -186,7 +186,7 @@ impl PageRank {
     /// Panics if `threads`, `verts` or `iters` is zero.
     pub fn new(threads: usize, verts: u64, iters: u64) -> Self {
         assert!(threads > 0 && verts > 0 && iters > 0);
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let col = l.alloc(verts * PR_DEG * 8);
         let rank_old = l.alloc(verts * 8);
         let rank_new = l.alloc(verts * 8);

@@ -63,7 +63,7 @@ impl KvStore {
     ) -> Self {
         assert!(threads > 0 && keys > 0);
         assert!(write_pct <= 100, "write_pct is a percentage");
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let index = l.alloc(keys * 8);
         let values = l.alloc(keys * VAL_BYTES);
         KvStore {

@@ -49,7 +49,7 @@ impl Stream {
             table_bytes >= threads as u64 * CHUNK_BYTES,
             "table too small for {threads} threads"
         );
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let table = l.alloc(table_bytes);
         let join = l.alloc((table_bytes / 8).max(64 * 1024));
         let results = l.alloc_per_thread(threads, (table_bytes / threads as u64 / 16).max(4096));

@@ -40,7 +40,7 @@ impl Barnes {
         let body_bytes = 128;
         let tree_cells = (bodies / 2).max(256);
         let cell_bytes = 64;
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let bodies_region = l.alloc(bodies * body_bytes);
         let tree = l.alloc(tree_cells * cell_bytes);
         Barnes {

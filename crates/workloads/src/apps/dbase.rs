@@ -63,7 +63,7 @@ impl Dbase {
             table_bytes >= threads as u64 * chunk_bytes,
             "tables too small for {threads} threads"
         );
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let scan_table = l.alloc(table_bytes);
         let join_table = l.alloc(table_bytes);
         let hash = l.alloc((table_bytes / 16).max(64 * 1024));

@@ -42,7 +42,7 @@ impl Fft {
             "FFT of {points} points cannot feed {threads} threads"
         );
         let point_bytes = 16;
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let data = l.alloc(points * point_bytes);
         let scratch = l.alloc(points * point_bytes);
         let roots = l.alloc(points * point_bytes / 2);

@@ -64,7 +64,7 @@ impl Stencil {
             "more threads ({threads}) than rows ({})",
             cfg.rows
         );
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let arrays: Vec<Region> = (0..cfg.arrays)
             .map(|_| l.alloc(cfg.rows * cfg.row_bytes))
             .collect();

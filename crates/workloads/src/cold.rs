@@ -13,6 +13,8 @@
 //! active:mapped ratio without simulating initialization traffic the
 //! paper also excludes from its measurement window.
 
+use pimdsm_mem::PAGE_BYTES;
+
 use crate::layout::Region;
 use crate::ops::{PreloadRegion, ThreadGen, Workload};
 
@@ -32,9 +34,9 @@ impl WithColdData {
     pub fn new(inner: Box<dyn Workload>, factor: f64) -> Self {
         assert!(factor.is_finite() && factor >= 0.0, "bad cold factor");
         let base = inner.footprint_bytes();
-        let cold_bytes = ((base as f64 * factor) as u64).div_ceil(4096) * 4096;
+        let cold_bytes = ((base as f64 * factor) as u64).div_ceil(PAGE_BYTES) * PAGE_BYTES;
         // Leave a guard page between the inner layout and the cold region.
-        let cold_base = base.div_ceil(4096) * 4096 + 4096;
+        let cold_base = base.div_ceil(PAGE_BYTES) * PAGE_BYTES + PAGE_BYTES;
         let participants = (0..inner.threads())
             .filter(|&t| !inner.delayed_start(t))
             .count();

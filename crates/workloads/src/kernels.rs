@@ -20,7 +20,7 @@ impl PrivateStream {
     /// `bytes_per_thread` of private data, swept `passes` times.
     pub fn new(threads: usize, bytes_per_thread: u64, passes: u32) -> Self {
         assert!(threads > 0);
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let regions = l.alloc_per_thread(threads, bytes_per_thread);
         PrivateStream {
             threads,
@@ -93,7 +93,7 @@ impl HotSpot {
     /// `lines` shared lines, `writes_per_thread` scattered writes each.
     pub fn new(threads: usize, lines: u64, writes_per_thread: u64) -> Self {
         assert!(threads > 0 && lines > 0);
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let region = l.alloc(lines * 64);
         HotSpot {
             threads,
@@ -162,7 +162,7 @@ impl SharedRead {
     /// `bytes` of shared data, `reads_per_thread` random reads each.
     pub fn new(threads: usize, bytes: u64, reads_per_thread: u64) -> Self {
         assert!(threads > 0 && bytes >= 64);
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let region = l.alloc(bytes);
         SharedRead {
             threads,

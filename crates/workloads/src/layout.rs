@@ -1,5 +1,7 @@
 //! Address-space layout for workload data structures.
 
+use pimdsm_mem::PAGE_BYTES;
+
 /// A named contiguous byte range of the shared address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
@@ -64,33 +66,30 @@ impl Region {
 /// ```
 /// use pimdsm_workloads::Layout;
 ///
-/// let mut l = Layout::new(12);
+/// let mut l = Layout::new();
 /// let keys = l.alloc(100_000);
 /// let hist = l.alloc(4096);
 /// assert_eq!(keys.base() % 4096, 0);
 /// assert_eq!(hist.base() % 4096, 0);
 /// assert!(hist.base() >= keys.base() + keys.bytes());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Layout {
-    next: u64,
-    page_bytes: u64,
+    /// Bytes allocated so far, page padding included.
+    footprint: u64,
 }
 
 impl Layout {
-    /// Creates an empty layout with `1 << page_shift`-byte pages.
-    pub fn new(page_shift: u32) -> Self {
-        Layout {
-            next: 1 << page_shift, // leave page 0 unused
-            page_bytes: 1 << page_shift,
-        }
+    /// Creates an empty layout. Page 0 stays unused, so the first region
+    /// starts at [`PAGE_BYTES`].
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Allocates a page-aligned region of at least `bytes`.
     pub fn alloc(&mut self, bytes: u64) -> Region {
-        let base = self.next;
-        let rounded = bytes.div_ceil(self.page_bytes) * self.page_bytes;
-        self.next += rounded.max(self.page_bytes);
+        let base = PAGE_BYTES + self.footprint;
+        self.footprint += bytes.div_ceil(PAGE_BYTES).max(1) * PAGE_BYTES;
         Region { base, bytes }
     }
 
@@ -102,7 +101,7 @@ impl Layout {
 
     /// Total bytes allocated (footprint), including alignment padding.
     pub fn footprint(&self) -> u64 {
-        self.next - self.page_bytes
+        self.footprint
     }
 }
 
@@ -112,7 +111,7 @@ mod tests {
 
     #[test]
     fn regions_do_not_overlap() {
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let a = l.alloc(5000);
         let b = l.alloc(100);
         assert!(a.base() + 5000 <= b.base());
@@ -121,7 +120,7 @@ mod tests {
 
     #[test]
     fn footprint_counts_padding() {
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         l.alloc(1); // one page
         l.alloc(4097); // two pages
         assert_eq!(l.footprint(), 3 * 4096);
@@ -129,7 +128,7 @@ mod tests {
 
     #[test]
     fn elem_addresses() {
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let r = l.alloc(1024);
         assert_eq!(r.elem(3, 8), r.base() + 24);
     }
@@ -137,13 +136,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside region")]
     fn at_checks_bounds() {
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         l.alloc(16).at(16);
     }
 
     #[test]
     fn split_partitions_region() {
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let r = l.alloc(1000);
         let total: u64 = (0..4).map(|i| r.split(4, i).bytes()).sum();
         assert_eq!(total, 1000);
@@ -152,7 +151,7 @@ mod tests {
 
     #[test]
     fn per_thread_allocs_are_page_separated() {
-        let mut l = Layout::new(12);
+        let mut l = Layout::new();
         let rs = l.alloc_per_thread(4, 100);
         for w in rs.windows(2) {
             assert!(w[1].base() >= w[0].base() + 4096);
