@@ -52,8 +52,6 @@ impl ArchSpec {
 pub struct MachineCfg {
     /// Application threads (= compute nodes).
     pub threads: usize,
-    /// Memory pressure (footprint / total DRAM).
-    pub pressure: f64,
     /// Total machine DRAM, in lines.
     pub total_mem_lines: u64,
     /// L1 size in bytes after clamping.
@@ -97,7 +95,6 @@ pub fn resolve(workload: &dyn Workload, pressure: f64) -> MachineCfg {
 
     MachineCfg {
         threads,
-        pressure,
         total_mem_lines: total,
         l1_bytes,
         l2_bytes,
@@ -129,7 +126,6 @@ impl MachineCfg {
         cfg.l1 = self.l1();
         cfg.l2 = self.l2();
         cfg.am = CacheCfg::new(node_lines * LINE_BYTES, 4).with_hashed_index();
-        cfg.onchip_lines = node_lines / 2;
         cfg
     }
 

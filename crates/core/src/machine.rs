@@ -34,6 +34,13 @@ const HIDDEN_LATENCY: Cycle = 6;
 /// Cost of leaving a barrier once released.
 const BARRIER_EXIT: Cycle = 40;
 
+/// Reconfiguration base cost: setup, synchronization, decision making.
+const RECONFIG_BASE: Cycle = 100_000;
+/// Reconfiguration page-mapping update cost per 10 pages moved.
+const RECONFIG_PER_10_PAGES: Cycle = 1_000;
+/// Reconfiguration TLB update cost per P-node processor.
+const RECONFIG_TLB_PER_P: Cycle = 1_000;
+
 /// A dynamic reconfiguration order (Figure 10-(a)): at the workload's
 /// reconfiguration barrier, change the machine to `target_p` P-nodes and
 /// `target_d` D-nodes.
@@ -43,25 +50,13 @@ pub struct ReconfigPlan {
     pub target_p: usize,
     /// D-node count after reconfiguration.
     pub target_d: usize,
-    /// Base cost: setup, synchronization, decision making.
-    pub base_cycles: Cycle,
-    /// Page-mapping update cost per 10 pages moved.
-    pub per_10_pages: Cycle,
-    /// TLB update cost per P-node processor.
-    pub tlb_per_p: Cycle,
 }
 
 impl ReconfigPlan {
-    /// The paper's overhead model: 100,000 base cycles, 1,000 per 10
-    /// pages, 1,000 per P-node TLB update.
+    /// A plan charged the paper's overhead model: 100,000 base cycles,
+    /// 1,000 per 10 pages moved, 1,000 per P-node TLB update.
     pub fn paper(target_p: usize, target_d: usize) -> Self {
-        ReconfigPlan {
-            target_p,
-            target_d,
-            base_cycles: 100_000,
-            per_10_pages: 1_000,
-            tlb_per_p: 1_000,
-        }
+        ReconfigPlan { target_p, target_d }
     }
 }
 
@@ -852,7 +847,7 @@ impl Machine {
             // no node converts and no overhead is charged.
             return now;
         }
-        let mut t = now + plan.base_cycles;
+        let mut t = now + RECONFIG_BASE;
         let mut pages_moved = 0u64;
 
         if plan.target_p > cur_p {
@@ -901,8 +896,8 @@ impl Machine {
             }
         }
 
-        t += pages_moved.div_ceil(10) * plan.per_10_pages;
-        t += plan.tlb_per_p * plan.target_p as Cycle;
+        t += pages_moved.div_ceil(10) * RECONFIG_PER_10_PAGES;
+        t += RECONFIG_TLB_PER_P * plan.target_p as Cycle;
         self.tracer.span(
             Event::Reconfig,
             0,

@@ -47,7 +47,7 @@ pub use arrival::ArrivalGen;
 pub use queue::EventQueue;
 pub use resource::{Server, ServerGrant, Timeline};
 pub use rng::{SimRng, Zipf};
-pub use stats::{Histogram, RunningStats};
+pub use stats::Histogram;
 
 /// Simulated time, in CPU cycles of the modeled 1 GHz processors.
 pub type Cycle = u64;

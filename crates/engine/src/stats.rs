@@ -206,127 +206,6 @@ impl Histogram {
     }
 }
 
-/// Running mean/min/max/variance without storing samples.
-///
-/// Uses Welford's online algorithm, so the variance is numerically stable
-/// even for long runs of large cycle counts, and two collectors can be
-/// [merged](RunningStats::merge) exactly (Chan et al.'s parallel update).
-///
-/// # Examples
-///
-/// ```
-/// use pimdsm_engine::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// s.add(2.0);
-/// s.add(4.0);
-/// assert_eq!(s.mean(), 3.0);
-/// assert_eq!(s.min(), 2.0);
-/// assert_eq!(s.max(), 4.0);
-/// assert_eq!(s.variance(), 1.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample (Welford update).
-    pub fn add(&mut self, v: f64) {
-        self.n += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0.0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0.0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another collector into this one.
-    ///
-    /// The result is identical (up to floating-point rounding) to having
-    /// fed every sample into a single collector, using Chan et al.'s
-    /// parallel combination of Welford states.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,78 +332,5 @@ mod tests {
         assert_eq!(h.percentile(100.0), 31.0);
         let p50 = h.percentile(50.0);
         assert!((16.0..=31.0).contains(&p50));
-    }
-
-    #[test]
-    fn running_stats_empty_is_zero() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_tracks_extremes() {
-        let mut s = RunningStats::new();
-        for v in [5.0, -1.0, 9.0, 3.0] {
-            s.add(v);
-        }
-        assert_eq!(s.min(), -1.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_variance_matches_direct_formula() {
-        let samples = [3.0_f64, 7.0, 7.0, 19.0, 24.0, 1.0, 100.0];
-        let mut s = RunningStats::new();
-        for v in samples {
-            s.add(v);
-        }
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var =
-            samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / samples.len() as f64;
-        assert!((s.mean() - mean).abs() < 1e-9);
-        assert!((s.variance() - var).abs() < 1e-9);
-        assert!((s.std_dev() - var.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential_feed() {
-        let xs = [2.0_f64, 4.0, 4.0, 4.0, 5.0];
-        let ys = [5.0_f64, 7.0, 9.0, 100.0];
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        let mut whole = RunningStats::new();
-        for v in xs {
-            a.add(v);
-            whole.add(v);
-        }
-        for v in ys {
-            b.add(v);
-            whole.add(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.add(3.0);
-        a.add(5.0);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 }

@@ -475,6 +475,8 @@ pub fn compare(current: &BenchDoc, baseline: &BenchDoc, threshold: f64) -> Compa
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use crate::suites::find;
     use pimdsm_workloads::Scale;
@@ -486,8 +488,13 @@ mod tests {
         }
     }
 
-    fn smoke_result() -> BenchResult {
-        measure_suite(find("smoke").unwrap(), &ctx(), 2, 2, false).unwrap()
+    /// One smoke measurement shared by every test that reads it:
+    /// `measure_suite` resets the process-wide profiler tallies, so two
+    /// measurements on parallel test threads would corrupt each other's
+    /// allocation deltas.
+    fn smoke_result() -> &'static BenchResult {
+        static RESULT: OnceLock<BenchResult> = OnceLock::new();
+        RESULT.get_or_init(|| measure_suite(find("smoke").unwrap(), &ctx(), 2, 2, false).unwrap())
     }
 
     #[test]

@@ -16,4 +16,4 @@ pub mod mesh;
 pub mod network;
 
 pub use mesh::{Coord, Mesh};
-pub use network::{NetCfg, NetStats, Network};
+pub use network::{NetCfg, NetStats, Network, EJECT_LATENCY, HOP_LATENCY, INJECT_LATENCY};

@@ -5,32 +5,29 @@ use pimdsm_obs::{Event, Tracer};
 
 use crate::mesh::Mesh;
 
+/// Head-flit latency per hop (router + wire), in cycles.
+pub const HOP_LATENCY: Cycle = 9;
+/// Fixed overhead to inject a message at the source NI, in cycles.
+pub const INJECT_LATENCY: Cycle = 10;
+/// Fixed overhead to deliver a message at the destination NI, in cycles.
+pub const EJECT_LATENCY: Cycle = 10;
+
 /// Network timing parameters.
 ///
 /// The paper: 2-byte-wide links cycling at 1 GHz for AGG (2 GB/s per link
-/// per direction); NUMA/COMA links are twice as wide. Router/hop latency
-/// and injection overhead are calibration knobs used to land Table 1's
+/// per direction); NUMA/COMA links are twice as wide. The per-hop,
+/// injection and ejection latencies are the constants [`HOP_LATENCY`],
+/// [`INJECT_LATENCY`] and [`EJECT_LATENCY`], which land Table 1's
 /// uncontended remote round trips.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetCfg {
     /// Link bandwidth in bytes per CPU cycle (2 for AGG, 4 for NUMA/COMA).
     pub bytes_per_cycle: u64,
-    /// Head-flit latency per hop (router + wire), in cycles.
-    pub hop_latency: Cycle,
-    /// Fixed overhead to inject a message at the source NI, in cycles.
-    pub inject_latency: Cycle,
-    /// Fixed overhead to deliver a message at the destination NI, in cycles.
-    pub eject_latency: Cycle,
 }
 
 impl Default for NetCfg {
     fn default() -> Self {
-        NetCfg {
-            bytes_per_cycle: 2,
-            hop_latency: 9,
-            inject_latency: 10,
-            eject_latency: 10,
-        }
+        NetCfg { bytes_per_cycle: 2 }
     }
 }
 
@@ -51,7 +48,7 @@ pub struct NetStats {
 ///
 /// Every directed link is a [`Timeline`]; a message books each link on its
 /// XY route for its serialization time, while the head pipelines at
-/// [`NetCfg::hop_latency`] per hop. Local (self) messages bypass the
+/// [`HOP_LATENCY`] per hop. Local (self) messages bypass the
 /// network entirely, as in the paper's node model.
 ///
 /// # Examples
@@ -136,7 +133,7 @@ impl Network {
         }
         let ser = (bytes as u64).div_ceil(self.cfg.bytes_per_cycle);
         let tracing = self.tracer.is_enabled();
-        let mut head = now + self.cfg.inject_latency;
+        let mut head = now + INJECT_LATENCY;
         let mut queueing = 0;
         for link in self.mesh.route(from, to) {
             let start = self.links[link].acquire(head, ser);
@@ -154,10 +151,10 @@ impl Network {
                     ],
                 );
             }
-            head = start + self.cfg.hop_latency;
+            head = start + HOP_LATENCY;
         }
         // The tail flit arrives one serialization time after the head.
-        let delivered = head + ser + self.cfg.eject_latency;
+        let delivered = head + ser + EJECT_LATENCY;
         self.tracer.instant(
             Event::NetDeliver,
             self.links.len() as u32,
@@ -184,7 +181,7 @@ impl Network {
         }
         let ser = (bytes as u64).div_ceil(self.cfg.bytes_per_cycle);
         let hops = self.mesh.hops(from, to) as u64;
-        self.cfg.inject_latency + hops * self.cfg.hop_latency + ser + self.cfg.eject_latency
+        INJECT_LATENCY + hops * HOP_LATENCY + ser + EJECT_LATENCY
     }
 
     /// Aggregate statistics so far.
@@ -303,13 +300,7 @@ mod tests {
     #[test]
     fn wider_links_are_faster() {
         let narrow = Network::new(Mesh::new(4, 4), NetCfg::default());
-        let wide = Network::new(
-            Mesh::new(4, 4),
-            NetCfg {
-                bytes_per_cycle: 4,
-                ..NetCfg::default()
-            },
-        );
+        let wide = Network::new(Mesh::new(4, 4), NetCfg { bytes_per_cycle: 4 });
         assert!(wide.ideal_latency(0, 15, 256) < narrow.ideal_latency(0, 15, 256));
     }
 
@@ -430,14 +421,14 @@ mod tests {
                     continue;
                 }
                 let ser = (bytes as u64).div_ceil(cfg.bytes_per_cycle);
-                let mut head = now + cfg.inject_latency;
+                let mut head = now + INJECT_LATENCY;
                 let mut queueing = 0;
                 for link in reference_route(&mesh, from, to) {
                     let start = links[link].acquire(head, ser);
                     queueing += start - head;
-                    head = start + cfg.hop_latency;
+                    head = start + HOP_LATENCY;
                 }
-                let delivered = head + ser + cfg.eject_latency;
+                let delivered = head + ser + EJECT_LATENCY;
                 assert_eq!(got, delivered, "{cols}x{rows} mesh, {from}->{to} at {now}");
                 want.messages += 1;
                 want.bytes += bytes as u64;

@@ -7,7 +7,7 @@
 //! cycles into per-epoch time-series ([`EpochSeries`]), differencing
 //! cumulative counters so each point is the activity *within* the window.
 
-use pimdsm_engine::{Cycle, RunningStats};
+use pimdsm_engine::Cycle;
 
 /// Point-in-time snapshot of cumulative system counters.
 ///
@@ -45,8 +45,6 @@ impl EpochProbe {
 pub struct Series {
     pub name: String,
     pub points: Vec<f64>,
-    /// Summary statistics over the points.
-    pub stats: RunningStats,
 }
 
 impl Series {
@@ -54,13 +52,22 @@ impl Series {
         Series {
             name: name.into(),
             points: Vec::new(),
-            stats: RunningStats::new(),
         }
     }
 
-    fn push(&mut self, v: f64) {
-        self.points.push(v);
-        self.stats.add(v);
+    /// Mean of the points (0.0 if empty), accumulated incrementally in
+    /// point order.
+    fn mean(&self) -> f64 {
+        let mut mean = 0.0;
+        for (i, &v) in self.points.iter().enumerate() {
+            mean += (v - mean) / (i + 1) as f64;
+        }
+        mean
+    }
+
+    /// Largest point (0.0 if empty).
+    fn max(&self) -> f64 {
+        self.points.iter().copied().reduce(f64::max).unwrap_or(0.0)
     }
 }
 
@@ -106,8 +113,8 @@ impl crate::json::ToJson for EpochSeries {
                             "points",
                             JsonValue::arr(s.points.iter().map(|&p| JsonValue::num(p))),
                         ),
-                        ("mean", JsonValue::num(s.stats.mean())),
-                        ("max", JsonValue::num(s.stats.max())),
+                        ("mean", JsonValue::num(s.mean())),
+                        ("max", JsonValue::num(s.max())),
                     ])
                 })),
             ),
@@ -209,7 +216,7 @@ impl EpochSampler {
             d_msgs as f64,
         ];
         for (series, v) in self.out.series.iter_mut().zip(values) {
-            series.push(v);
+            series.points.push(v);
         }
         self.out.ends.push(now);
         self.prev = probe.clone();
@@ -250,6 +257,34 @@ mod tests {
         assert!((util.points[1] - 0.5).abs() < 1e-9);
         let reads = out.series_named("reads").unwrap();
         assert_eq!(reads.points, vec![10.0, 20.0, 10.0]);
+    }
+
+    #[test]
+    fn json_summarizes_each_series_by_mean_and_max() {
+        let out = EpochSeries {
+            epoch_cycles: 10,
+            ends: vec![10, 20, 30, 40],
+            series: vec![
+                Series {
+                    name: "known".into(),
+                    points: vec![0.1, 0.7, 0.2, 0.4],
+                },
+                Series::new("empty"),
+            ],
+        };
+        let json = crate::json::ToJson::to_json(&out);
+        let series = json.get("series").and_then(|s| s.as_arr()).unwrap();
+        let summary = |i: usize, key: &str| series[i].get(key).and_then(|v| v.as_f64()).unwrap();
+        // The incremental mean of 0.1, 0.7, 0.2, 0.4.
+        let mut mean = 0.1;
+        mean += (0.7 - mean) / 2.0;
+        mean += (0.2 - mean) / 3.0;
+        mean += (0.4 - mean) / 4.0;
+        assert_eq!(summary(0, "mean"), mean);
+        assert!((mean - 0.35).abs() < 1e-12);
+        assert_eq!(summary(0, "max"), 0.7);
+        assert_eq!(summary(1, "mean"), 0.0);
+        assert_eq!(summary(1, "max"), 0.0);
     }
 
     #[test]

@@ -89,8 +89,6 @@ impl AggCfg {
             dnode: DNodeCfg {
                 data_lines: d_data_lines,
                 onchip_lines: d_data_lines / 2,
-                shared_list_min: (d_data_lines / 64).max(4),
-                pageout_batch: 1,
                 reuse_shared_list: true,
             },
             net: NetCfg::default(),
@@ -281,11 +279,12 @@ impl AggSystem {
         Some(t)
     }
 
-    /// Threshold-triggered page-out at D-node `d` (Section 2.2.2): the OS
-    /// walks the directory entries of victim pages, recalls lines cached
-    /// in P-nodes, and writes the pages to disk. Returns the cycle at
-    /// which the freed space is usable, or `None` if `d` maps no page but
-    /// `pinned`.
+    /// Page-out at D-node `d` (Section 2.2.2), run when a slot is needed
+    /// and neither the FreeList nor the SharedList can supply one: the OS
+    /// walks the directory entries of the victim page, recalls lines
+    /// cached in P-nodes, and writes the page to disk. Returns the cycle
+    /// at which the freed space is usable, or `None` if `d` maps no page
+    /// but `pinned`.
     ///
     /// The `pinned` page is never a victim: it holds the line of the walk
     /// whose attraction-memory fill displaced the line being written back
@@ -294,30 +293,19 @@ impl AggSystem {
     /// caches holding a line the directory had paged out (an OS likewise
     /// pins a page under I/O).
     fn page_out(&mut self, d: NodeId, at: Cycle, pinned: Option<Page>) -> Option<Cycle> {
-        let batch = self.dstore_ref(d).cfg().pageout_batch;
-        let victims = self.dstore_ref(d).pageout_victims(batch, pinned);
-        if victims.is_empty() {
-            return None;
-        }
+        let page = self.dstore_ref(d).pageout_victim(pinned)?;
         self.fab.stats.page_outs += 1;
-        let n_pages = victims.len() as u64;
         let mut t = at;
-        for page in victims {
-            let first = page * LINES_PER_PAGE;
-            for line in first..first + LINES_PER_PAGE {
-                t = self.recall(d, line, t);
-            }
-            let dn = self.dstore(d);
-            dn.apply_pageout(page);
-            t = dn.server.occupy(t, PAGEOUT_PAGE_OCCUPANCY) + PAGEOUT_PAGE_OCCUPANCY;
+        let first = page * LINES_PER_PAGE;
+        for line in first..first + LINES_PER_PAGE {
+            t = self.recall(d, line, t);
         }
-        self.fab.tracer.span(
-            Event::PageOut,
-            d as u32,
-            at,
-            (t - at).max(1),
-            &[("pages", n_pages)],
-        );
+        let dn = self.dstore(d);
+        dn.apply_pageout(page);
+        t = dn.server.occupy(t, PAGEOUT_PAGE_OCCUPANCY) + PAGEOUT_PAGE_OCCUPANCY;
+        self.fab
+            .tracer
+            .span(Event::PageOut, d as u32, at, (t - at).max(1), &[]);
         Some(t)
     }
 
@@ -1220,10 +1208,11 @@ impl MemSystem for AggSystem {
         }
         // Initialization data rests clean at its home D-node (it was
         // written long ago and drained out of the P-node memories). When
-        // the Data arrays fill up, the threshold page-out of Section
-        // 2.2.2 has already pushed the least-recently-used — i.e. cold —
-        // pages to disk, which is exactly how the paper argues AGG runs
-        // at high memory pressures.
+        // the Data arrays fill up, the page-out of Section 2.2.2 (run when
+        // neither the FreeList nor the SharedList can supply a slot) has
+        // already pushed the least-recently-used — i.e. cold — pages to
+        // disk, which is exactly how the paper argues AGG runs at high
+        // memory pressures.
         let page = page_of_line(line);
         match self.dstore(home).alloc_slot(line) {
             Ok(_) => {

@@ -53,14 +53,21 @@ pub fn check_agg(sys: &AggSystem) {
 }
 
 /// Line-level AGG oracle: the directory entry at the line's home must
-/// agree exactly with the P-node attraction memories and private caches.
+/// agree exactly with the P-node attraction memories and private caches,
+/// and an in-memory line's page must be mapped at its home.
 pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
-    let Some(home) = sys.fabric().pages.home(page_of_line(line)) else {
+    let page = page_of_line(line);
+    let Some(home) = sys.fabric().pages.home(page) else {
         return;
     };
     let Some(e) = sys.dnode(home).entry(line) else {
         return;
     };
+    // A page holding in-memory lines must stay a page-out candidate.
+    assert!(
+        !e.in_mem || sys.dnode(home).maps_page(page),
+        "in-memory line {line:#x} sits in page {page:#x}, which its home {home} does not map"
+    );
     // Who holds the line, at memory and cache level. A stack list: the
     // per-transaction oracle must not allocate.
     let am_state = |p: usize| sys.pstore_ref(p).am.peek(line).copied();

@@ -47,11 +47,11 @@ pub struct ComaCfg {
     pub onchip_lines: u64,
     /// Network timing (double-width links, as for NUMA).
     pub net: NetCfg,
-    /// Directory controller costs (hardware).
-    pub handler: HandlerCosts,
-    /// Injection attempts before spilling to disk.
-    pub injection_max_tries: usize,
 }
+
+/// Bounce messages an injection sends at most before reaching the memory
+/// that takes the line.
+const INJECTION_MAX_TRIES: usize = 8;
 
 impl ComaCfg {
     /// A paper-parameter configuration with the given per-node attraction
@@ -63,12 +63,7 @@ impl ComaCfg {
             l2: CacheCfg::new(l2_kb * 1024, 4),
             am: CacheCfg::new(am_lines * LINE_BYTES, 4),
             onchip_lines: am_lines / 2,
-            net: NetCfg {
-                bytes_per_cycle: 4,
-                ..NetCfg::default()
-            },
-            handler: HandlerCosts::paper(ControllerKind::Hardware),
-            injection_max_tries: 8,
+            net: NetCfg { bytes_per_cycle: 4 },
         }
     }
 }
@@ -114,7 +109,8 @@ impl ComaSystem {
             .map(|_| PNodeStore::calibrated(cfg.l1, cfg.l2, cfg.am, cfg.onchip_lines as usize))
             .collect();
         let net = Network::new(Mesh::for_nodes(cfg.nodes), cfg.net);
-        let fab = Fabric::new(cfg.handler, net);
+        // Directory controllers are hardware: 70% of Table 2.
+        let fab = Fabric::new(HandlerCosts::paper(ControllerKind::Hardware), net);
         let by_dist = (0..cfg.nodes)
             .map(|from| {
                 let mut l = NodeList::new();
@@ -335,7 +331,7 @@ impl ComaSystem {
         // displacing another master; only if no memory in the machine can
         // (true global set saturation) is the nearest one forced to
         // displace. Failed probes cost bounce messages (Joe & Hennessy's
-        // injection chains), capped at the configured budget.
+        // injection chains), capped at `INJECTION_MAX_TRIES`.
         // Prefer a memory with a genuinely free way; displacing another
         // node's attracted shared copy is second choice (it re-fetches
         // later — the memory pollution the paper attributes to COMA).
@@ -352,7 +348,7 @@ impl ComaSystem {
         };
         let chosen = free_way.or_else(shared_victim).unwrap_or(0);
         let c = candidates[chosen];
-        let bounces = chosen.min(self.cfg.injection_max_tries);
+        let bounces = chosen.min(INJECTION_MAX_TRIES);
         let mut t_chain = now;
         let mut prev = node;
         for &hop in candidates.iter().take(bounces) {

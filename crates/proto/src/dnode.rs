@@ -16,8 +16,8 @@
 //! gives out *mastership* and moves its (now duplicate) copy to the
 //! SharedList tail — reclaimable if space runs short. Lines dirty in a
 //! P-node keep **no** place holder at the home; their slot is reused.
-//! When free space is exhausted and the SharedList drops below a
-//! threshold, the node pages out whole pages to disk rather than inject.
+//! When a slot is needed and neither the FreeList nor the SharedList can
+//! supply one, the node pages out a whole page to disk rather than inject.
 //!
 //! This module owns the storage/state machine and its timing devices; the
 //! protocol orchestration (who sends which message when) lives in
@@ -81,10 +81,6 @@ pub struct DNodeCfg {
     pub data_lines: u64,
     /// How many of those lines fit in on-chip DRAM (timing).
     pub onchip_lines: u64,
-    /// Page out when a slot is needed and the SharedList is below this.
-    pub shared_list_min: u64,
-    /// Pages evicted per page-out event.
-    pub pageout_batch: usize,
     /// Whether the SharedList may be reclaimed at all (ablation switch;
     /// the paper's design reclaims it but tries not to).
     pub reuse_shared_list: bool,
@@ -163,9 +159,14 @@ impl DNode {
 
     /// Registers a page as mapped at this node.
     pub fn map_page(&mut self, page: Page) {
-        if !self.mapped_pages.contains(&page) && !self.cold_pages.contains(&page) {
+        if !self.maps_page(page) {
             self.mapped_pages.push_back(page);
         }
+    }
+
+    /// Whether `page` is mapped here, warm or cold.
+    pub fn maps_page(&self, page: Page) -> bool {
+        self.mapped_pages.contains(&page) || self.cold_pages.contains(&page)
     }
 
     /// Marks a mapped page as initialization-cold: preferred page-out
@@ -230,16 +231,13 @@ impl DNode {
         }
     }
 
-    /// Whether a slot request right now would have to reclaim SharedList
-    /// or trigger a page-out.
-    pub fn space_pressure(&self) -> bool {
-        self.free_slots == 0 && (self.shared_list.len() as u64) < self.cfg.shared_list_min
-    }
-
     /// Takes a free Data slot for `line`, reclaiming the SharedList head
-    /// if the FreeList is empty. Returns the line whose home copy was
-    /// dropped, if any. Returns `Err(())` if no slot can be found (caller
-    /// must page out first).
+    /// if the FreeList is empty, and maps `line`'s page: a page-out may
+    /// have just unmapped it, or the line may be the first referenced of
+    /// a paged-out page, and a page holding in-memory lines must stay a
+    /// page-out candidate. Returns the line whose home copy was dropped,
+    /// if any. Returns `Err(())` if no slot can be found (caller must page
+    /// out first).
     ///
     /// # Panics
     ///
@@ -253,6 +251,7 @@ impl DNode {
         );
         if self.free_slots > 0 {
             self.free_slots -= 1;
+            self.map_page(page_of_line(line));
             return Ok(None);
         }
         if self.cfg.reuse_shared_list {
@@ -263,6 +262,7 @@ impl DNode {
                     .expect("SharedList member must have a directory entry");
                 debug_assert!(ve.in_mem);
                 ve.in_mem = false;
+                self.map_page(page_of_line(line));
                 return Ok(Some(victim));
             }
         }
@@ -405,46 +405,30 @@ impl DNode {
         }
     }
 
-    /// Selects up to `batch` victim pages for a page-out, never `pinned`.
-    /// Pages are scanned from the least-recently-served end; within the
-    /// scan window, pages with no lines cached in P-nodes (nothing to
-    /// recall — typically long-cold data) are preferred. Does not modify
-    /// state.
-    pub fn pageout_victims(&self, batch: usize, pinned: Option<Page>) -> Vec<Page> {
-        let unpinned = |p: &&Page| Some(**p) != pinned;
+    /// Selects the victim page of a page-out, never `pinned`, or `None`
+    /// if no other page is mapped. Initialization-cold pages go first;
+    /// otherwise the eight least-recently-served pages are scanned, and
+    /// one with no lines cached in P-nodes (nothing to recall — typically
+    /// long-cold data) is preferred to the least recently served. Does not
+    /// modify state.
+    pub fn pageout_victim(&self, pinned: Option<Page>) -> Option<Page> {
+        let unpinned = |p: &Page| Some(*p) != pinned;
         // Initialization-cold pages first: nothing will miss them.
-        let mut quiet: Vec<Page> = self
-            .cold_pages
-            .iter()
-            .filter(unpinned)
-            .take(batch.max(1))
-            .copied()
-            .collect();
-        if quiet.len() >= batch.max(1) {
-            quiet.truncate(batch.max(1));
-            return quiet;
+        if let Some(&page) = self.cold_pages.iter().find(|p| unpinned(p)) {
+            return Some(page);
         }
-        let window = 8 * batch.max(1);
-        let mut noisy = Vec::new();
-        for &page in self.mapped_pages.iter().take(window).filter(unpinned) {
+        let window = || self.mapped_pages.iter().take(8).copied().filter(unpinned);
+        let active = |page: Page| {
             let first = page * LINES_PER_PAGE;
-            let active = (first..first + LINES_PER_PAGE).any(|l| {
+            (first..first + LINES_PER_PAGE).any(|l| {
                 self.dir
                     .get(l)
                     .is_some_and(|e| e.owner.is_some() || !e.sharers.is_empty())
-            });
-            if active {
-                noisy.push(page);
-            } else {
-                quiet.push(page);
-            }
-            if quiet.len() >= batch {
-                break;
-            }
-        }
-        quiet.extend(noisy);
-        quiet.truncate(batch.max(1));
-        quiet
+            })
+        };
+        window()
+            .find(|&page| !active(page))
+            .or_else(|| window().next())
     }
 
     /// Applies the storage effects of paging out `page`: every line of the
@@ -544,6 +528,12 @@ impl DNode {
             "slot accounting broken"
         );
         for (line, e) in self.iter_deterministic() {
+            if e.in_mem {
+                assert!(
+                    self.maps_page(page_of_line(line)),
+                    "in-memory line {line:#x} sits in an unmapped page"
+                );
+            }
             if self.shared_list.contains(&CompactLine::new(line)) {
                 assert!(e.in_mem, "SharedList member {line:#x} not in memory");
                 assert!(
@@ -593,8 +583,6 @@ mod tests {
         DNodeCfg {
             data_lines,
             onchip_lines: data_lines / 2,
-            shared_list_min: 2,
-            pageout_batch: 1,
             reuse_shared_list: true,
         }
     }
@@ -721,7 +709,6 @@ mod tests {
         // Take the copy home again: master at home → not reclaimable.
         d.write_back(1, 1);
         assert_eq!(d.alloc_slot(2), Err(()));
-        assert!(d.space_pressure());
     }
 
     #[test]
@@ -749,8 +736,7 @@ mod tests {
             e.master = Master::Home;
             e.sharers.clear();
         }
-        let victims = d.pageout_victims(1, None);
-        assert_eq!(victims, vec![0]);
+        assert_eq!(d.pageout_victim(None), Some(0));
         let freed = d.apply_pageout(0);
         assert_eq!(freed, 3);
         assert!(d.entry(0).unwrap().paged_out);

@@ -7,8 +7,8 @@
 //!   running the directory protocol in *software* with the
 //!   Directory/Data/Pointer-array organization of Section 2.2.2
 //!   (fully-associative D-memory, FreeList/SharedList, the COMA-inspired
-//!   *shared-master* state, threshold-triggered page-out instead of
-//!   injection).
+//!   *shared-master* state, and page-out instead of injection when
+//!   neither the FreeList nor the SharedList can supply a slot).
 //! - [`ComaSystem`] — a flat COMA baseline: every node's memory is an
 //!   attraction memory, directory homes keep only state, and replaced
 //!   master lines are *injected* into other memories (Joe & Hennessy).

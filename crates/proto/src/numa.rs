@@ -41,14 +41,10 @@ pub struct NumaCfg {
     pub l1: CacheCfg,
     /// L2 geometry.
     pub l2: CacheCfg,
-    /// Local memory capacity per node, in lines.
+    /// Local memory capacity per node, in lines; half of it is on chip.
     pub node_mem_lines: u64,
-    /// Of those, how many fit on chip.
-    pub onchip_lines: u64,
     /// Network timing (double-width links vs AGG, per Section 3).
     pub net: NetCfg,
-    /// Directory controller costs (hardware: 70% of Table 2).
-    pub handler: HandlerCosts,
 }
 
 impl NumaCfg {
@@ -60,12 +56,7 @@ impl NumaCfg {
             l1: CacheCfg::new(l1_kb * 1024, 1),
             l2: CacheCfg::new(l2_kb * 1024, 4),
             node_mem_lines,
-            onchip_lines: node_mem_lines / 2,
-            net: NetCfg {
-                bytes_per_cycle: 4,
-                ..NetCfg::default()
-            },
-            handler: HandlerCosts::paper(ControllerKind::Hardware),
+            net: NetCfg { bytes_per_cycle: 4 },
         }
     }
 }
@@ -113,13 +104,14 @@ impl NumaSystem {
         let nodes = (0..cfg.nodes)
             .map(|_| NumaNode {
                 caches: PrivCaches::new(cfg.l1, cfg.l2),
-                onchip: OnChipLru::new(cfg.onchip_lines as usize),
+                onchip: OnChipLru::new((cfg.node_mem_lines / 2) as usize),
                 mem_on: Dram::new(LAT.mem_on.saturating_sub(overhead)),
                 mem_off: Dram::new(LAT.mem_off.saturating_sub(overhead)),
             })
             .collect();
         let net = Network::new(Mesh::for_nodes(cfg.nodes), cfg.net);
-        let fab = Fabric::new(cfg.handler, net);
+        // Directory controllers are hardware: 70% of Table 2.
+        let fab = Fabric::new(HandlerCosts::paper(ControllerKind::Hardware), net);
         NumaSystem {
             ctrls: (0..cfg.nodes).map(|_| Server::new()).collect(),
             dir: PagedMap::new(),

@@ -99,9 +99,7 @@ fn displaced_master_writes_back_home_no_injection() {
 fn home_copy_reclaim_causes_three_hop_reads() {
     // D-node with only 2 data lines: the third mapped line must reclaim
     // an in-memory copy whose master lives outside.
-    let mut cfg = AggCfg::paper(2, 1, 8, 32, 4096, 2);
-    cfg.dnode.shared_list_min = 0;
-    let mut s = AggSystem::new(cfg);
+    let mut s = AggSystem::new(AggCfg::paper(2, 1, 8, 32, 4096, 2));
     let (p0, p1) = (s.p_nodes()[0], s.p_nodes()[1]);
     s.read(p0, 0, 0);
     s.read(p0, 64, 100_000);
@@ -119,9 +117,7 @@ fn home_copy_reclaim_causes_three_hop_reads() {
 #[test]
 fn pageout_when_nothing_reclaimable() {
     let mut cfg = AggCfg::paper(2, 1, 8, 32, 4096, 4);
-    cfg.dnode.shared_list_min = 8;
     cfg.dnode.reuse_shared_list = false;
-    cfg.dnode.pageout_batch = 2;
     let mut s = AggSystem::new(cfg);
     let p = s.p_nodes()[0];
     for i in 0..6u64 {
@@ -189,9 +185,7 @@ fn write_back_spills_to_disk_when_only_the_walks_page_is_left() {
 /// the address of the first paged-out line.
 fn paged_out_system() -> (AggSystem, u64) {
     let mut cfg = AggCfg::paper(2, 1, 8, 32, 4096, 4);
-    cfg.dnode.shared_list_min = 8;
     cfg.dnode.reuse_shared_list = false;
-    cfg.dnode.pageout_batch = 2;
     let mut s = AggSystem::new(cfg);
     let p = s.p_nodes()[0];
     for i in 0..6u64 {

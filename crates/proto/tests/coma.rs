@@ -158,7 +158,6 @@ fn forced_injection_spills_displaced_master_to_disk() {
     cfg.am = CacheCfg::new(64, 1);
     cfg.l1 = CacheCfg::new(64, 1);
     cfg.l2 = CacheCfg::new(64, 1);
-    cfg.injection_max_tries = 1;
     let mut s = ComaSystem::new(cfg);
     s.write(0, 0, 0); // node 0 holds line 0 dirty
     s.write(1, 64, 0); // node 1 holds line 1 dirty

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use pimdsm_engine::SimRng;
+use pimdsm_mem::page_of_line;
 use pimdsm_proto::{
     AggCfg, AggSystem, ComaCfg, ComaSystem, MemSystem, NodeSet, NumaCfg, NumaSystem,
 };
@@ -23,9 +24,7 @@ enum Access {
 /// each D-node): SharedList reclaim, master fetches, page-out and disk
 /// faults all run.
 fn paging_agg() -> AggSystem {
-    let mut cfg = AggCfg::paper(4, 2, 1, 1, 16, 32);
-    cfg.dnode.shared_list_min = 2;
-    AggSystem::new(cfg)
+    AggSystem::new(AggCfg::paper(4, 2, 1, 1, 16, 32))
 }
 
 /// Performs `op` on `sys`'s P-nodes at `t`, then checks the D-node
@@ -165,4 +164,33 @@ fn paging_shape_pages_out_and_faults_back_in() {
     assert!(s.page_outs > 0, "no page-out");
     assert!(s.disk_faults > 0, "no disk fault");
     assert!(s.master_fetches > 0, "no master fetch");
+}
+
+/// A line that takes a Data slot maps its page at its home, also when the
+/// page-out that freed the slot evicted that very page and when the line
+/// is the first referenced of a paged-out page: a page holding in-memory
+/// lines must stay a page-out victim.
+#[test]
+fn pages_holding_in_memory_lines_stay_mapped() {
+    let mut sys = paging_agg();
+    let p = sys.p_nodes().to_vec();
+    let mut rng = SimRng::new(1);
+    for i in 0..500u64 {
+        let (node, addr, t) = (p[rng.index(4)], rng.range(0, 512) * 64, 500 * (i + 1));
+        if rng.chance(0.5) {
+            sys.write(node, addr, t);
+        } else {
+            sys.read(node, addr, t);
+        }
+        for &d in sys.d_nodes() {
+            let dn = sys.dnode(d);
+            for (line, e) in dn.iter_deterministic() {
+                assert!(
+                    !e.in_mem || dn.maps_page(page_of_line(line)),
+                    "access {i}: in-memory line {line:#x} sits in a page D-node {d} does not map"
+                );
+            }
+        }
+    }
+    assert!(sys.stats().page_outs > 0, "no page-out");
 }
