@@ -132,94 +132,6 @@ impl RunReport {
     }
 }
 
-impl ThreadAcct {
-    /// Reconstructs the accounting from its JSON form.
-    pub fn from_json(v: &pimdsm_obs::JsonValue) -> Result<ThreadAcct, String> {
-        let field = |key: &str| -> Result<Cycle, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing thread field {key}"))
-        };
-        Ok(ThreadAcct {
-            compute: field("compute")?,
-            memory: field("memory")?,
-            sync: field("sync")?,
-            finish: field("finish")?,
-        })
-    }
-}
-
-impl RunReport {
-    /// Reconstructs a report from the JSON written by
-    /// [`ToJson::to_json`](pimdsm_obs::ToJson::to_json).
-    ///
-    /// This is the inverse `pimdsm-lab`'s content-addressed result cache
-    /// relies on: a cached run must re-render to exactly the bytes a fresh
-    /// run would produce. Derived fields (`memory_time`, `memory_fraction`,
-    /// …) are recomputed rather than read back; an `epochs` time-series is
-    /// *not* restored (instrumented runs bypass the cache).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or ill-typed field.
-    pub fn from_json(v: &pimdsm_obs::JsonValue) -> Result<RunReport, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        let threads = v
-            .get("threads")
-            .and_then(|x| x.as_arr())
-            .ok_or("missing threads")?
-            .iter()
-            .map(ThreadAcct::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let link = v.get("link_busy").ok_or("missing link_busy")?;
-        let link_field = |key: &str| -> Result<Cycle, String> {
-            link.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing link_busy.{key}"))
-        };
-        Ok(RunReport {
-            arch: str_field("arch")?,
-            app: str_field("app")?,
-            label: str_field("label")?,
-            total_cycles: v
-                .get("total_cycles")
-                .and_then(|x| x.as_u64())
-                .ok_or("missing total_cycles")?,
-            threads,
-            proto: ProtoStats::from_json(v.get("proto").ok_or("missing proto")?)?,
-            census: Census::from_json(v.get("census").ok_or("missing census")?)?,
-            net: NetStats::from_json(v.get("net").ok_or("missing net")?)?,
-            controller_util: v
-                .get("controller_util")
-                .and_then(|x| x.as_f64())
-                .ok_or("missing controller_util")?,
-            link_busy: (link_field("total")?, link_field("max_per_link")?),
-            reconfig_cycles: v
-                .get("reconfig_cycles")
-                .and_then(|x| x.as_u64())
-                .ok_or("missing reconfig_cycles")?,
-            reconfig_armed: matches!(
-                v.get("reconfig_armed"),
-                Some(pimdsm_obs::JsonValue::Bool(true))
-            ),
-            faults: match v.get("faults") {
-                Some(f) => Some(RecoveryStats::from_json(f)?),
-                None => None,
-            },
-            svc: match v.get("svc") {
-                Some(s) => Some(SvcStats::from_json(s)?),
-                None => None,
-            },
-            epochs: None,
-        })
-    }
-}
-
 impl pimdsm_obs::ToJson for ThreadAcct {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;
@@ -361,74 +273,6 @@ mod tests {
         assert_eq!(r.memory_time(), 0.0);
         assert_eq!(r.memory_fraction(), 0.0);
         assert!(!r.summary().is_empty());
-    }
-
-    #[test]
-    fn report_json_round_trips_through_from_json() {
-        use pimdsm_obs::ToJson;
-        let mut r = report(
-            vec![
-                ThreadAcct {
-                    compute: 10,
-                    memory: 20,
-                    sync: 5,
-                    finish: 35,
-                },
-                ThreadAcct {
-                    compute: 11,
-                    memory: 21,
-                    sync: 6,
-                    finish: 38,
-                },
-            ],
-            1234,
-        );
-        r.proto.record_read(Level::Hop2, 298);
-        r.proto.write_backs = 7;
-        r.census.d_slots = 99;
-        r.net.messages = 42;
-        r.controller_util = 0.125;
-        r.link_busy = (1000, 250);
-        r.reconfig_cycles = 17;
-        r.reconfig_armed = true;
-        let mut rs = RecoveryStats {
-            kills: 1,
-            pages_rehomed: 4,
-            lines_lost: 2,
-            ..Default::default()
-        };
-        rs.recovery.record(1_500);
-        r.faults = Some(rs);
-        let mut svc = SvcStats::default();
-        svc.record(0, 210);
-        svc.record(1, 950);
-        svc.record(2, 77);
-        svc.queued_cycles = 13;
-        r.svc = Some(svc);
-
-        let rendered = r.to_json().render_pretty();
-        let parsed = pimdsm_obs::json::parse(&rendered).expect("parse back");
-        let restored = RunReport::from_json(&parsed).expect("restore");
-        assert_eq!(
-            restored.to_json().render_pretty(),
-            rendered,
-            "cache round-trip must be byte-identical"
-        );
-        assert_eq!(restored.total_cycles, 1234);
-        assert_eq!(restored.threads, r.threads);
-        assert_eq!(restored.proto, r.proto);
-        assert_eq!(restored.census, r.census);
-        assert_eq!(restored.net, r.net);
-        assert!(restored.reconfig_armed);
-        assert_eq!(restored.faults, r.faults);
-        assert_eq!(restored.svc, r.svc);
-    }
-
-    #[test]
-    fn from_json_reports_missing_fields() {
-        let v = pimdsm_obs::json::parse("{\"arch\": \"AGG\"}").unwrap();
-        let err = RunReport::from_json(&v).unwrap_err();
-        assert!(err.contains("missing"), "unhelpful error: {err}");
     }
 
     #[test]

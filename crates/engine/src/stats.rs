@@ -173,28 +173,6 @@ impl Histogram {
         self.max as f64
     }
 
-    /// Rebuilds a histogram from previously captured raw parts
-    /// ([`buckets`](Histogram::buckets), [`count`](Histogram::count),
-    /// [`sum`](Histogram::sum), [`max`](Histogram::max)) — the inverse used
-    /// by JSON round-trips of recorded distributions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket counts do not sum to `count`.
-    pub fn from_raw(buckets: [u64; 64], count: u64, sum: u64, max: u64) -> Self {
-        assert_eq!(
-            buckets.iter().sum::<u64>(),
-            count,
-            "histogram bucket counts must sum to count"
-        );
-        Histogram {
-            buckets,
-            count,
-            sum,
-            max,
-        }
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -258,23 +236,6 @@ mod tests {
         }
         assert_eq!(Histogram::bucket_bounds(0), (0, 1));
         assert_eq!(Histogram::bucket_bounds(63).1, u64::MAX);
-    }
-
-    #[test]
-    fn histogram_from_raw_round_trips() {
-        let mut h = Histogram::new();
-        for v in [3u64, 9, 9, 4096, 0] {
-            h.record(v);
-        }
-        let rebuilt = Histogram::from_raw(*h.buckets(), h.count(), h.sum(), h.max());
-        assert_eq!(rebuilt, h);
-        assert_eq!(rebuilt.percentile(50.0), h.percentile(50.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "must sum to count")]
-    fn histogram_from_raw_rejects_inconsistent_count() {
-        let _ = Histogram::from_raw([0; 64], 3, 0, 0);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 use pimdsm_engine::{Cycle, Histogram};
-use pimdsm_obs::json::histogram_from_json;
 use pimdsm_obs::{JsonValue, ToJson};
 
 /// Node identifier, matching the protocol crates' convention.
@@ -242,28 +241,6 @@ impl RecoveryStats {
     pub fn recovery_p99(&self) -> u64 {
         self.recovery.percentile(99.0).round() as u64
     }
-
-    /// Reconstructs the statistics from the JSON produced by
-    /// [`ToJson::to_json`] — the inverse used by `pimdsm-lab`'s
-    /// content-addressed result cache.
-    pub fn from_json(v: &JsonValue) -> Result<RecoveryStats, String> {
-        let field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        Ok(RecoveryStats {
-            kills: field("kills")?,
-            rejoins: field("rejoins")?,
-            pages_rehomed: field("pages_rehomed")?,
-            lines_recalled: field("lines_recalled")?,
-            lines_lost: field("lines_lost")?,
-            lost_work_cycles: field("lost_work_cycles")?,
-            retries: field("retries")?,
-            retry_wait_cycles: field("retry_wait_cycles")?,
-            recovery: histogram_from_json(v, "recovery")?,
-        })
-    }
 }
 
 impl ToJson for RecoveryStats {
@@ -342,36 +319,5 @@ mod tests {
         assert_eq!(retry_wait(0, 50_000), (RETRY_TIMEOUT, 5));
         // Determinism: same inputs, same answer.
         assert_eq!(retry_wait(0, 250), retry_wait(0, 250));
-    }
-
-    #[test]
-    fn recovery_stats_json_round_trips() {
-        let mut s = RecoveryStats {
-            kills: 1,
-            rejoins: 1,
-            pages_rehomed: 42,
-            lines_recalled: 17,
-            lines_lost: 3,
-            lost_work_cycles: 9_999,
-            retries: 12,
-            retry_wait_cycles: 2_400,
-            recovery: Histogram::new(),
-        };
-        for v in [100u64, 250, 250, 8_000] {
-            s.recovery.record(v);
-        }
-        let j = s.to_json();
-        let back = RecoveryStats::from_json(&j).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_json().render(), j.render());
-        assert!(back.recovery_p50() >= 100);
-        assert!(back.recovery_p99() <= s.recovery.max());
-    }
-
-    #[test]
-    fn recovery_stats_from_json_reports_missing_fields() {
-        let j = JsonValue::obj([("kills", JsonValue::u64(1))]);
-        let err = RecoveryStats::from_json(&j).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
     }
 }

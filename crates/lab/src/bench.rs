@@ -3,16 +3,16 @@
 //! regression comparator.
 //!
 //! A bench is one uncounted warm-up sweep (absorbing lazy one-time
-//! initialization) followed by `runs` measured sweeps, always cold (the
-//! result cache is bypassed so every run simulates every point). Each
-//! measured run records the wall time, the [deterministic counter
-//! snapshot](pimdsm_prof::Snapshot) aggregated over its points, and —
-//! when the counting allocator is linked in — the run's allocation
-//! count/byte deltas. The document keeps *deterministic* quantities
-//! (event, walk, and allocation counts) in a separate block from
-//! *non-deterministic* ones (wall times, peak heap) so a diff between two
-//! committed `BENCH_*.json` files shows at a glance whether the simulator
-//! did different work or merely ran at a different speed.
+//! initialization) followed by `runs` measured sweeps, each simulating
+//! every point. Each measured run records the wall time, the
+//! [deterministic counter snapshot](pimdsm_prof::Snapshot) aggregated
+//! over its points, and — when the counting allocator is linked in — the
+//! run's allocation count/byte deltas. The document keeps
+//! *deterministic* quantities (event, walk, and allocation counts) in a
+//! separate block from *non-deterministic* ones (wall times, peak heap)
+//! so a diff between two committed `BENCH_*.json` files shows at a glance
+//! whether the simulator did different work or merely ran at a different
+//! speed.
 //!
 //! [`compare`] implements `bench --compare`: two documents are comparable
 //! only if schema, suite, scale, thread count, job count and the simulated
@@ -228,7 +228,7 @@ fn check(result: &SweepResult) -> Result<(), String> {
 }
 
 /// Runs `suite` once uncounted (warm-up) and then `runs` measured times,
-/// always bypassing the result cache so every run simulates every point.
+/// each simulating every point.
 ///
 /// The profiler's global phase/allocation state is reset after the
 /// warm-up, so the returned phase rollup covers exactly the measured
@@ -250,7 +250,7 @@ pub fn measure_suite(
     if progress {
         eprintln!("[bench] {}: warm-up sweep...", suite.name);
     }
-    let warm = run_sweep(suite.points(ctx), None, &inst, jobs, false);
+    let warm = run_sweep(suite.points(ctx), &inst, jobs, false);
     check(&warm)?;
     pimdsm_prof::reset();
 
@@ -262,7 +262,7 @@ pub fn measure_suite(
         let before = pimdsm_prof::alloc::totals();
         let result = {
             pimdsm_prof::phase!(Phase::BenchMeasure);
-            run_sweep(specs, None, &inst, jobs, false)
+            run_sweep(specs, &inst, jobs, false)
         };
         let after = pimdsm_prof::alloc::totals();
         check(&result)?;

@@ -4,14 +4,15 @@
 //! pimdsm-lab list                    # name + title + point count per suite
 //! pimdsm-lab run fig6 fig7 --jobs 8  # run suites in parallel
 //! pimdsm-lab run --all               # every suite
-//! pimdsm-lab clean                   # drop the result cache
 //! ```
 //!
 //! Flags: the observability outputs (`--trace`, `--trace-only`,
 //! `--metrics`, `--epoch`, `--report`) and the sweep controls (`--jobs`,
-//! `--cache-dir`, `--no-cache`, `--threads`, `--scale`, `--quiet`,
-//! `--require-hit-rate`). Each command accepts only the flags it reads;
-//! any other is an unknown argument.
+//! `--threads`, `--scale`, `--quiet`). Each command accepts only the
+//! flags it reads; any other is an unknown argument.
+//!
+//! Every `run` simulates its points; within one `run`, a point that
+//! several of the named suites list is simulated once.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -21,13 +22,8 @@ use pimdsm_obs::{JsonValue, ToJson};
 use pimdsm_workloads::Scale;
 
 use crate::bench;
-use crate::cache::ResultCache;
-use crate::exec::{run_sweep, Instrumentation, SweepResult};
+use crate::exec::{Instrumentation, Shared, SweepResult};
 use crate::suites::{find, Suite, SuiteCtx, ALL_SUITES};
-
-/// Default cache location, under the build tree so `git clean`/`cargo
-/// clean` wipe it with everything else.
-pub const DEFAULT_CACHE_DIR: &str = "target/lab-cache";
 
 /// Standard thread count for the main comparison (the paper uses 32; a
 /// smaller count keeps quick runs fast). `PIMDSM_THREADS` overrides.
@@ -76,7 +72,6 @@ enum Command {
     Run(Vec<String>),
     Bench(Vec<String>),
     List,
-    Clean,
 }
 
 /// Flags specific to `pimdsm-lab bench`.
@@ -116,8 +111,6 @@ struct Options {
     command: Command,
     bench: Option<BenchCmd>,
     jobs: usize,
-    cache_dir: PathBuf,
-    no_cache: bool,
     threads: usize,
     scale: Scale,
     trace_path: Option<PathBuf>,
@@ -125,7 +118,6 @@ struct Options {
     metrics_path: Option<PathBuf>,
     epoch: u64,
     report_path: Option<PathBuf>,
-    require_hit_rate: Option<f64>,
     quiet: bool,
 }
 
@@ -136,8 +128,6 @@ impl Options {
             command,
             bench,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cache_dir: DEFAULT_CACHE_DIR.into(),
-            no_cache: false,
             threads,
             scale,
             trace_path: None,
@@ -145,7 +135,6 @@ impl Options {
             metrics_path: None,
             epoch: 100_000,
             report_path: None,
-            require_hit_rate: None,
             quiet: false,
         }
     }
@@ -157,13 +146,10 @@ impl Options {
 /// A flag is recognized only by the commands that read it; elsewhere it
 /// falls through to the unknown arm. `run` reads every shared flag;
 /// `bench` the sweep shape (`--jobs`, `--threads`, `--scale`, `--quiet`)
-/// and its own flags; `list` the suite shape (`--threads`, `--scale`);
-/// `clean` only `--cache-dir`.
+/// and its own flags; `list` the suite shape (`--threads`, `--scale`).
 fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result<(), String> {
     let run = matches!(opts.command, Command::Run(_));
     let sweep = run || opts.bench.is_some();
-    let sized = !matches!(opts.command, Command::Clean);
-    let cached = run || matches!(opts.command, Command::Clean);
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -177,12 +163,8 @@ fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result
                     .map_err(|e| format!("--jobs: {e}"))?
                     .max(1)
             }
-            "--cache-dir" if cached => opts.cache_dir = value("--cache-dir")?.into(),
-            "--no-cache" if run => opts.no_cache = true,
-            "--threads" if sized => {
-                opts.threads = parse_threads("--threads", &value("--threads")?)?
-            }
-            "--scale" if sized => opts.scale = parse_scale("--scale", &value("--scale")?)?,
+            "--threads" => opts.threads = parse_threads("--threads", &value("--threads")?)?,
+            "--scale" => opts.scale = parse_scale("--scale", &value("--scale")?)?,
             "--trace" if run => opts.trace_path = Some(value("--trace")?.into()),
             "--trace-only" if run => opts.trace_only = Some(value("--trace-only")?),
             "--metrics" if run => opts.metrics_path = Some(value("--metrics")?.into()),
@@ -196,17 +178,6 @@ fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result
                 opts.epoch = epoch
             }
             "--report" if run => opts.report_path = Some(value("--report")?.into()),
-            "--require-hit-rate" if run => {
-                let pct = value("--require-hit-rate")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--require-hit-rate: {e}"))?;
-                if !(0.0..=100.0).contains(&pct) {
-                    return Err(format!(
-                        "--require-hit-rate takes a percentage from 0 to 100, not {pct}"
-                    ));
-                }
-                opts.require_hit_rate = Some(pct)
-            }
             "--quiet" | "-q" if sweep => opts.quiet = true,
             // Bench-only flags: recognized only when a bench command set
             // `opts.bench`; elsewhere they fall through to the unknown arms.
@@ -281,13 +252,8 @@ fn parse_lab_args(argv: impl Iterator<Item = String>) -> Result<Options, String>
             Command::Bench(names)
         }
         Some("list") => Command::List,
-        Some("clean") => Command::Clean,
-        Some(other) => {
-            return Err(format!(
-                "unknown command {other:?} (run | bench | list | clean)"
-            ))
-        }
-        None => return Err("usage: pimdsm-lab <run|bench|list|clean> [flags]".into()),
+        Some(other) => return Err(format!("unknown command {other:?} (run | bench | list)")),
+        None => return Err("usage: pimdsm-lab <run|bench|list> [flags]".into()),
     };
     let (threads, scale) = env_defaults(
         env_value("PIMDSM_THREADS")?.as_deref(),
@@ -304,16 +270,14 @@ pub fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("pimdsm-lab: {e}");
-            eprintln!("usage: pimdsm-lab <run|bench|list|clean> [suites|--all] [flags]");
+            eprintln!("usage: pimdsm-lab <run|bench|list> [suites|--all] [flags]");
             eprintln!("run:   --jobs N --threads N --scale full|bench|ci --quiet");
-            eprintln!("       --cache-dir DIR --no-cache --require-hit-rate PCT");
             eprintln!("       --trace F --trace-only SUBSTR --metrics F --epoch N --report F");
             eprintln!("bench: --jobs N --threads N --scale full|bench|ci --quiet");
             eprintln!(
                 "       --runs N --out F --no-out --compare BASE --against CUR --check F --threshold X"
             );
             eprintln!("list:  --threads N --scale full|bench|ci");
-            eprintln!("clean: --cache-dir DIR");
             eprintln!(
                 "env: PIMDSM_THREADS=N (default 32) PIMDSM_SCALE=full|bench|ci (default bench)"
             );
@@ -334,14 +298,6 @@ fn dispatch(opts: Options) -> ExitCode {
             for s in ALL_SUITES {
                 println!("{:<20} {:>7}  {}", s.name, s.points(&ctx).len(), s.title);
             }
-            ExitCode::SUCCESS
-        }
-        Command::Clean => {
-            let removed = ResultCache::new(&opts.cache_dir).clean();
-            eprintln!(
-                "[lab] removed {removed} cache entries from {}",
-                opts.cache_dir.display()
-            );
             ExitCode::SUCCESS
         }
         Command::Run(names) => run_suites(&names.clone(), &opts),
@@ -381,10 +337,10 @@ fn run_suites(names: &[String], opts: &Options) -> ExitCode {
         eprintln!("[lab] {e}");
         return ExitCode::FAILURE;
     }
-    let cache = (!opts.no_cache).then(|| ResultCache::new(&opts.cache_dir));
+    let mut shared = Shared::default();
 
     let mut failed = false;
-    let (mut hits, mut misses) = (0usize, 0usize);
+    let (mut total, mut total_shared) = (0usize, 0usize);
     let start = std::time::Instant::now();
     for suite in &suites {
         let points = suite.points(&ctx);
@@ -395,9 +351,9 @@ fn run_suites(names: &[String], opts: &Options) -> ExitCode {
         if suite_inst.epoch.is_none() {
             suite_inst.epoch = suite.epoch;
         }
-        let result = run_sweep(points, cache.as_ref(), &suite_inst, opts.jobs, !opts.quiet);
-        hits += result.hits;
-        misses += result.misses;
+        let result = shared.sweep(points, &suite_inst, opts.jobs, !opts.quiet);
+        total += n;
+        total_shared += result.shared;
 
         if let Some(path) = &opts.trace_path {
             write_trace(path, &result);
@@ -420,21 +376,18 @@ fn run_suites(names: &[String], opts: &Options) -> ExitCode {
         }
         if !opts.quiet {
             eprintln!(
-                "[lab] {}: {} points, {} cached ({:.2?}), {} ran ({:.2?}), {:.1}% hits, {:.2?}",
+                "[lab] {}: {n} points, {} simulated, {} shared, {:.2?}",
                 suite.name,
-                n,
-                result.hits,
-                result.hit_wall,
-                result.misses,
-                result.cold_wall,
-                result.hit_rate() * 100.0,
+                n - result.shared,
+                result.shared,
                 result.wall
             );
-            if result.misses > 0 {
+            if n > result.shared {
                 let totals = result.counter_totals();
-                let evs = totals.engine_events() as f64 / result.cold_wall.as_secs_f64().max(1e-9);
+                let busy: std::time::Duration = result.outcomes.iter().map(|o| o.wall).sum();
+                let evs = totals.engine_events() as f64 / busy.as_secs_f64().max(1e-9);
                 eprintln!(
-                    "[lab] {}: {} engine events ({evs:.0}/s cold), peak queue {}, {} txn walks",
+                    "[lab] {}: {} engine events ({evs:.0}/s per worker), peak queue {}, {} txn walks",
                     suite.name,
                     totals.engine_events(),
                     totals.engine_queue_peak(),
@@ -444,28 +397,11 @@ fn run_suites(names: &[String], opts: &Options) -> ExitCode {
         }
     }
     if !opts.quiet && suites.len() > 1 {
-        let total = hits + misses;
-        let rate = if total == 0 {
-            100.0
-        } else {
-            100.0 * hits as f64 / total as f64
-        };
         eprintln!(
-            "[lab] total: {total} points, {hits} cached, {misses} ran, {rate:.1}% hits, {:.2?}",
+            "[lab] total: {total} points, {} simulated, {total_shared} shared, {:.2?}",
+            total - total_shared,
             start.elapsed()
         );
-    }
-    if let Some(required) = opts.require_hit_rate {
-        let total = hits + misses;
-        let rate = if total == 0 {
-            100.0
-        } else {
-            100.0 * hits as f64 / total as f64
-        };
-        if rate < required {
-            eprintln!("[lab] cache hit rate {rate:.1}% below required {required:.1}%");
-            return ExitCode::FAILURE;
-        }
     }
     if failed {
         ExitCode::FAILURE
@@ -752,10 +688,9 @@ mod tests {
 
     #[test]
     fn parses_run_with_suites_and_flags() {
-        let o = parse_lab_args(args("run fig6 fig7 --jobs 4 --no-cache --scale ci")).unwrap();
+        let o = parse_lab_args(args("run fig6 fig7 --jobs 4 --scale ci")).unwrap();
         assert_eq!(o.command, Command::Run(vec!["fig6".into(), "fig7".into()]));
         assert_eq!(o.jobs, 4);
-        assert!(o.no_cache);
         assert_eq!(o.scale, Scale::ci());
     }
 
@@ -831,17 +766,13 @@ mod tests {
             "bench smoke --metrics m.json",
             "bench smoke --epoch 5000",
             "bench smoke --report r.json",
-            "bench smoke --no-cache",
-            "bench smoke --cache-dir d",
-            "bench smoke --require-hit-rate 90",
             "list --jobs 3",
             "list --trace x.json",
             "list --quiet",
-            "list --cache-dir d",
-            "clean --trace y.json",
-            "clean --jobs 2",
-            "clean --threads 4",
-            "clean --scale ci",
+            // No command reads these: every run simulates.
+            "run smoke --cache-dir d",
+            "run smoke --no-cache",
+            "run smoke --require-hit-rate 90",
         ] {
             let flag = flags.split_whitespace().find(|a| a.starts_with("--"));
             assert_eq!(
@@ -853,27 +784,17 @@ mod tests {
         for flags in [
             "bench smoke --jobs 1 --threads 4 --scale ci --quiet",
             "list --threads 4 --scale ci",
-            "clean --cache-dir d",
         ] {
             assert!(parse_lab_args(args(flags)).is_ok(), "{flags}");
         }
+        assert_eq!(
+            parse_lab_args(args("clean")).err(),
+            Some("unknown command \"clean\" (run | bench | list)".into())
+        );
     }
 
     #[test]
-    fn hit_rate_and_epoch_values_are_checked() {
-        for bad in ["nan", "inf", "-1", "100.5"] {
-            let e = parse_lab_args(args(&format!("run smoke --require-hit-rate {bad}")))
-                .err()
-                .unwrap_or_else(|| panic!("{bad} accepted"));
-            assert!(
-                e.starts_with("--require-hit-rate takes a percentage from 0 to 100"),
-                "{e}"
-            );
-        }
-        for ok in [0.0, 90.0, 100.0] {
-            let o = parse_lab_args(args(&format!("run smoke --require-hit-rate {ok}"))).unwrap();
-            assert_eq!(o.require_hit_rate, Some(ok));
-        }
+    fn epoch_values_are_checked() {
         assert_eq!(
             parse_lab_args(args("run smoke --epoch 0")).err(),
             Some("--epoch takes a positive cycle count, not 0".into())

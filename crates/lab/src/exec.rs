@@ -11,7 +11,10 @@
 //!
 //! A panicking point (a spec bug, a workload deadlock) is caught with
 //! [`std::panic::catch_unwind`] and recorded as that point's failure;
-//! the other points complete and their results are still cached.
+//! the other points still complete.
+//!
+//! Every invocation simulates. Within one, [`Shared`] hands a point that
+//! an earlier suite already ran to the next suite that lists it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,7 +26,6 @@ use pimdsm_engine::Cycle;
 use pimdsm_obs::Tracer;
 use pimdsm_prof::{Phase, Snapshot};
 
-use crate::cache::ResultCache;
 use crate::spec::PointSpec;
 
 /// Per-sweep instrumentation requests (`--trace`, `--trace-only`, `--metrics`).
@@ -58,13 +60,10 @@ pub struct PointOutcome {
     pub spec: PointSpec,
     /// The report, or the panic message of a failed point.
     pub report: Result<RunReport, String>,
-    /// Whether the report came from the cache.
-    pub cache_hit: bool,
-    /// Wall-clock time of this point (cache lookup or simulation).
-    /// Non-deterministic by nature.
+    /// Wall-clock time of this point's simulation. Non-deterministic by
+    /// nature.
     pub wall: Duration,
-    /// Deterministic profiler-counter deltas of this point's simulation
-    /// (all zeros for a cache hit — nothing was simulated).
+    /// Deterministic profiler-counter deltas of this point's simulation.
     pub counters: Snapshot,
 }
 
@@ -72,31 +71,16 @@ pub struct PointOutcome {
 pub struct SweepResult {
     /// One outcome per input point, in input order.
     pub outcomes: Vec<PointOutcome>,
-    /// Cache hits.
-    pub hits: usize,
-    /// Points actually simulated (including instrumented cache bypasses).
-    pub misses: usize,
+    /// Points taken from an earlier sweep of the same [`Shared`] instead
+    /// of simulated; their outcomes carry zero wall time and counters.
+    pub shared: usize,
     /// The Chrome-trace JSON of the traced point, if one was traced.
     pub trace_json: Option<String>,
     /// Wall-clock time of the sweep.
     pub wall: Duration,
-    /// Summed per-point wall time spent actually simulating (misses).
-    pub cold_wall: Duration,
-    /// Summed per-point wall time spent serving cache hits.
-    pub hit_wall: Duration,
 }
 
 impl SweepResult {
-    /// Cache hit rate over the sweep, in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// The first failure, if any point panicked.
     pub fn first_failure(&self) -> Option<(&PointSpec, &str)> {
         self.outcomes
@@ -148,15 +132,9 @@ fn run_point(spec: &PointSpec, traced: bool, epoch: Option<Cycle>) -> (RunReport
     (report, tracer.map(|t| t.to_chrome_json()))
 }
 
-/// Executes `points` on `jobs` workers, consulting `cache` when given.
-///
-/// Instrumented points — the traced point, and every point when epoch
-/// sampling is on — bypass the cache in both directions: a cached report
-/// carries no trace or epoch series, and an instrumented report must not
-/// poison the cache with one.
+/// Executes `points` on `jobs` workers.
 pub fn run_sweep(
     points: Vec<PointSpec>,
-    cache: Option<&ResultCache>,
     inst: &Instrumentation,
     jobs: usize,
     progress: bool,
@@ -183,51 +161,30 @@ pub fn run_sweep(
                 }
                 let spec = points[i].clone();
                 let traced = traced_index == Some(i);
-                let instrumented = traced || inst.epoch.is_some();
 
                 let point_start = Instant::now();
-                let mut cache_hit = false;
-                let mut trace_json = None;
-                let mut counters = Snapshot::default();
-                let report = if let Some(r) = (!instrumented)
-                    .then(|| cache.and_then(|c| c.load(&spec)))
-                    .flatten()
-                {
-                    cache_hit = true;
-                    Ok(r)
-                } else {
-                    let (caught, delta) = pimdsm_prof::counters::scoped(|| {
-                        catch_unwind(AssertUnwindSafe(|| run_point(&spec, traced, inst.epoch)))
-                    });
-                    counters = delta;
-                    match caught {
-                        Ok((r, t)) => {
-                            trace_json = t;
-                            if !instrumented {
-                                if let Some(c) = cache {
-                                    c.store(&spec, &r);
-                                }
-                            }
-                            Ok(r)
+                let (caught, counters) = pimdsm_prof::counters::scoped(|| {
+                    catch_unwind(AssertUnwindSafe(|| run_point(&spec, traced, inst.epoch)))
+                });
+                let report = match caught {
+                    Ok((r, trace_json)) => {
+                        if let Some(t) = trace_json {
+                            *trace_slot.lock().unwrap() = Some(t);
                         }
-                        Err(panic) => Err(panic_message(panic)),
+                        Ok(r)
                     }
+                    Err(panic) => Err(panic_message(panic)),
                 };
                 let wall = point_start.elapsed();
 
                 if progress {
                     let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                    let tag = if cache_hit { "cached" } else { "ran" };
                     let status = if report.is_ok() { "" } else { " FAILED" };
-                    eprintln!("[lab] [{done}/{n}] {tag} {}{status}", spec.key());
-                }
-                if let Some(t) = trace_json {
-                    *trace_slot.lock().unwrap() = Some(t);
+                    eprintln!("[lab] [{done}/{n}] ran {}{status}", spec.key());
                 }
                 slots.lock().unwrap()[i] = Some(PointOutcome {
                     spec,
                     report,
-                    cache_hit,
                     wall,
                     counters,
                 });
@@ -235,28 +192,76 @@ pub fn run_sweep(
         }
     });
 
-    let outcomes: Vec<PointOutcome> = slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|o| o.expect("every point produced an outcome"))
-        .collect();
-    let hits = outcomes.iter().filter(|o| o.cache_hit).count();
-    let split = |hit: bool| {
-        outcomes
-            .iter()
-            .filter(|o| o.cache_hit == hit)
-            .map(|o| o.wall)
-            .sum()
-    };
     SweepResult {
-        misses: n - hits,
-        hits,
+        outcomes: slots
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|o| o.expect("every point produced an outcome"))
+            .collect(),
+        shared: 0,
         trace_json: trace_slot.into_inner().unwrap(),
         wall: start.elapsed(),
-        cold_wall: split(false),
-        hit_wall: split(true),
-        outcomes,
+    }
+}
+
+/// The reports of one invocation's uninstrumented sweeps, so a point that
+/// several suites list is simulated once: fig7 renders fig6's 49 points
+/// and smoke reuses 4 of them. An instrumented sweep (traced, or
+/// epoch-sampled as fig-fault always is) neither takes nor offers
+/// reports, since its reports carry what the others' do not.
+#[derive(Default)]
+pub struct Shared {
+    done: Vec<(PointSpec, RunReport)>,
+}
+
+impl Shared {
+    /// Runs `points` like [`run_sweep`], but takes every point an earlier
+    /// uninstrumented sweep of `self` simulated from there.
+    pub fn sweep(
+        &mut self,
+        points: Vec<PointSpec>,
+        inst: &Instrumentation,
+        jobs: usize,
+        progress: bool,
+    ) -> SweepResult {
+        if inst.trace || inst.epoch.is_some() {
+            return run_sweep(points, inst, jobs, progress);
+        }
+        let known: Vec<Option<usize>> = points
+            .iter()
+            .map(|p| self.done.iter().position(|(s, _)| s == p))
+            .collect();
+        let fresh = points
+            .iter()
+            .zip(&known)
+            .filter(|(_, k)| k.is_none())
+            .map(|(p, _)| p.clone())
+            .collect();
+        let mut result = run_sweep(fresh, inst, jobs, progress);
+        let mut simulated = std::mem::take(&mut result.outcomes).into_iter();
+        for (spec, k) in points.into_iter().zip(known) {
+            let outcome = match k {
+                Some(i) => {
+                    result.shared += 1;
+                    PointOutcome {
+                        spec,
+                        report: Ok(self.done[i].1.clone()),
+                        wall: Duration::ZERO,
+                        counters: Snapshot::default(),
+                    }
+                }
+                None => {
+                    let o = simulated.next().expect("one outcome per simulated point");
+                    if let Ok(r) = &o.report {
+                        self.done.push((spec, r.clone()));
+                    }
+                    o
+                }
+            };
+            result.outcomes.push(outcome);
+        }
+        result
     }
 }
 
@@ -311,8 +316,8 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         let inst = Instrumentation::default();
-        let serial = run_sweep(points(), None, &inst, 1, false);
-        let parallel = run_sweep(points(), None, &inst, 4, false);
+        let serial = run_sweep(points(), &inst, 1, false);
+        let parallel = run_sweep(points(), &inst, 4, false);
         assert_eq!(
             rendered(&serial),
             rendered(&parallel),
@@ -331,7 +336,7 @@ mod tests {
             tweak: crate::spec::Tweak::None,
             reconfig: Some((3, 1)),
         };
-        let result = run_sweep(pts, None, &Instrumentation::default(), 2, false);
+        let result = run_sweep(pts, &Instrumentation::default(), 2, false);
         assert!(result.outcomes[1].report.is_err(), "bad point fails");
         let (spec, msg) = result.first_failure().expect("failure surfaced");
         assert_eq!(spec.key(), result.outcomes[1].spec.key());
@@ -348,54 +353,38 @@ mod tests {
     }
 
     #[test]
-    fn traced_point_produces_chrome_json_and_bypasses_cache() {
-        let dir = std::env::temp_dir().join(format!("pimdsm-lab-exec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::with_fingerprint(&dir, "test");
+    fn traced_point_produces_chrome_json_and_is_not_shared() {
         let inst = Instrumentation {
             trace: true,
             trace_only: Some("Radix".into()),
             epoch: None,
         };
-        let result = run_sweep(points(), Some(&cache), &inst, 2, false);
+        let mut shared = Shared::default();
+        let result = shared.sweep(points(), &inst, 2, false);
         let trace = result.trace_json.expect("trace captured");
         assert!(
             trace.starts_with("["),
             "chrome JSON: {}",
             &trace[..40.min(trace.len())]
         );
-        // The traced point (first Radix point, index 2) bypassed the
-        // cache; the rest were stored.
-        let warm = run_sweep(
-            points(),
-            Some(&cache),
-            &Instrumentation::default(),
-            2,
-            false,
-        );
-        assert_eq!(warm.hits, 3, "traced point was not cached");
-        assert_eq!(warm.misses, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        let plain = shared.sweep(points(), &Instrumentation::default(), 2, false);
+        assert_eq!(plain.shared, 0, "a traced sweep offers no reports");
     }
 
     #[test]
-    fn epoch_sampling_attaches_series_and_bypasses_cache() {
+    fn epoch_sampling_attaches_series_and_is_not_shared() {
         let inst = Instrumentation {
             trace: false,
             trace_only: None,
             epoch: Some(1000),
         };
-        let dir = std::env::temp_dir().join(format!("pimdsm-lab-epoch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::with_fingerprint(&dir, "test");
-        let result = run_sweep(points(), Some(&cache), &inst, 2, false);
+        let mut shared = Shared::default();
+        shared.sweep(points(), &Instrumentation::default(), 2, false);
+        let result = shared.sweep(points(), &inst, 2, false);
+        assert_eq!(result.shared, 0, "an epoch-sampled sweep takes no reports");
         assert!(result
             .outcomes
             .iter()
             .all(|o| o.report.as_ref().unwrap().epochs.is_some()));
-        assert_eq!(result.hits, 0);
-        let warm = run_sweep(points(), Some(&cache), &inst, 2, false);
-        assert_eq!(warm.hits, 0, "epoch-sampled sweeps never consult the cache");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

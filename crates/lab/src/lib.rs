@@ -3,15 +3,13 @@
 //! The lab turns the evaluation — every figure, table and ablation of the
 //! paper, plus arbitrary user sweeps — into three orthogonal pieces:
 //!
-//! * [`spec`]: a [`PointSpec`] describes one simulation
-//!   point as plain data with a stable *canonical string*;
-//!   [`suites`] names the standard sweeps.
+//! * [`spec`]: a [`PointSpec`] describes one simulation point as plain,
+//!   comparable data; [`suites`] names the standard sweeps.
 //! * [`exec`]: a work-stealing executor runs points on `--jobs` worker
 //!   threads. Points are individually deterministic and results are
 //!   ordered by position, so output bytes never depend on the job count.
-//! * [`cache`]: a content-addressed result cache keyed by (canonical
-//!   string, workspace source fingerprint) makes re-runs and interrupted
-//!   sweeps resume instantly, and self-invalidates on any code change.
+//!   Within one invocation, a point that several suites list is
+//!   simulated once ([`Shared`]); every invocation simulates afresh.
 //! * [`mod@bench`]: repeated-run measurement of a suite (`pimdsm-lab bench`)
 //!   producing schema-versioned `BENCH_<suite>.json` documents and a
 //!   threshold-based regression comparator, on top of the `pimdsm-prof`
@@ -22,14 +20,12 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod cache;
 pub mod cli;
 pub mod exec;
 pub mod spec;
 pub mod suites;
 
 pub use bench::{compare, measure_suite, validate_doc, BenchResult, Compared, BENCH_SCHEMA};
-pub use cache::{workspace_fingerprint, ResultCache};
-pub use exec::{run_sweep, Instrumentation, PointOutcome, SweepResult};
+pub use exec::{run_sweep, Instrumentation, PointOutcome, Shared, SweepResult};
 pub use spec::{Config, FaultSpec, MachineSpec, PointSpec, SpecError, Tweak, WorkloadSpec};
 pub use suites::{find, Suite, SuiteCtx, ALL_SUITES};

@@ -2,9 +2,9 @@
 //!
 //! A [`PointSpec`] fully describes **one** simulation point — which
 //! workload, on which machine, at which scale — as plain data: no
-//! closures, no floats with ambiguous text forms, nothing that cannot be
-//! serialized into the stable *canonical string* the result cache hashes.
-//! Every machine variation the evaluation needs (the paper's seven
+//! closures and no floats, so two specs are the same experiment exactly
+//! when they compare equal, and an invocation that lists a point twice
+//! simulates it once. Every machine variation the evaluation needs (the paper's seven
 //! Figure 6 configurations, Figure 9's explicit sizing, Figure 10-(a)'s
 //! fattened reconfigurable nodes, and all four ablation knobs) is a
 //! [`MachineSpec`]/[`Tweak`] variant, so adding a new sweep is adding
@@ -59,17 +59,6 @@ impl Config {
             }
         }
     }
-
-    fn canonical(&self) -> String {
-        match self {
-            Config::Numa => "numa".to_string(),
-            Config::Coma { pressure_pct } => format!("coma:press={pressure_pct}"),
-            Config::Agg {
-                ratio,
-                pressure_pct,
-            } => format!("agg:ratio={ratio}:press={pressure_pct}"),
-        }
-    }
 }
 
 /// Which workload a point runs.
@@ -98,20 +87,6 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    fn canonical(&self) -> String {
-        match self {
-            WorkloadSpec::App { app, threads } => {
-                format!("app={}:threads={threads}", app.name())
-            }
-            WorkloadSpec::Dbase {
-                hash_threads,
-                join_threads,
-                offload,
-            } => format!("dbase:hash={hash_threads}:join={join_threads}:offload={offload}"),
-            WorkloadSpec::Svc(s) => format!("svc:{}", s.canonical()),
-        }
-    }
-
     /// Display name of the application.
     pub fn app_name(&self) -> &'static str {
         match self {
@@ -125,8 +100,8 @@ impl WorkloadSpec {
 /// A configuration adjustment applied to the standard AGG sizing by the
 /// ablation suites.
 ///
-/// All quantities are integers (percent, per-mille, factors) so the
-/// canonical cache key never formats a float.
+/// All quantities are integers (percent, per-mille, factors), so specs
+/// compare exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tweak {
     /// No adjustment.
@@ -164,17 +139,6 @@ pub enum Tweak {
 }
 
 impl Tweak {
-    fn canonical(&self) -> String {
-        match self {
-            Tweak::None => "none".to_string(),
-            Tweak::FattenDnode { factor } => format!("fatten={factor}"),
-            Tweak::HandlerScale { milli } => format!("handler={milli}m"),
-            Tweak::OnchipPct { pct } => format!("onchip={pct}%"),
-            Tweak::AmOrg { ways, hashed } => format!("am={ways}w:hashed={hashed}"),
-            Tweak::SharedList { reuse } => format!("sharedlist={reuse}"),
-        }
-    }
-
     /// Applies the adjustment to a resolved AGG configuration.
     pub fn apply(&self, cfg: &mut pimdsm_proto::AggCfg) {
         match *self {
@@ -238,41 +202,12 @@ pub enum MachineSpec {
     },
 }
 
-impl MachineSpec {
-    fn canonical(&self) -> String {
-        match self {
-            MachineSpec::Arch(c) => format!("arch:{}", c.canonical()),
-            MachineSpec::AggExplicit {
-                n_d,
-                p_am_lines,
-                d_data_lines,
-                pressure_pct,
-            } => format!("aggx:d={n_d}:pam={p_am_lines}:ddata={d_data_lines}:press={pressure_pct}"),
-            MachineSpec::CustomAgg {
-                n_d,
-                pressure_pct,
-                tweak,
-                reconfig,
-            } => {
-                let rc = match reconfig {
-                    Some((p, d)) => format!("{p}p{d}d"),
-                    None => "none".to_string(),
-                };
-                format!(
-                    "custom:d={n_d}:press={pressure_pct}:tweak={}:reconfig={rc}",
-                    tweak.canonical()
-                )
-            }
-        }
-    }
-}
-
 /// A declarative fault scenario attached to a point: kill one node at a
 /// fixed cycle, optionally bring it back, under a durability policy.
 ///
 /// This is deliberately a narrow slice of [`FaultPlan`] — the slice the
-/// `fig-fault` suite sweeps — kept as plain integers so it serializes
-/// into the canonical cache key like every other spec field.
+/// `fig-fault` suite sweeps — kept as plain integers so it compares
+/// exactly like every other spec field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Node to kill.
@@ -286,22 +221,6 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    fn canonical(&self) -> String {
-        let rejoin = match self.rejoin_after {
-            Some(d) => format!("+{d}"),
-            None => "never".to_string(),
-        };
-        let dur = match self.durability {
-            Durability::None => "none".to_string(),
-            Durability::Checkpoint { interval } => format!("ckpt={interval}"),
-            Durability::Replication => "repl".to_string(),
-        };
-        format!(
-            "kill={}@{}:rejoin={rejoin}:dur={dur}",
-            self.kill_node, self.kill_cycle
-        )
-    }
-
     /// Expands the spec into the runnable [`FaultPlan`].
     pub fn plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::new()
@@ -388,7 +307,7 @@ pub struct PointSpec {
     /// Fault scenario injected into the run, if any.
     pub fault: Option<FaultSpec>,
     /// Display label attached to the run (part of the report, hence part
-    /// of the cache key).
+    /// of what makes two points the same).
     pub label: String,
 }
 
@@ -396,30 +315,6 @@ impl PointSpec {
     /// `"APP:LABEL"` — the key `--trace-only` filters match against.
     pub fn key(&self) -> String {
         format!("{}:{}", self.workload.app_name(), self.label)
-    }
-
-    /// The stable canonical form hashed into the cache key. Two specs
-    /// producing the same canonical string are the same experiment.
-    ///
-    /// The `|fault=` segment is appended only when a fault scenario is
-    /// attached, so a fault-free point's string names only what it sets
-    /// and keeps its pre-fault shape. That keeps no cache warm across
-    /// versions: the cache key also hashes the workspace fingerprint
-    /// (see [`crate::cache`]), so any source change misses on every point.
-    pub fn canonical(&self) -> String {
-        let mut c = format!(
-            "v1|workload={}|machine={}|scale={}/{}|label={}",
-            self.workload.canonical(),
-            self.machine.canonical(),
-            self.scale.size_div,
-            self.scale.iter_div,
-            self.label,
-        );
-        if let Some(f) = &self.fault {
-            c.push_str("|fault=");
-            c.push_str(&f.canonical());
-        }
-        c
     }
 
     /// Threads that get a P-node when the machine starts: the Dbase
@@ -637,45 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_distinguishes_every_field() {
-        let base = point();
-        let mut other = base.clone();
-        other.label = "X".into();
-        assert_ne!(base.canonical(), other.canonical());
-
-        let mut other = base.clone();
-        other.scale = Scale::bench();
-        assert_ne!(base.canonical(), other.canonical());
-
-        let mut other = base.clone();
-        other.workload = WorkloadSpec::App {
-            app: AppId::Ocean,
-            threads: 4,
-        };
-        assert_ne!(base.canonical(), other.canonical());
-
-        let mut other = base.clone();
-        other.machine = MachineSpec::Arch(Config::Agg {
-            ratio: 2,
-            pressure_pct: 25,
-        });
-        assert_ne!(base.canonical(), other.canonical());
-
-        let mut other = base.clone();
-        other.fault = Some(FaultSpec {
-            kill_node: 1,
-            kill_cycle: 20_000,
-            rejoin_after: None,
-            durability: Durability::None,
-        });
-        assert_ne!(base.canonical(), other.canonical());
-        let mut third = other.clone();
-        third.fault.as_mut().unwrap().durability = Durability::Checkpoint { interval: 5_000 };
-        assert_ne!(other.canonical(), third.canonical());
-    }
-
-    #[test]
-    fn svc_workloads_carry_their_own_canonical_namespace() {
+    fn svc_workloads_run_and_report_service_stats() {
         let mut p = point();
         p.workload = WorkloadSpec::Svc(SvcSpec::Kv {
             threads: 4,
@@ -684,23 +541,9 @@ mod tests {
             open_loop: false,
         });
         assert_eq!(p.workload.app_name(), "KV");
-        assert!(
-            p.canonical().contains("workload=svc:kv:threads=4"),
-            "{}",
-            p.canonical()
-        );
-        assert_ne!(p.canonical(), point().canonical());
         let r = p.build_machine().run();
         let s = r.svc.expect("service run reports svc stats");
         assert!(s.requests > 0);
-    }
-
-    #[test]
-    fn fault_free_canonical_has_no_fault_segment() {
-        // A point without a fault names no fault: its string keeps the
-        // pre-fault shape. (Cache entries do not outlive a source change
-        // either way; the key also hashes the workspace fingerprint.)
-        assert!(!point().canonical().contains("fault="));
     }
 
     #[test]
@@ -716,11 +559,6 @@ mod tests {
         let rs = r.faults.expect("faulted run carries recovery stats");
         assert_eq!(rs.kills, 1);
         assert_eq!(rs.rejoins, 1);
-    }
-
-    #[test]
-    fn canonical_is_stable_across_clones() {
-        assert_eq!(point().canonical(), point().clone().canonical());
     }
 
     #[test]

@@ -212,24 +212,6 @@ impl Network {
     }
 }
 
-impl NetStats {
-    /// Reconstructs the statistics from their JSON form (inverse of
-    /// [`ToJson::to_json`](pimdsm_obs::ToJson::to_json)).
-    pub fn from_json(v: &pimdsm_obs::JsonValue) -> Result<NetStats, String> {
-        let field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        Ok(NetStats {
-            messages: field("messages")?,
-            bytes: field("bytes")?,
-            total_latency: field("total_latency")?,
-            total_queueing: field("total_queueing")?,
-        })
-    }
-}
-
 impl pimdsm_obs::ToJson for NetStats {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;

@@ -217,8 +217,7 @@ impl ToJson for JsonValue {
     }
 }
 
-/// A recorded distribution as `{count, sum, max, buckets}`; read back by
-/// [`histogram_from_json`].
+/// A recorded distribution as `{count, sum, max, buckets}`.
 impl ToJson for Histogram {
     fn to_json(&self) -> JsonValue {
         JsonValue::obj([
@@ -231,44 +230,6 @@ impl ToJson for Histogram {
             ),
         ])
     }
-}
-
-/// Reads the histogram at `v[key]` back from its [`ToJson`] form.
-///
-/// # Errors
-///
-/// Names the first missing or malformed field, and rejects buckets that
-/// do not sum to `count` (which [`Histogram::from_raw`] would panic on).
-pub fn histogram_from_json(v: &JsonValue, key: &str) -> Result<Histogram, String> {
-    let h = v.get(key).ok_or_else(|| format!("missing {key}"))?;
-    let field = |sub: &str| -> Result<u64, String> {
-        h.get(sub)
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| format!("missing {key}.{sub}"))
-    };
-    let arr = h
-        .get("buckets")
-        .and_then(|x| x.as_arr())
-        .ok_or_else(|| format!("missing {key}.buckets"))?;
-    if arr.len() != 64 {
-        return Err(format!("{key}.buckets has {} entries", arr.len()));
-    }
-    let mut buckets = [0u64; 64];
-    for (slot, x) in buckets.iter_mut().zip(arr) {
-        *slot = x
-            .as_u64()
-            .ok_or_else(|| format!("non-integer {key} bucket"))?;
-    }
-    let count = field("count")?;
-    if buckets.iter().try_fold(0u64, |a, &n| a.checked_add(n)) != Some(count) {
-        return Err(format!("{key}.buckets do not sum to {key}.count"));
-    }
-    Ok(Histogram::from_raw(
-        buckets,
-        count,
-        field("sum")?,
-        field("max")?,
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -513,30 +474,6 @@ mod tests {
             took < std::time::Duration::from_secs(10),
             "parsing {} bytes took {took:?}",
             text.len()
-        );
-    }
-
-    #[test]
-    fn histograms_round_trip_and_inconsistent_counts_are_errors() {
-        let mut h = Histogram::new();
-        for v in [0u64, 3, 9, 9, 4096] {
-            h.record(v);
-        }
-        let doc = JsonValue::obj([("lat", h.to_json())]);
-        assert_eq!(histogram_from_json(&doc, "lat"), Ok(h));
-        let mut bad = doc.clone();
-        if let JsonValue::Obj(m) = &mut bad {
-            if let Some(JsonValue::Obj(lat)) = m.get_mut("lat") {
-                lat.insert("count".into(), JsonValue::u64(6));
-            }
-        }
-        assert_eq!(
-            histogram_from_json(&bad, "lat"),
-            Err("lat.buckets do not sum to lat.count".into())
-        );
-        assert_eq!(
-            histogram_from_json(&doc, "gone"),
-            Err("missing gone".into())
         );
     }
 }

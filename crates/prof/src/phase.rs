@@ -32,10 +32,6 @@ use std::time::Instant;
 pub enum Phase {
     /// `pimdsm-lab bench`'s measured runs.
     BenchMeasure,
-    /// Result-cache lookups.
-    CacheLoad,
-    /// Result-cache writes.
-    CacheStore,
     /// Building one point's machine and workload.
     PointBuild,
     /// Running one point's machine.
@@ -50,10 +46,8 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in declaration (= name) order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 6] = [
         Phase::BenchMeasure,
-        Phase::CacheLoad,
-        Phase::CacheStore,
         Phase::PointBuild,
         Phase::PointRun,
         Phase::SuitePoints,
@@ -65,8 +59,6 @@ impl Phase {
     pub const fn name(self) -> &'static str {
         match self {
             Phase::BenchMeasure => "bench.measure",
-            Phase::CacheLoad => "cache.load",
-            Phase::CacheStore => "cache.store",
             Phase::PointBuild => "point.build",
             Phase::PointRun => "point.run",
             Phase::SuitePoints => "suite.points",

@@ -1212,9 +1212,10 @@ impl MemSystem for AggSystem {
         // neither the FreeList nor the SharedList can supply a slot) has
         // already pushed the least-recently-used — i.e. cold — pages to
         // disk, which is exactly how the paper argues AGG runs at high
-        // memory pressures.
+        // memory pressures. `home_of` mapped the page on its first touch
+        // and preload never pages out, so the slot needs no page lookup.
         let page = page_of_line(line);
-        match self.dstore(home).alloc_slot(line) {
+        match self.dstore(home).take_slot(line) {
             Ok(_) => {
                 let dn = self.dstore(home);
                 dn.entry_mut(line);

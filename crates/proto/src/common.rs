@@ -574,59 +574,6 @@ impl ProtoStats {
     }
 }
 
-impl ProtoStats {
-    /// Reconstructs the statistics from the JSON produced by
-    /// [`ToJson::to_json`](pimdsm_obs::ToJson::to_json) — the inverse used
-    /// by `pimdsm-lab`'s content-addressed result cache.
-    pub fn from_json(v: &pimdsm_obs::JsonValue) -> Result<ProtoStats, String> {
-        let by_level = |key: &str| -> Result<[u64; 5], String> {
-            let obj = v.get(key).ok_or_else(|| format!("missing {key}"))?;
-            let mut out = [0u64; 5];
-            for l in Level::ALL {
-                out[l.index()] = obj
-                    .get(l.label())
-                    .and_then(|x| x.as_u64())
-                    .ok_or_else(|| format!("missing {key}.{}", l.label()))?;
-            }
-            Ok(out)
-        };
-        let field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        let breakdown = |key: &str| -> Result<[[u64; 5]; 5], String> {
-            let obj = v.get(key).ok_or_else(|| format!("missing {key}"))?;
-            let mut out = [[0u64; 5]; 5];
-            for l in Level::ALL {
-                let row = obj
-                    .get(l.label())
-                    .ok_or_else(|| format!("missing {key}.{}", l.label()))?;
-                for (i, name) in pimdsm_obs::breakdown::COMPONENTS.iter().enumerate() {
-                    out[l.index()][i] = row
-                        .get(name)
-                        .and_then(|x| x.as_u64())
-                        .ok_or_else(|| format!("missing {key}.{}.{name}", l.label()))?;
-                }
-            }
-            Ok(out)
-        };
-        Ok(ProtoStats {
-            reads_by_level: by_level("reads_by_level")?,
-            read_latency_by_level: by_level("read_latency_by_level")?,
-            read_breakdown_by_level: breakdown("read_breakdown_by_level")?,
-            remote_writes: field("remote_writes")?,
-            invalidations: field("invalidations")?,
-            write_backs: field("write_backs")?,
-            injections: field("injections")?,
-            master_fetches: field("master_fetches")?,
-            page_outs: field("page_outs")?,
-            disk_faults: field("disk_faults")?,
-            disk_spills: field("disk_spills")?,
-        })
-    }
-}
-
 impl pimdsm_obs::ToJson for ProtoStats {
     fn to_json(&self) -> pimdsm_obs::JsonValue {
         use pimdsm_obs::JsonValue;
@@ -682,27 +629,6 @@ impl pimdsm_obs::ToJson for ProtoStats {
             ("disk_faults", JsonValue::u64(*disk_faults)),
             ("disk_spills", JsonValue::u64(*disk_spills)),
         ])
-    }
-}
-
-impl Census {
-    /// Reconstructs the census from its JSON form (inverse of
-    /// [`ToJson::to_json`](pimdsm_obs::ToJson::to_json); the derived
-    /// `total_lines` field is ignored).
-    pub fn from_json(v: &pimdsm_obs::JsonValue) -> Result<Census, String> {
-        let field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        Ok(Census {
-            dirty_in_p: field("dirty_in_p")?,
-            shared_in_p: field("shared_in_p")?,
-            d_node_only: field("d_node_only")?,
-            paged_out: field("paged_out")?,
-            d_slots: field("d_slots")?,
-            shared_with_home_copy: field("shared_with_home_copy")?,
-        })
     }
 }
 

@@ -231,19 +231,33 @@ impl DNode {
         }
     }
 
-    /// Takes a free Data slot for `line`, reclaiming the SharedList head
-    /// if the FreeList is empty, and maps `line`'s page: a page-out may
-    /// have just unmapped it, or the line may be the first referenced of
-    /// a paged-out page, and a page holding in-memory lines must stay a
-    /// page-out candidate. Returns the line whose home copy was dropped,
-    /// if any. Returns `Err(())` if no slot can be found (caller must page
-    /// out first).
+    /// Takes a free Data slot for `line` with [`DNode::take_slot`] and
+    /// maps `line`'s page: a page-out may have just unmapped it, or the
+    /// line may be the first referenced of a paged-out page, and a page
+    /// holding in-memory lines must stay a page-out candidate.
     ///
     /// # Panics
     ///
     /// Panics if `line` already occupies a slot.
     #[allow(clippy::result_unit_err)]
     pub fn alloc_slot(&mut self, line: Line) -> Result<Option<Line>, ()> {
+        let dropped = self.take_slot(line)?;
+        self.map_page(page_of_line(line));
+        Ok(dropped)
+    }
+
+    /// Takes a free Data slot for `line`, reclaiming the SharedList head
+    /// if the FreeList is empty, without touching the page map: only for
+    /// callers that know `line`'s page is mapped here and stays so, as
+    /// preload does. Returns the line whose home copy was dropped, if
+    /// any. Returns `Err(())` if no slot can be found (caller must page
+    /// out first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` already occupies a slot.
+    #[allow(clippy::result_unit_err)]
+    pub fn take_slot(&mut self, line: Line) -> Result<Option<Line>, ()> {
         let e = self.dir.get(line);
         assert!(
             e.is_none_or(|e| !e.in_mem),
@@ -251,7 +265,6 @@ impl DNode {
         );
         if self.free_slots > 0 {
             self.free_slots -= 1;
-            self.map_page(page_of_line(line));
             return Ok(None);
         }
         if self.cfg.reuse_shared_list {
@@ -262,7 +275,6 @@ impl DNode {
                     .expect("SharedList member must have a directory entry");
                 debug_assert!(ve.in_mem);
                 ve.in_mem = false;
-                self.map_page(page_of_line(line));
                 return Ok(Some(victim));
             }
         }

@@ -1,4 +1,4 @@
-//! The `Copy` parameter block the lab embeds in cache-keyed point specs.
+//! The `Copy` parameter block the lab embeds in its point specs.
 
 use pimdsm_workloads::{Scale, Workload};
 
@@ -32,8 +32,7 @@ const PR_ITERS_FULL: u64 = 8;
 const STREAM_TABLE_FULL: u64 = 64 << 20;
 
 /// One service workload configuration. Integer-only knobs (θ in
-/// milli-units) so the lab's canonical cache-key strings never format a
-/// float.
+/// milli-units), so the lab's point specs compare exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvcSpec {
     /// Zipf key-value serving.
@@ -84,26 +83,6 @@ impl SvcSpec {
             | SvcSpec::Bfs { threads }
             | SvcSpec::PageRank { threads }
             | SvcSpec::Stream { threads, .. } => threads,
-        }
-    }
-
-    /// Canonical cache-key segment: stable, integer-only, unambiguous.
-    pub fn canonical(&self) -> String {
-        match *self {
-            SvcSpec::Kv {
-                threads,
-                theta_milli,
-                write_pct,
-                open_loop,
-            } => format!(
-                "kv:threads={threads}:theta={theta_milli}:write={write_pct}:open={}",
-                u8::from(open_loop)
-            ),
-            SvcSpec::Bfs { threads } => format!("bfs:threads={threads}"),
-            SvcSpec::PageRank { threads } => format!("pagerank:threads={threads}"),
-            SvcSpec::Stream { threads, offload } => {
-                format!("stream:threads={threads}:offload={}", u8::from(offload))
-            }
         }
     }
 
@@ -168,35 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn canonicals_are_distinct_and_integer_only() {
-        let mut seen = std::collections::BTreeSet::new();
-        for s in all_specs() {
-            let c = s.canonical();
-            assert!(seen.insert(c.clone()), "duplicate canonical {c}");
-            assert!(!c.contains('.'), "float leaked into canonical: {c}");
-        }
-        // The skew knob must be visible in the key.
-        let a = SvcSpec::Kv {
-            threads: 4,
-            theta_milli: 600,
-            write_pct: 10,
-            open_loop: false,
-        };
-        let b = SvcSpec::Kv {
-            threads: 4,
-            theta_milli: 1200,
-            write_pct: 10,
-            open_loop: false,
-        };
-        assert_ne!(a.canonical(), b.canonical());
-    }
-
-    #[test]
     fn build_honours_thread_counts_at_every_scale() {
         for scale in [Scale::full(), Scale::bench(), Scale::ci()] {
             for s in all_specs() {
                 let w = s.build(scale);
-                assert_eq!(w.threads(), 4, "{}", s.canonical());
+                assert_eq!(w.threads(), 4, "{s:?}");
                 assert!(w.footprint_bytes() > 0);
                 assert_eq!(w.name(), s.name());
             }

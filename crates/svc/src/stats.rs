@@ -1,7 +1,6 @@
 //! Per-request latency and throughput accounting.
 
 use pimdsm_engine::Histogram;
-use pimdsm_obs::json::histogram_from_json;
 use pimdsm_obs::{JsonValue, ToJson};
 
 /// Request classes a [`crate::SvcSpec`] workload can open.
@@ -85,31 +84,6 @@ impl SvcStats {
         }
         self.requests as f64 * 1_000_000.0 / total_cycles as f64
     }
-
-    /// Reconstructs the statistics from the JSON produced by
-    /// [`ToJson::to_json`] — the inverse used by `pimdsm-lab`'s
-    /// content-addressed result cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<SvcStats, String> {
-        let field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        Ok(SvcStats {
-            requests: field("requests")?,
-            gets: field("gets")?,
-            puts: field("puts")?,
-            other: field("other")?,
-            queued_cycles: field("queued_cycles")?,
-            latency: histogram_from_json(v, "latency")?,
-            get_latency: histogram_from_json(v, "get_latency")?,
-            put_latency: histogram_from_json(v, "put_latency")?,
-        })
-    }
 }
 
 impl ToJson for SvcStats {
@@ -160,41 +134,14 @@ mod tests {
 
     #[test]
     fn empty_stats_render_cleanly() {
-        // Satellite guard: a point that completed zero requests must not
-        // NaN/panic anywhere — percentiles are 0, throughput is 0, and
-        // the JSON round-trips.
+        // A point that completed zero requests must not NaN/panic
+        // anywhere: percentiles are 0 and throughput is 0.
         let s = SvcStats::default();
         assert_eq!(s.p50(), 0);
         assert_eq!(s.p95(), 0);
         assert_eq!(s.p99(), 0);
         assert_eq!(s.per_mcycle(0), 0.0);
         assert_eq!(s.per_mcycle(1_000_000), 0.0);
-        let back = SvcStats::from_json(&s.to_json()).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let mut s = SvcStats {
-            queued_cycles: 1234,
-            ..SvcStats::default()
-        };
-        for i in 0..1000u64 {
-            s.record((i % 3) as u8, i * 17 + 3);
-        }
-        let j = s.to_json();
-        let text = j.render_pretty();
-        let parsed = pimdsm_obs::json::parse(&text).unwrap();
-        let back = SvcStats::from_json(&parsed).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_json().render_pretty(), text);
-    }
-
-    #[test]
-    fn from_json_rejects_missing_fields() {
-        let j = JsonValue::obj([("requests", JsonValue::u64(1))]);
-        let err = SvcStats::from_json(&j).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
     }
 
     #[test]

@@ -218,7 +218,7 @@ fn bench_counters_are_run_stable() {
 
 /// A kill + checkpoint + rejoin plan on an AGG machine: recovery sweeps
 /// directory entries, re-homes pages and re-binds threads — all paths
-/// that must stay bit-exact for the fault suite to be cacheable at all.
+/// that must stay bit-exact for the fault suite to re-render identically.
 fn run_faulted() -> (RunReport, Vec<pimdsm_obs::TraceEvent>) {
     use pimdsm_faults::{Durability, FaultPlan};
     use pimdsm_obs::Tracer;
@@ -291,7 +291,7 @@ fn fault_suite_sweep_is_jobs_invariant() {
         ..Default::default()
     };
     let rendered = |jobs| {
-        let result = run_sweep(suite.points(&ctx), None, &inst, jobs, false);
+        let result = run_sweep(suite.points(&ctx), &inst, jobs, false);
         let reports = result.reports().expect("every fault point succeeds");
         let json: Vec<String> = reports
             .iter()
@@ -332,7 +332,7 @@ fn svc_suite_sweep_is_jobs_invariant() {
     let suite = find("fig-svc").expect("svc suite exists");
     let inst = Instrumentation::default();
     let rendered = |jobs| {
-        let result = run_sweep(suite.points(&ctx), None, &inst, jobs, false);
+        let result = run_sweep(suite.points(&ctx), &inst, jobs, false);
         let reports = result.reports().expect("every svc point succeeds");
         let json: Vec<String> = reports
             .iter()

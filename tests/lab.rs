@@ -1,10 +1,10 @@
 //! Cross-crate integration tests of the `pimdsm-lab` orchestration
-//! subsystem: the executor's job-count independence, the content-
-//! addressed cache's resume semantics, and the suite renderers — the
-//! properties the lab's CLI contract (`run --jobs N`, warm re-runs,
+//! subsystem: the executor's job-count independence and the sharing of
+//! a point between the suites of one invocation — the properties the
+//! lab's CLI contract (`run --jobs N`, `run fig6 fig7 smoke`,
 //! `results/<suite>.json`) is built on.
 
-use pimdsm_lab::{find, run_sweep, Instrumentation, ResultCache, SuiteCtx};
+use pimdsm_lab::{find, run_sweep, Instrumentation, Shared, SuiteCtx, SweepResult};
 use pimdsm_obs::ToJson;
 use pimdsm_workloads::Scale;
 
@@ -15,12 +15,6 @@ fn ctx() -> SuiteCtx {
     }
 }
 
-fn tmp_cache(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pimdsm-lab-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// `--jobs` must never change a byte of any output: same reports, same
 /// rendered text, whatever the worker count.
 #[test]
@@ -28,13 +22,7 @@ fn smoke_suite_is_jobs_invariant() {
     let ctx = ctx();
     let suite = find("smoke").expect("smoke suite exists");
     let run = |jobs: usize| {
-        let result = run_sweep(
-            suite.points(&ctx),
-            None,
-            &Instrumentation::default(),
-            jobs,
-            false,
-        );
+        let result = run_sweep(suite.points(&ctx), &Instrumentation::default(), jobs, false);
         let reports = result.reports().expect("no failures");
         let json: Vec<String> = reports
             .iter()
@@ -49,119 +37,35 @@ fn smoke_suite_is_jobs_invariant() {
     }
 }
 
-/// A warm second sweep is served entirely from the cache and renders the
-/// same bytes the cold sweep did — the resume-an-interrupted-sweep
-/// guarantee.
+/// Two suites of one invocation that list the same points (as
+/// `run smoke smoke` does, or fig6, fig7 and smoke in `run --all`)
+/// simulate each point once, and the second renders exactly what a
+/// separate run of it renders.
 #[test]
-fn warm_rerun_hits_cache_and_renders_identically() {
+fn a_point_two_suites_list_is_simulated_once() {
     let ctx = ctx();
     let suite = find("smoke").unwrap();
-    let dir = tmp_cache("warm");
-    let cache = ResultCache::new(&dir);
     let inst = Instrumentation::default();
-
-    let cold = run_sweep(suite.points(&ctx), Some(&cache), &inst, 2, false);
-    assert_eq!(cold.hits, 0, "cold cache");
-    assert_eq!(cold.misses, suite.points(&ctx).len());
-
-    let warm = run_sweep(suite.points(&ctx), Some(&cache), &inst, 2, false);
-    assert_eq!(warm.misses, 0, "warm run re-simulated a point");
-    assert!(warm.hit_rate() >= 0.9, "CI gate: >=90% hits on a warm run");
-
-    let cold_text = suite.render(&ctx, &cold.reports().unwrap());
-    let warm_text = suite.render(&ctx, &warm.reports().unwrap());
-    assert_eq!(cold_text, warm_text, "cache must not change rendered bytes");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// An interrupted sweep resumes: points already cached are not re-run,
-/// the rest are simulated and the combined output is complete.
-#[test]
-fn partial_cache_resumes_the_remainder() {
-    let ctx = ctx();
-    let suite = find("smoke").unwrap();
-    let dir = tmp_cache("resume");
-    let cache = ResultCache::new(&dir);
-    let points = suite.points(&ctx);
-
-    // Simulate an interrupted sweep: only the first half was cached.
-    let half: Vec<_> = points[..2].to_vec();
-    run_sweep(half, Some(&cache), &Instrumentation::default(), 1, false);
-
-    let resumed = run_sweep(
-        points.clone(),
-        Some(&cache),
-        &Instrumentation::default(),
-        2,
-        false,
-    );
-    assert_eq!(resumed.hits, 2, "first half came from the cache");
+    let mut shared = Shared::default();
+    let first = shared.sweep(suite.points(&ctx), &inst, 2, false);
+    let second = shared.sweep(suite.points(&ctx), &inst, 2, false);
+    assert_eq!(first.shared, 0, "nothing to share yet");
+    assert!(first.counter_totals().txn_walks() > 0);
+    assert_eq!(second.shared, 4, "every smoke point is shared");
     assert_eq!(
-        resumed.misses,
-        points.len() - 2,
-        "second half was simulated"
+        second.counter_totals().engine_events(),
+        0,
+        "a shared point was simulated again"
     );
-    assert!(resumed.reports().is_some(), "complete output after resume");
-    let _ = std::fs::remove_dir_all(&dir);
-}
 
-/// fig6 and fig7 describe the same 49 simulations; running fig6 must warm
-/// the cache for fig7 (the cache key excludes the suite name).
-#[test]
-fn cache_is_shared_across_suites() {
-    let ctx = ctx();
-    let dir = tmp_cache("cross");
-    let cache = ResultCache::new(&dir);
-    let inst = Instrumentation::default();
-
-    let fig6 = find("fig6").unwrap().points(&ctx);
-    let fig7 = find("fig7").unwrap().points(&ctx);
-    // Only run the first few points to keep the test quick.
-    run_sweep(fig6[..3].to_vec(), Some(&cache), &inst, 2, false);
-    let r = run_sweep(fig7[..3].to_vec(), Some(&cache), &inst, 2, false);
-    assert_eq!(r.hits, 3, "fig7 reuses fig6's entries");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The cache key is bound to the workspace fingerprint: entries written
-/// under a different fingerprint (i.e. by a differently-built simulator)
-/// are invisible.
-#[test]
-fn code_change_invalidates_cache() {
-    let ctx = ctx();
-    let suite = find("smoke").unwrap();
-    let dir = tmp_cache("fingerprint");
-    let inst = Instrumentation::default();
-
-    let old = ResultCache::with_fingerprint(&dir, "0000000000000001");
-    run_sweep(suite.points(&ctx), Some(&old), &inst, 1, false);
-
-    let new = ResultCache::with_fingerprint(&dir, "0000000000000002");
-    let r = run_sweep(suite.points(&ctx), Some(&new), &inst, 1, false);
-    assert_eq!(r.hits, 0, "new fingerprint must not see old entries");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The report JSON round-trip the cache depends on, exercised through a
-/// real simulation (not just the synthetic report of the unit tests).
-#[test]
-fn cached_reports_rerender_byte_identically() {
-    let ctx = ctx();
-    let suite = find("fig10b").unwrap();
-    let dir = tmp_cache("bytes");
-    let cache = ResultCache::new(&dir);
-    let inst = Instrumentation::default();
-    let points: Vec<_> = suite.points(&ctx)[..2].to_vec();
-
-    let cold = run_sweep(points.clone(), Some(&cache), &inst, 1, false);
-    let warm = run_sweep(points, Some(&cache), &inst, 1, false);
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(
-            c.report.as_ref().unwrap().to_json().render_pretty(),
-            w.report.as_ref().unwrap().to_json().render_pretty(),
-            "{}",
-            c.spec.key()
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let output = |r: &SweepResult| {
+        let reports = r.reports().expect("no failures");
+        let json: Vec<String> = reports
+            .iter()
+            .map(|r| r.to_json().render_pretty())
+            .collect();
+        (suite.render(&ctx, &reports), json)
+    };
+    let separate = run_sweep(suite.points(&ctx), &inst, 2, false);
+    assert_eq!(output(&second), output(&separate));
 }
